@@ -100,13 +100,15 @@ def _propagator_from_config(config: PipelineConfig) -> theory.PropagatorModel:
 def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
     """Run the lattice simulation; write magnetization, returns, params."""
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = dynamics.SimulationParams(
         dims=config.dims, side=config.side, init=config.init,
         temperature=config.temperature, sweeps=config.sweeps,
         burn_in=config.burn_in, thin=config.thin, seed=config.seed)
     series = dynamics.run_simulation(params)
+    # a frozen run has no return variance: fail before writing any file
+    returns = dynamics.magnetization_to_returns(series)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     n_sites = config.side ** config.dims
     prov = io.make_provenance(
         config.seed,
@@ -118,7 +120,6 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
         sweep_no = params.burn_in + (i + 1) * params.thin
         rows.append((sweep_no, m, 1.0 + 2.0 * m / n_sites))
     io.write_csv(mag_path, ["sweep", "M", "price"], rows, prov)
-    returns = dynamics.magnetization_to_returns(series)
     ret_path = out / "returns.csv"
     io.write_csv(ret_path, ["t", "R"],
                  list(enumerate(returns.values)), prov)
@@ -190,7 +191,7 @@ class _ScaleData:
     k: int
     x: np.ndarray           # trend strengths, pooled across markets
     y: np.ndarray           # next-day normalized returns
-    dates: np.ndarray       # ISO date of the target return
+    dates: np.ndarray       # day ordinal (int64) of the target return
     market_idx: np.ndarray  # market index per observation
     weight_sum: float       # premium sensitivity of the trend level
 
@@ -198,9 +199,11 @@ class _ScaleData:
 def _market_scale_data(table: io.PriceTable, horizons: list[int],
                        estimator: str) -> tuple[list[_ScaleData], list, list]:
     """Aligned (phi, next return) observations per scale, pooled over markets."""
-    returns_all = []
+    returns_all, days_all = [], []
     for market in table.markets:
         returns_all.append(trends.normalize_returns(market.prices))
+        days_all.append(np.array([d.toordinal() for d in market.dates],
+                                 dtype=np.int64))
     scales = []
     for k in horizons:
         horizon = 2 ** k
@@ -209,7 +212,7 @@ def _market_scale_data(table: io.PriceTable, horizons: list[int],
         warmup = min(weights.n_max,
                      trends.statistical_warmup(estimator, horizon))
         xs, ys, ds, ms = [], [], [], []
-        for m_idx, (market, rets) in enumerate(zip(table.markets, returns_all)):
+        for m_idx, (days, rets) in enumerate(zip(days_all, returns_all)):
             n = len(rets.values)
             start = warmup
             if n - 1 - start < 30:
@@ -218,7 +221,7 @@ def _market_scale_data(table: io.PriceTable, horizons: list[int],
             xs.append(trend.values[start:n - 1])
             ys.append(rets.values[start + 1:n])
             # return index i carries the date of its later price
-            ds.append([d.isoformat() for d in market.dates[start + 2:n + 1]])
+            ds.append(days[start + 2:n + 1])
             ms.append(np.full(n - 1 - start, m_idx, dtype=np.int64))
         if not xs:
             log.warning("dropping k=%d: no market has enough history", k)
@@ -235,24 +238,43 @@ def _market_scale_data(table: io.PriceTable, horizons: list[int],
     return scales, returns_all, [m.name for m in table.markets]
 
 
-def _date_block_cv(x, y, dates, folds: int) -> float:
-    """Out-of-sample R^2 with folds that are contiguous date blocks."""
-    order = np.argsort(dates, kind="stable")
-    x, y, dates = x[order], y[order], dates[order]
-    unique_dates = np.unique(dates)
-    if unique_dates.size < folds:
+def _date_folds(days, folds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable day order and the slice bounds of contiguous date-block folds.
+
+    Fold i is order[bounds[i]:bounds[i + 1]]; a calendar day never
+    straddles two folds.
+    """
+    order = np.argsort(days, kind="stable")
+    sorted_days = days[order]
+    unique_days = np.unique(sorted_days)
+    if unique_days.size < folds:
         raise ValueError("fewer distinct dates than folds")
-    date_blocks = np.array_split(unique_dates, folds)
+    first_days = [block[0] for block in np.array_split(unique_days, folds)]
+    bounds = np.append(np.searchsorted(sorted_days, first_days), days.size)
+    return order, bounds
+
+
+def _date_block_cv(x, y, days, folds: int) -> float:
+    """Out-of-sample R^2 with folds that are contiguous date blocks.
+
+    Each training fit solves the normal equations from the total moment
+    sums minus the held-out fold's sums.
+    """
+    order, bounds = _date_folds(days, folds)
+    x, y = x[order], y[order]
+    fold_sums = np.add.reduceat(stats._moment_columns(x, y), bounds[:-1])
+    total = fold_sums.sum(axis=0)
     scores = []
-    for block in date_blocks:
-        val_mask = np.isin(dates, block)
-        if val_mask.sum() < 4 or (~val_mask).sum() < 30:
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi - lo < 4 or x.size - (hi - lo) < 30:
             raise ValueError("fold too small")
-        res = stats.fit_cubic_xy(x[~val_mask], y[~val_mask], min_obs=30)
-        coef = res.coefficients
-        pred = coef[0] + coef[1] * x[val_mask] + coef[2] * x[val_mask] ** 3
-        y_val = y[val_mask]
-        train_mean = y[~val_mask].mean()
+        train = total - fold_sums[i]
+        coef = stats._solve_from_sums(train)
+        if coef is None:
+            raise ValueError("rank-deficient design (constant trend strength?)")
+        x_val, y_val = x[lo:hi], y[lo:hi]
+        pred = coef[0] + coef[1] * x_val + coef[2] * x_val ** 3
+        train_mean = train[6] / train[0]
         ss_res = float(np.sum((y_val - pred) ** 2))
         ss_tot = float(np.sum((y_val - train_mean) ** 2))
         scores.append(1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
@@ -308,7 +330,7 @@ def analyze_price_table(table: io.PriceTable,
     }
 
     # combined factor: equally weighted mean trend across scales
-    combined = _combined_factor(scales)
+    combined = _combined_factor(scales, len(names))
     if combined is not None:
         xc, yc, dc = combined
         cfit = stats.fit_cubic_xy(xc, yc)
@@ -376,15 +398,14 @@ def analyze_price_table(table: io.PriceTable,
     return report
 
 
-def _combined_factor(scales: list[_ScaleData]):
+def _combined_factor(scales: list[_ScaleData], n_markets: int):
     """Equally weighted mean of the per-scale trends on shared observations."""
     if len(scales) < 2:
         return None
-    keys = [np.char.add(np.char.add(s.dates, "|"),
-                        s.market_idx.astype(str)) for s in scales]
+    keys = [s.dates * n_markets + s.market_idx for s in scales]
     common = keys[0]
     for arr in keys[1:]:
-        common = np.intersect1d(common, arr)
+        common = np.intersect1d(common, arr, assume_unique=True)
     if common.size < stats._MIN_OBSERVATIONS:
         return None
     x_sum = np.zeros(common.size)
@@ -502,12 +523,15 @@ def cmd_analyze(config: PipelineConfig, price_path, out_dir,
 def cmd_fit_kappa(config: PipelineConfig, variance_csv, out_dir) -> Path:
     """Fit kappa from a (k, variance) CSV and invert to the dimension."""
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header, rows = io.read_csv_rows(variance_csv)
     cols = {name.strip().lower(): i for i, name in enumerate(header)}
-    k_col = cols.get("k", 0)
-    v_col = cols.get("variance", cols.get("variance_tilde", 1))
+    if "k" not in cols:
+        raise ValueError(f"{variance_csv}: header lacks a 'k' column")
+    v_name = "variance" if "variance" in cols else "variance_tilde"
+    if v_name not in cols:
+        raise ValueError(f"{variance_csv}: header lacks a 'variance' or "
+                         "'variance_tilde' column")
+    k_col, v_col = cols["k"], cols[v_name]
     points = []
     for row in rows:
         points.append((float(row[k_col]), float(row[v_col])))
@@ -524,6 +548,8 @@ def cmd_fit_kappa(config: PipelineConfig, variance_csv, out_dir) -> Path:
     prov = io.make_provenance(
         config.seed,
         inputs={Path(variance_csv).name: io.sha256_of_file(variance_csv)})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "kappa_fit.json"
     io.write_json(report_path, result, prov)
     return report_path

@@ -155,6 +155,14 @@ class TestSimulateCommand:
                          "--out", str(tmp_path)])
         assert code == 2
 
+    def test_frozen_run_writes_no_file(self, tmp_path):
+        out = tmp_path / "run"
+        code = cli.main([
+            "simulate", "--side", "4", "--sweeps", "200", "--burn-in", "10",
+            "--temperature", "1e-6", "--init", "all_up", "--out", str(out)])
+        assert code == 2
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestPredictCommand:
     def test_kappa_one_zeroes_autocorrelation(self, tmp_path):
@@ -327,6 +335,19 @@ class TestFitKappaCommand:
         var_csv.write_text("k,variance_tilde\n1,0.97\n2,0.95\n3,0.92\n")
         out = tmp_path / "fit"
         assert cli.main(["fit-kappa", str(var_csv), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("header, missing", [("scale,var", "'k'"),
+                                                 ("k,var", "'variance'")])
+    def test_unnamed_columns_rejected(self, tmp_path, caplog, header,
+                                      missing):
+        var_csv = tmp_path / "var.csv"
+        var_csv.write_text(header + "\n1,0.97\n2,0.95\n3,0.92\n")
+        out = tmp_path / "fit"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["fit-kappa", str(var_csv),
+                             "--out", str(out)]) == 2
+        assert any(missing in rec.message for rec in caplog.records)
+        assert not out.exists()
 
 
 class TestConfigPrecedence:
