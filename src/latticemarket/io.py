@@ -178,10 +178,23 @@ def write_csv(path, columns: list[str], rows, provenance: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, however nested, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def write_json(path, payload: dict, provenance: dict) -> None:
-    doc = {"provenance": provenance, **payload}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    """Strict RFC 8259 JSON: NaN and +-inf are written as null."""
+    doc = _finite_or_null({"provenance": provenance, **payload})
+    Path(path).write_text(
+        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8")
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:

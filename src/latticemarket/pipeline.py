@@ -193,7 +193,6 @@ class _ScaleData:
     y: np.ndarray           # next-day normalized returns
     dates: np.ndarray       # day ordinal (int64) of the target return
     market_idx: np.ndarray  # market index per observation
-    weight_sum: float       # premium sensitivity of the trend level
 
 
 def _market_scale_data(table: io.PriceTable, horizons: list[int],
@@ -209,8 +208,7 @@ def _market_scale_data(table: io.PriceTable, horizons: list[int],
         horizon = 2 ** k
         weights = _weights_for(estimator, horizon)
         # statistical warm-up, not the (much longer) numerical truncation
-        warmup = min(weights.n_max,
-                     trends.statistical_warmup(estimator, horizon))
+        warmup = trends.statistical_warmup(estimator, horizon)
         xs, ys, ds, ms = [], [], [], []
         for m_idx, (days, rets) in enumerate(zip(days_all, returns_all)):
             n = len(rets.values)
@@ -233,8 +231,7 @@ def _market_scale_data(table: io.PriceTable, horizons: list[int],
             continue
         scales.append(_ScaleData(
             k=k, x=x, y=np.concatenate(ys),
-            dates=np.concatenate(ds), market_idx=np.concatenate(ms),
-            weight_sum=float(weights.weights.sum())))
+            dates=np.concatenate(ds), market_idx=np.concatenate(ms)))
     return scales, returns_all, [m.name for m in table.markets]
 
 

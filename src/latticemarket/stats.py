@@ -300,15 +300,14 @@ def cross_validate_xy(x, y, folds: int,
 
 
 def cross_validate(trend: TrendSeries, next_returns: ReturnSeries,
-                   folds: int, seed=None) -> CrossValidationResult:
+                   folds: int) -> CrossValidationResult:
     """Cross-validate with the risk premium re-estimated per training set.
 
     The trend's dependence on the premium estimate is a uniform level
     shift of (premium difference) * (weight sum), applied from the
     training data only.  Fold assignment is deterministic (contiguous
-    blocks); `seed` is accepted for interface symmetry and unused.
+    blocks).
     """
-    del seed
     x, y = aligned_pairs(trend, next_returns, min_obs=2)
     return cross_validate_xy(x, y, folds, premium_shift=-trend.weight_sum)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
@@ -213,6 +212,24 @@ def propagator(model: PropagatorModel, t: float) -> float:
         -(at - model.t_star) / model.tau)
 
 
+def _derivatives(model: PropagatorModel, t: float) -> tuple[float, float]:
+    """(Delta'(t), Delta''(t)) for t > 0 with no domain check.
+
+    The scaling power law is used past tau as well; the quadratures
+    below integrate it over (0, inf).
+    """
+    k = model.kappa
+    tau = model.tau
+    if model.regime == "exponential":
+        e = math.exp(-t / tau)
+        return (-0.5 * tau ** (k - 1.0) * e, 0.5 * tau ** (k - 2.0) * e)
+    if model.regime == "scaling" or t <= model.t_star:
+        return (-0.5 * k * t ** (k - 1.0),
+                0.5 * k * (1.0 - k) * t ** (k - 2.0))
+    d = propagator(model, t)
+    return (-d / tau, d / tau ** 2)
+
+
 def propagator_derivatives(model: PropagatorModel,
                            t: float) -> tuple[float, float]:
     """(Delta'(t), Delta''(t)) for t > 0.
@@ -224,21 +241,9 @@ def propagator_derivatives(model: PropagatorModel,
     """
     if t <= 0:
         raise DomainError("derivatives are defined for t > 0")
-    k = model.kappa
-    tau = model.tau
-    if model.regime == "scaling":
-        if t > tau:
-            raise DomainError(f"scaling regime requires t <= tau = {tau}")
-        return (-0.5 * k * t ** (k - 1.0),
-                0.5 * k * (1.0 - k) * t ** (k - 2.0))
-    if model.regime == "exponential":
-        e = math.exp(-t / tau)
-        return (-0.5 * tau ** (k - 1.0) * e, 0.5 * tau ** (k - 2.0) * e)
-    if t <= model.t_star:
-        return (-0.5 * k * t ** (k - 1.0),
-                0.5 * k * (1.0 - k) * t ** (k - 2.0))
-    d = propagator(model, t)
-    return (-d / tau, d / tau ** 2)
+    if model.regime == "scaling" and t > model.tau:
+        raise DomainError(f"scaling regime requires t <= tau = {model.tau}")
+    return _derivatives(model, t)
 
 
 def predicted_return_autocorrelation(model: PropagatorModel,
@@ -251,63 +256,35 @@ def predicted_return_autocorrelation(model: PropagatorModel,
     return -propagator_derivatives(model, t)[1]
 
 
-# -- quadrature kernels ----------------------------------------------------
-# For quadrature the regime kernels are used in analytic form over
-# (0, inf): the scaling power law is extended past tau (its validity is a
-# modeling statement, T << tau, enforced by the variance domain checks;
-# the integrals themselves converge because of the e^(-w zeta) weight).
-
-def _ddot_kernel(model: PropagatorModel):
-    k, tau = model.kappa, model.tau
-    if model.regime == "scaling":
-        return lambda t: 0.5 * k * (1.0 - k) * t ** (k - 2.0)
-    if model.regime == "exponential":
-        return lambda t: 0.5 * tau ** (k - 2.0) * math.exp(-t / tau)
-    t_star = model.t_star
-    d_star = _delta_scaling(model, t_star)
-
-    def kern(t):
-        if t <= t_star:
-            return 0.5 * k * (1.0 - k) * t ** (k - 2.0)
-        return d_star * math.exp(-(t - t_star) / tau) / tau ** 2
-
-    return kern
-
-
-def _dot_kernel(model: PropagatorModel):
-    k, tau = model.kappa, model.tau
-    if model.regime == "scaling":
-        return lambda t: -0.5 * k * t ** (k - 1.0)
-    if model.regime == "exponential":
-        return lambda t: -0.5 * tau ** (k - 1.0) * math.exp(-t / tau)
-    t_star = model.t_star
-    d_star = _delta_scaling(model, t_star)
-
-    def kern(t):
-        if t <= t_star:
-            return -0.5 * k * t ** (k - 1.0)
-        return -d_star * math.exp(-(t - t_star) / tau) / tau
-
-    return kern
-
+# -- quadrature ------------------------------------------------------------
+# Every quadrature integrates the regime derivatives in analytic form
+# (_derivatives): the scaling power law is extended past tau (its
+# validity is a modeling statement, T << tau, enforced by the variance
+# domain checks; the integrals over (0, inf) converge because of the
+# e^(-w zeta) weight).  The phi variance
+#
+#     -2 w^3 Int_0^inf du e^(-w u) Int_0^u dv v Delta'(v)
+#   = -2 w^2 Int_0^inf dv v e^(-w v) Delta'(v)
+#
+# is the single Laplace integral on the right, by swapping the order of
+# integration.
 
 def _breakpoints(model: PropagatorModel) -> tuple[float, ...]:
     return (model.t_star,) if model.regime == "matched" else ()
 
 
-def _quad_to_inf(f, breaks: tuple[float, ...], scale: float) -> float:
-    """Adaptive quadrature of f over (0, inf), split at regime knees."""
-    pts = sorted(b for b in breaks if b > 0)
+def _quad(f, model: PropagatorModel, scale: float,
+          hi: float = math.inf) -> float:
+    """Adaptive quadrature of f over (0, hi), split at the regime knees."""
+    edges = [b for b in _breakpoints(model) if 0 < b < hi] + [hi]
     total = 0.0
     lo = 0.0
-    for b in pts:
+    for b in edges:
         part, _ = integrate.quad(f, lo, b, epsrel=1e-10, epsabs=1e-14 * scale,
                                  limit=200)
         total += part
         lo = b
-    tail, _ = integrate.quad(f, lo, np.inf, epsrel=1e-10,
-                             epsabs=1e-14 * scale, limit=200)
-    return total + tail
+    return total
 
 
 def predicted_trend_return_correlation(model: PropagatorModel, omega: float,
@@ -334,10 +311,8 @@ def predicted_trend_return_correlation(model: PropagatorModel, omega: float,
         raise DomainError("no closed form for the matched regime")
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'closed'")
-    ddot = _ddot_kernel(model)
-    scale = abs(ddot(1.0)) + 1e-300
-    val = _quad_to_inf(lambda z: z * math.exp(-omega * z) * ddot(z),
-                       _breakpoints(model), scale)
+    val = _quad(lambda z: z * math.exp(-omega * z) * _derivatives(model, z)[1],
+                model, abs(_derivatives(model, 1.0)[1]))
     return -2.0 * omega ** 1.5 * val
 
 
@@ -360,18 +335,21 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
     """Variance of the trend strength at horizon T (w = 2/T).
 
     estimator "tilde" is the step-window strength with the exact algebra
-    <phitilde_T^2> = (2/T) (Delta(0) - Delta(T)); estimator "phi" is
+    <phitilde_T^2> = (2/T) (Delta(0) - Delta(T)) = -(2/T) Int_0^T Delta';
+    estimator "phi" is
 
         <phi_w^2> = -2 w^3 Int_0^inf du e^(-w u) Int_0^u dv v Delta'(v)
+                  = -2 w^2 Int_0^inf dv v e^(-w v) Delta'(v),
 
-    evaluated by nested adaptive quadrature.  method="closed" uses the
-    regime closed forms (scaling: T^(kappa-1) for tilde and
-    kappa Gamma(kappa+1) w^(1-kappa) for phi; exponential:
-    (tau/T)(1 - e^(-T/tau)) tau^(kappa-1) and
-    w^2/(w + 1/tau)^2 tau^(kappa-1)); method="auto" picks the closed
-    form for pure regimes and quadrature for matched models.  In the
-    scaling regime T <= tau/4 is enforced; beyond that the power law is
-    not a valid description and a DomainError is raised.
+    a single Laplace integral (swap the order of integration) evaluated
+    by adaptive quadrature.  method="closed" uses the regime closed
+    forms (scaling: T^(kappa-1) for tilde and kappa Gamma(kappa+1)
+    w^(1-kappa) for phi; exponential: (tau/T)(1 - e^(-T/tau))
+    tau^(kappa-1) and w^2/(w + 1/tau)^2 tau^(kappa-1)); method="auto"
+    picks the closed form for pure regimes and quadrature for matched
+    models.  In the scaling regime T <= tau/4 is enforced; beyond that
+    the power law is not a valid description and a DomainError is
+    raised.
     """
     _check_variance_domain(model, horizon)
     if estimator not in ("phi", "tilde"):
@@ -393,36 +371,14 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
         raise DomainError("no closed form for the matched regime")
     if method != "quadrature":
         raise ValueError("method must be 'auto', 'closed' or 'quadrature'")
-    dot = _dot_kernel(model)
-    breaks = _breakpoints(model)
-    scale = abs(dot(1.0)) + 1e-300
+    scale = abs(_derivatives(model, 1.0)[0])
     if estimator == "tilde":
         # (2/T)(Delta(0) - Delta(T)) = -(2/T) Int_0^T Delta'(v) dv
-        pts = [b for b in breaks if 0 < b < horizon]
-        total = 0.0
-        lo = 0.0
-        for b in pts + [horizon]:
-            part, _ = integrate.quad(dot, lo, b, epsrel=1e-10,
-                                     epsabs=1e-14 * scale, limit=200)
-            total += part
-            lo = b
-        return -2.0 / horizon * total
-
-    def inner(u: float) -> float:
-        pts = [b for b in breaks if 0 < b < u]
-        total = 0.0
-        lo = 0.0
-        for b in pts + [u]:
-            part, _ = integrate.quad(lambda v: v * dot(v), lo, b,
-                                     epsrel=1e-10, epsabs=1e-14 * scale,
-                                     limit=200)
-            total += part
-            lo = b
-        return total
-
-    outer = _quad_to_inf(lambda u: math.exp(-omega * u) * inner(u),
-                         breaks, scale)
-    return -2.0 * omega ** 3 * outer
+        return -2.0 / horizon * _quad(lambda v: _derivatives(model, v)[0],
+                                      model, scale, horizon)
+    return -2.0 * omega ** 2 * _quad(
+        lambda v: v * math.exp(-omega * v) * _derivatives(model, v)[0],
+        model, scale)
 
 
 def predicted_adjacent_window_correlation(model: PropagatorModel,

@@ -12,6 +12,13 @@ from latticemarket import cli, io
 from latticemarket.pipeline import PipelineConfig, analyze_price_table
 
 
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def make_long_csv(path, markets=("ES", "TY", "CL"), days=900, seed=0):
     rng = np.random.default_rng(seed)
     start = datetime.date(2001, 1, 1).toordinal()
@@ -109,6 +116,15 @@ class TestProvenanceOutput:
         io.write_csv(path, ["v"], [(value,)], io.make_provenance(0))
         _, rows = io.read_csv_rows(path)
         assert float(rows[0][0]) == value
+
+    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
+        path = tmp_path / "out.json"
+        io.write_json(path, {"a": math.nan, "b": [np.float64(math.inf)],
+                             "c": {"d": (-math.inf, 1.5)}},
+                      io.make_provenance(0))
+        doc = strict_json(path.read_text())
+        assert doc["a"] is None and doc["b"] == [None]
+        assert doc["c"] == {"d": [None, 1.5]}
 
     def test_trend_export(self, tmp_path):
         rets = lm.normalize_raw_returns(
@@ -215,8 +231,12 @@ class TestAnalyzeCommand:
             "--horizons", "1,2,3,4", "--bootstrap-samples", "150",
             "--cv-folds", "5", "--seed", "3"])
         assert code == 0
-        report = json.loads((out / "report.json").read_text())["report"]
+        report = strict_json((out / "report.json").read_text())["report"]
         assert report["horizons_used"] == [1, 2, 3, 4]
+        # this seeded i.i.d. panel has a degenerate b(k): no peak, so null
+        assert report["parabolic_b"]["degenerate"]
+        assert report["parabolic_b"]["amplitude"] is None
+        assert report["parabolic_b"]["delta_k"] is None
         assert set(report["regression"]) >= {"a", "b", "c", "se_b",
                                              "r_squared_cv"}
         for name in ("coefficients_by_scale.csv", "variance_by_scale.csv",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 import latticemarket as lm
@@ -350,6 +351,40 @@ class TestTrendVariance:
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
         with pytest.raises(ValueError):
             lm.predicted_trend_variance(m, 8.0, "wedge")
+
+
+def nested_phi_variance(model, horizon):
+    """-2 w^3 Int_0^inf du e^(-w u) Int_0^u dv v Delta'(v), quad inside quad."""
+    omega = 2.0 / horizon
+    knees = [model.t_star] if model.regime == "matched" else []
+
+    def quad(f, hi):
+        edges = [0.0] + [b for b in knees if b < hi] + [hi]
+        return sum(integrate.quad(f, a, b, epsrel=1e-10, epsabs=1e-16,
+                                  limit=200)[0]
+                   for a, b in zip(edges, edges[1:]))
+
+    def inner(u):
+        return quad(lambda v: v * lm.propagator_derivatives(model, v)[0], u)
+
+    return -2.0 * omega ** 3 * quad(lambda u: math.exp(-omega * u) * inner(u),
+                                    math.inf)
+
+
+class TestPhiVarianceNestedOracle:
+    @pytest.mark.parametrize("k", [1, 5, 9, 13])
+    def test_matched_single_integral_equals_nested(self, k):
+        tau = 2.0 ** 15
+        m = PropagatorModel(tau=tau, kappa=0.9, regime="matched",
+                            t_star=tau / 2.0)
+        assert lm.predicted_trend_variance(m, 2.0 ** k, "phi") == \
+            pytest.approx(nested_phi_variance(m, 2.0 ** k), rel=1e-9)
+
+    def test_exponential_single_integral_equals_nested(self):
+        m = PropagatorModel(tau=64.0, kappa=0.6, regime="exponential")
+        assert lm.predicted_trend_variance(
+            m, 16.0, "phi", method="quadrature") == pytest.approx(
+            nested_phi_variance(m, 16.0), rel=1e-9)
 
 
 class TestAdjacentWindowCorrelation:
