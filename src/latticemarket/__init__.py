@@ -33,7 +33,6 @@ from .trends import (
     weight_psi,
     weight_phi,
     trend_strength,
-    trend_strength_recursive,
     adjacent_window_trends,
 )
 from .theory import (

@@ -16,13 +16,14 @@ integrated by Euler-Maruyama.
 Randomness: all entropy flows through numpy SeedSequence.  A master seed
 is split into named child streams (lattice init, dynamics, replicas), so
 replicas and bootstrap draws are independent and reproducible.
+Replicas run one after another: the Glauber loop is pure Python and
+holds the GIL, so threads would not run them in parallel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -162,20 +163,15 @@ def replica_seeds(master_seed: int, n_replicas: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def run_replicas(params: SimulationParams, n_replicas: int,
-                 max_workers: int = 1) -> list[MagnetizationSeries]:
-    """Run independent replicas with seeds derived from params.seed.
+def run_replicas(params: SimulationParams,
+                 n_replicas: int) -> list[MagnetizationSeries]:
+    """Run independent replicas, one after another, in replica order.
 
     Each replica is a fully independent simulation (own lattice, own rng
-    stream); results are returned in replica order regardless of
-    scheduling, so the output is deterministic for any max_workers.
+    stream) seeded from params.seed, so the output is deterministic.
     """
-    runs = [replace(params, seed=s)
+    return [run_simulation(replace(params, seed=s))
             for s in replica_seeds(params.seed, n_replicas)]
-    if max_workers <= 1:
-        return [run_simulation(p) for p in runs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_simulation, runs))
 
 
 def magnetization_to_returns(series: MagnetizationSeries) -> trends.ReturnSeries:

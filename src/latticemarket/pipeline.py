@@ -136,8 +136,6 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
 def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
     """Emit the theory curves over the prediction horizons."""
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model = _propagator_from_config(config)
     prov = io.make_provenance(
         config.seed,
@@ -163,6 +161,8 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
             ))
         except theory.DomainError as exc:
             log.warning("dropping k=%d: %s", k, exc)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     pred_path = out / "predictions.csv"
     io.write_csv(pred_path,
                  ["k", "T", "return_autocorrelation",
@@ -461,8 +461,6 @@ def cmd_analyze(config: PipelineConfig, price_path, out_dir,
                 schema: str = "long") -> list[Path]:
     """Load prices, run the full pipeline, write the report and figures."""
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = io.load_price_csv(price_path, schema=schema)
     report = analyze_price_table(table, config)
     prov = io.make_provenance(
@@ -470,6 +468,8 @@ def cmd_analyze(config: PipelineConfig, price_path, out_dir,
         inputs={Path(price_path).name: io.sha256_of_file(price_path),
                 "config": io.sha256_of_text(
                     json.dumps(config.as_dict(), sort_keys=True))})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
     report_path = out / "report.json"
     io.write_json(report_path, {"report": report,

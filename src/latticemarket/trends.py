@@ -13,8 +13,10 @@ as the t-statistic of the trend.  Three weight shapes are provided:
     phi:   w(n) = N_T (n+1) exp(-2n/T)     N_T = (1-e^(-4/T))^2 / sqrt(1-e^(-8/T))
 
 The psi and phi shapes admit exact linear recursions, which is also how
-a continuous-time Langevin description arises.  The average lookback
-E[n+1] under the raw weights tends to T/2 for psi and T for phi.
+a continuous-time Langevin description arises; trend_strength evaluates
+them that way, and the step window by a cumulative-sum difference, so a
+trend costs O(n) whatever the horizon.  The average lookback E[n+1]
+under the raw weights tends to T/2 for psi and T for phi.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from scipy import signal
 from scipy.special import lambertw
 
 # Tail weights below this fraction of the peak are dropped, then the kept
-# weights are renormalized.  Chosen so that truncated convolution and the
-# exact recursion agree to better than 1e-9 for horizons up to 2^13.
+# weights are renormalized.  The kept length sets WeightFunction.n_max (the
+# trend warm-up) and weight_sum; trend values come from the untruncated
+# recursions and do not depend on it.
 TRUNCATION_REL_TOL = 1e-13
 
 
@@ -171,9 +174,10 @@ def statistical_warmup(kind: str, horizon: float) -> int:
 class TrendSeries:
     """Trend strengths aligned to the return index.
 
-    values[t] uses returns at t, t-1, ..., t-n_max only (zero-padded
-    history before the series start); entries before `warmup` lack full
-    history and are excluded from downstream regressions by default.
+    values[t] uses returns at t, t-1, ... only, with zero history before
+    the series start: the last T returns for step, the whole history for
+    psi and phi (no cut at n_max).  Entries before `warmup` (= n_max) lack
+    full history and are excluded from downstream regressions by default.
     weight_sum and premium_rate let cross-validation re-apply a
     train-only risk premium as a uniform shift.
     """
@@ -188,56 +192,42 @@ class TrendSeries:
         return len(self.values)
 
 
+def _first_order(values: np.ndarray, x: float) -> np.ndarray:
+    """Exact recursion A(t) = x A(t-1) + values(t), with A(-1) = 0."""
+    return signal.lfilter([1.0], [1.0, -x], values)
+
+
 def trend_strength(returns: ReturnSeries,
                    weights: WeightFunction) -> TrendSeries:
-    """Causal convolution of excess returns with the weight sequence."""
-    excess = returns.excess()
-    conv = signal.oaconvolve(excess, weights.weights)[: len(excess)]
-    return TrendSeries(values=conv, horizon=weights.horizon,
-                       kind=weights.kind, warmup=weights.n_max,
-                       weight_sum=float(weights.weights.sum()),
-                       premium_rate=returns.premium_rate)
-
-
-def trend_strength_recursive(returns: ReturnSeries, horizon: float,
-                             kind: str) -> TrendSeries:
-    """Evaluate psi/phi trends by their exact linear recursions.
+    """Trend strength of the excess returns, in O(n) for every horizon.
 
     With x = e^(-2/T) and Rhat the excess return,
 
-        psi:  A(t) = x A(t-1) + Rhat(t),            psi = M_T A
-        phi:  B(t) = x (B(t-1) + A(t-1)),           phi = N_T (A + B)
+        psi:   A(t) = x A(t-1) + Rhat(t),    psi = M_T A
+        phi:   B(t) = x B(t-1) + A(t),       phi = N_T B
+        step:  C(t) = sum_{s<=t} Rhat(s),    step = (C(t) - C(t-T)) / sqrt(T)
 
-    which reproduces the untruncated weighted sums; agreement with the
-    truncated convolution is within 1e-9 after the warm-up window.
+    which are the untruncated weighted sums.  phi cascades two first-order
+    stages: the direct second-order form [1, -2x, x^2] drifts by 1e-10
+    and more from the weighted sum at T = 2^13.  The gain M_T, N_T or
+    T^(-1/2) is the first weight.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    t = float(horizon)
-    x = math.exp(-2.0 / t)
-    excess = returns.excess().tolist()
-    out = np.empty(len(excess))
-    if kind == "psi":
-        m_t = math.sqrt(1.0 - math.exp(-4.0 / t))
-        acc = 0.0
-        for i, r in enumerate(excess):
-            acc = x * acc + r
-            out[i] = m_t * acc
-        ref = weight_psi(t)
-    elif kind == "phi":
-        y = math.exp(-4.0 / t)
-        n_t = (1.0 - y) ** 2 / math.sqrt(1.0 - y * y)
-        acc = 0.0
-        lag = 0.0
-        for i, r in enumerate(excess):
-            lag = x * (lag + acc)
-            acc = x * acc + r
-            out[i] = n_t * (acc + lag)
-        ref = weight_phi(t)
+    excess = returns.excess()
+    if weights.kind == "step":
+        t = int(weights.horizon)
+        raw = np.cumsum(excess)
+        raw[t:] = raw[t:] - raw[:-t]
+    elif weights.kind in ("psi", "phi"):
+        x = math.exp(-2.0 / weights.horizon)
+        raw = _first_order(excess, x)
+        if weights.kind == "phi":
+            raw = _first_order(raw, x)
     else:
-        raise ValueError("kind must be 'psi' or 'phi'")
-    return TrendSeries(values=out, horizon=t, kind=kind, warmup=ref.n_max,
-                       weight_sum=float(ref.weights.sum()),
+        raise ValueError(f"unknown weight kind {weights.kind!r}")
+    return TrendSeries(values=weights.weights[0] * raw,
+                       horizon=weights.horizon,
+                       kind=weights.kind, warmup=weights.n_max,
+                       weight_sum=float(weights.weights.sum()),
                        premium_rate=returns.premium_rate)
 
 

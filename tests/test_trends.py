@@ -178,16 +178,11 @@ class TestTrendStrength:
         values_b[150:] += 5.0
         rets_b = trends.ReturnSeries(values=values_b, mu=rets_a.mu,
                                      sigma=rets_a.sigma)
-        for kind, horizon in (("psi", 8.0), ("phi", 8.0)):
-            rec_a = lm.trend_strength_recursive(rets_a, horizon, kind)
-            rec_b = lm.trend_strength_recursive(rets_b, horizon, kind)
-            assert np.allclose(rec_a.values[:150], rec_b.values[:150],
+        for w in (lm.weight_psi(8.0), lm.weight_phi(8.0), lm.weight_step(8)):
+            trend_a = lm.trend_strength(rets_a, w)
+            trend_b = lm.trend_strength(rets_b, w)
+            assert np.allclose(trend_a.values[:150], trend_b.values[:150],
                                atol=1e-12)
-        w = lm.weight_step(8)
-        conv_a = lm.trend_strength(rets_a, w)
-        conv_b = lm.trend_strength(rets_b, w)
-        assert np.allclose(conv_a.values[:150], conv_b.values[:150],
-                           atol=1e-12)
 
     def test_warmup_flag(self):
         rets = iid_returns(2000, 11)
@@ -206,17 +201,25 @@ def direct_convolution(rets, weights):
     return out
 
 
+def weighted_sum(rets, weights):
+    """Explicit sum_n w(n) Rhat(t - n) over the whole available history."""
+    excess = rets.excess()
+    return np.convolve(excess, weights.weights[:excess.size])[:excess.size]
+
+
 class TestRecursiveTrend:
+    """trend_strength evaluates psi/phi by their exact recursions."""
+
     def test_impulse_reproduces_weights(self):
         values = np.zeros(60)
         values[0] = 1.0
         rets = trends.ReturnSeries(values=values, mu=0.0, sigma=1.0)
         t = 8.0
-        psi = lm.trend_strength_recursive(rets, t, "psi")
+        psi = lm.trend_strength(rets, lm.weight_psi(t))
         m_t = math.sqrt(1.0 - math.exp(-4.0 / t))
         n = np.arange(60)
         assert np.allclose(psi.values, m_t * np.exp(-2.0 * n / t), atol=1e-12)
-        phi = lm.trend_strength_recursive(rets, t, "phi")
+        phi = lm.trend_strength(rets, lm.weight_phi(t))
         y = math.exp(-4.0 / t)
         n_t = (1.0 - y) ** 2 / math.sqrt(1.0 - y * y)
         assert np.allclose(phi.values, n_t * (n + 1) * np.exp(-2.0 * n / t),
@@ -227,17 +230,16 @@ class TestRecursiveTrend:
         values = np.zeros(10)
         values[0] = 1.0
         rets = trends.ReturnSeries(values=values, mu=0.0, sigma=1.0)
-        psi = lm.trend_strength_recursive(rets, 2.0, "psi")
+        psi = lm.trend_strength(rets, lm.weight_psi(2.0))
         assert psi.values[1] / psi.values[0] == pytest.approx(
             math.exp(-1.0), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["psi", "phi"])
     def test_matches_convolution(self, kind):
         rets = iid_returns(1000, 12)
-        rec = lm.trend_strength_recursive(rets, 16.0, kind)
         w = lm.weight_psi(16.0) if kind == "psi" else lm.weight_phi(16.0)
-        conv = lm.trend_strength(rets, w)
-        assert np.max(np.abs(rec.values - conv.values)) < 1e-9
+        trend = lm.trend_strength(rets, w)
+        assert np.max(np.abs(trend.values - weighted_sum(rets, w))) < 1e-12
 
     def test_matches_bruteforce_convolution(self):
         rets = iid_returns(300, 13)
@@ -247,15 +249,21 @@ class TestRecursiveTrend:
         assert np.max(np.abs(conv.values - brute)) < 1e-10
 
     def test_large_horizon_agreement(self):
-        rets = iid_returns(5000, 14)
-        rec = lm.trend_strength_recursive(rets, 1024.0, "psi")
-        conv = lm.trend_strength(rets, lm.weight_psi(1024.0))
-        assert np.max(np.abs(rec.values - conv.values)) < 1e-9
+        # the direct second-order phi filter [1, -2x, x^2] drifts past
+        # 1e-11 here; two cascaded first-order stages stay near 1e-13
+        rets = iid_returns(2 ** 15, 14)
+        for horizon in (2.0 ** 10, 2.0 ** 13):
+            for w in (lm.weight_psi(horizon), lm.weight_phi(horizon)):
+                trend = lm.trend_strength(rets, w)
+                dev = np.max(np.abs(trend.values - weighted_sum(rets, w)))
+                assert dev < 1e-12, (w.kind, horizon, dev)
 
     def test_unknown_kind(self):
         rets = iid_returns(200, 15)
+        wedge = trends.WeightFunction(kind="wedge", horizon=8.0,
+                                      weights=np.ones(8) / math.sqrt(8.0))
         with pytest.raises(ValueError):
-            lm.trend_strength_recursive(rets, 8.0, "wedge")
+            lm.trend_strength(rets, wedge)
 
 
 class TestAdjacentWindows:
