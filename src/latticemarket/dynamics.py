@@ -2,9 +2,14 @@
 
 The lattice relaxes by single-spin-flip Glauber heat-bath updates, the
 discrete realization of purely dissipative (non-conserved order
-parameter) critical dynamics.  One time unit is one Monte Carlo sweep,
-i.e. N attempted flips at uniformly random sites; random-sequential site
-selection preserves detailed balance exactly.
+parameter) critical dynamics.  Updates follow the checkerboard
+decomposition (Preis et al., J. Comput. Phys. 228 (2009) 4468): a
+periodic lattice with an even side is bipartite, so all sites of one
+sublattice (even or odd coordinate sum) see only the other sublattice
+and update at once.  One time unit is one Monte Carlo sweep, i.e. two
+half-sweeps, N attempted flips in all.  Each half-sweep satisfies
+detailed balance, so the chain samples the Gibbs measure with model-A
+dynamics; an odd side is rejected.
 
 The spatially constant mode pi(t) (total magnetization, alias price
 deviation) additionally gets a direct Langevin integrator
@@ -16,8 +21,8 @@ integrated by Euler-Maruyama.
 Randomness: all entropy flows through numpy SeedSequence.  A master seed
 is split into named child streams (lattice init, dynamics, replicas), so
 replicas and bootstrap draws are independent and reproducible.
-Replicas run one after another: the Glauber loop is pure Python and
-holds the GIL, so threads would not run them in parallel.
+Replicas share one kernel call as a leading batch axis, each drawing
+from its own generator.
 """
 
 from __future__ import annotations
@@ -35,6 +40,17 @@ from . import trends
 # 1/(4D), so T_c(2D) = 2 * (1/8) / ln(1 + sqrt 2).
 CRITICAL_TEMPERATURE_2D = 0.25 / math.log(1.0 + math.sqrt(2.0))
 
+# Uniforms drawn per replica at a time, rounded down to whole sweeps (at
+# least one).  Doubles are consumed in order, so this bounds memory
+# without changing any output.
+_DRAW_BLOCK = 1 << 16
+
+
+def _check_even_side(side: int) -> None:
+    if side % 2:
+        raise ValueError(f"side {side} is odd: the checkerboard update "
+                         "needs a bipartite periodic lattice (even side)")
+
 
 @dataclass(frozen=True)
 class SimulationParams:
@@ -49,6 +65,7 @@ class SimulationParams:
     seed: int = 0
 
     def __post_init__(self):
+        _check_even_side(self.side)
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.sweeps < 1:
@@ -63,9 +80,14 @@ class SimulationParams:
 
 @dataclass(frozen=True)
 class MagnetizationSeries:
-    """Recorded M(t), one value per kept sweep."""
+    """Recorded M(t), one value per kept sweep.
+
+    acceptance_rate is the fraction of flip attempts accepted after
+    burn-in (None when not recorded).
+    """
     values: np.ndarray
     params: SimulationParams
+    acceptance_rate: float | None = None
 
 
 def glauber_flip_probability(delta_e: float, temperature: float) -> float:
@@ -84,57 +106,113 @@ def glauber_flip_probability(delta_e: float, temperature: float) -> float:
     return 1.0 / (1.0 + e)
 
 
-def _acceptance_table(dims: int, temperature: float) -> dict[int, float]:
-    """Acceptance probability keyed by m = sigma_site * sum sigma_nbr.
+def _acceptance_table(dims: int, temperature: float) -> np.ndarray:
+    """Acceptance probability indexed by m = sigma_site * sum sigma_nbr.
 
-    With sigma = 2s in {-1,+1}, the flip energy is dE = m / (2D); m takes
-    the even values -2D..2D, so the exp is evaluated once per value.
+    With sigma = 2s in {-1,+1}, the flip energy is dE = m / (2D).  m takes
+    the 2D + 1 even values -2D..2D, which are distinct modulo 2D + 1, so
+    the table has 2D + 1 entries and m indexes it directly (negative
+    values wrap).
     """
-    return {
-        m: glauber_flip_probability(m / (2.0 * dims), temperature)
-        for m in range(-2 * dims, 2 * dims + 1, 2)
-    }
+    table = np.empty(2 * dims + 1)
+    for m in range(-2 * dims, 2 * dims + 1, 2):
+        table[m] = glauber_flip_probability(m / (2.0 * dims), temperature)
+    return table
 
 
-def _run_sweeps(sigma: list[int], nbrs: list[list[int]], ptab: dict[int, float],
-                rng: np.random.Generator, sweeps: int, record_every: int = 0,
-                skip: int = 0) -> list[float]:
-    """Random-sequential Glauber sweeps over a sigma = +-1 site list.
+def _checkerboard(lattice: SpinLattice):
+    """Site order with the even sublattice first, and its neighbour tables.
 
-    Mutates sigma in place; returns M = sum(sigma)/2 after each recorded
-    sweep.  Python lists beat numpy here because the update is
-    inherently sequential and per-site.
+    A permuted state holds the sites order[:N/2] (even coordinate sum)
+    first; nbrs[0] and nbrs[1], shape (2D, N/2), index the neighbours of
+    each half in permuted order.
     """
-    n = len(sigma)
-    out: list[float] = []
-    for s in range(1, sweeps + 1):
-        sites = rng.integers(0, n, n).tolist()
-        coins = rng.random(n).tolist()
-        for k, c in zip(sites, coins):
-            nb = nbrs[k]
-            acc = 0
-            for j in nb:
-                acc += sigma[j]
-            if c < ptab[sigma[k] * acc]:
-                sigma[k] = -sigma[k]
-        if record_every and s > skip and (s - skip) % record_every == 0:
-            out.append(sum(sigma) / 2.0)
-    return out
+    _check_even_side(lattice.side)
+    n, dims = lattice.n_sites, lattice.dims
+    coords = np.unravel_index(np.arange(n), (lattice.side,) * dims)
+    order = np.argsort(np.sum(coords, axis=0) % 2, kind="stable")
+    nbrs = np.argsort(order)[lattice.neighbor_table[order]]
+    return order, nbrs.reshape(2, n // 2, 2 * dims).transpose(0, 2, 1).copy()
+
+
+def _run_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray, rngs, sweeps: int,
+                record_every: int = 0, skip: int = 0):
+    """Checkerboard Glauber sweeps over a (replicas, N) sigma = +-1 array.
+
+    sigma (int8) is in the permuted order of `_checkerboard` and is
+    mutated in place; replica r draws its uniforms from rngs[r], one per
+    site per sweep, the even half-sweep's before the odd one's.  A site
+    flips where u < p(sigma * sum sigma_nbr), so a global flip of the
+    start state mirrors the trajectory.  Returns (M, flips): M =
+    sum(sigma)/2 after each recorded sweep, shape (replicas, recorded),
+    and the number of accepted flips per replica after `skip` sweeps.
+    """
+    n_rep, n = sigma.shape
+    half = n // 2
+    halves = ((sigma[:, :half], nbrs[0], slice(0, half)),
+              (sigma[:, half:], nbrs[1], slice(half, n)))
+    n_rec = (sweeps - skip) // record_every if record_every else 0
+    values = np.empty((n_rep, n_rec))
+    flips = np.zeros(n_rep, dtype=np.int64)
+    block = max(1, _DRAW_BLOCK // n)
+    coins = np.empty((n_rep, min(block, sweeps), n))
+    flipped = np.empty(coins.shape, dtype=bool)
+    for start in range(0, sweeps, block):
+        count = min(block, sweeps - start)
+        for r, rng in enumerate(rngs):
+            rng.random(out=coins[r, :count])
+        for b in range(count):
+            for spins, nbr, cols in halves:
+                m = spins * sigma[:, nbr].sum(axis=1, dtype=np.int8)
+                flip = np.less(coins[:, b, cols], ptab.take(m),
+                               out=flipped[:, b, cols])
+                np.negative(spins, out=spins, where=flip)
+            done = start + b + 1 - skip
+            if record_every and done > 0 and done % record_every == 0:
+                values[:, done // record_every - 1] = sigma.sum(axis=1) / 2.0
+        first = min(max(skip - start, 0), count)
+        flips += np.count_nonzero(flipped[:, first:count], axis=(1, 2))
+    return values, flips
 
 
 def sweep(lattice: SpinLattice, temperature: float,
           rng: np.random.Generator) -> SpinLattice:
-    """One Monte Carlo sweep: N Glauber updates at uniform random sites.
+    """One Monte Carlo sweep: both checkerboard half-sweeps, N attempts.
 
-    Mutates the lattice in place and advances the generator
-    deterministically; returns the lattice for chaining.
+    Mutates the lattice in place and advances the generator by N
+    uniforms; returns the lattice for chaining.  Raises ValueError for
+    an odd side.
     """
-    sigma = (2 * lattice.occupations.astype(np.int64) - 1).tolist()
-    nbrs = lattice.neighbor_table.tolist()
-    ptab = _acceptance_table(lattice.dims, temperature)
-    _run_sweeps(sigma, nbrs, ptab, rng, 1)
-    lattice.occupations[:] = (np.asarray(sigma, dtype=np.int64) + 1) // 2
+    order, nbrs = _checkerboard(lattice)
+    sigma = (2 * lattice.occupations[order] - 1)[None, :]
+    _run_sweeps(sigma, nbrs, _acceptance_table(lattice.dims, temperature),
+                [rng], 1)
+    lattice.occupations[order] = (sigma[0] + 1) // 2
     return lattice
+
+
+def _simulate(params: SimulationParams,
+              seeds: list[int]) -> list[MagnetizationSeries]:
+    """One kernel call over a replica per seed, each seeded as run_simulation."""
+    if not seeds:
+        return []
+    lattices, rngs = [], []
+    for seed in seeds:
+        ss_init, ss_dyn = np.random.SeedSequence(seed).spawn(2)
+        lattices.append(new_lattice(
+            params.dims, params.side, params.init,
+            seed=ss_init if params.init == "random" else None))
+        rngs.append(np.random.default_rng(ss_dyn))
+    order, nbrs = _checkerboard(lattices[0])
+    sigma = np.stack([2 * lat.occupations[order] - 1 for lat in lattices])
+    values, flips = _run_sweeps(
+        sigma, nbrs, _acceptance_table(params.dims, params.temperature),
+        rngs, params.sweeps, record_every=params.thin, skip=params.burn_in)
+    attempts = (params.sweeps - params.burn_in) * lattices[0].n_sites
+    return [MagnetizationSeries(values=values[r],
+                                params=replace(params, seed=seed),
+                                acceptance_rate=int(flips[r]) / attempts)
+            for r, seed in enumerate(seeds)]
 
 
 def run_simulation(params: SimulationParams) -> MagnetizationSeries:
@@ -144,16 +222,7 @@ def run_simulation(params: SimulationParams) -> MagnetizationSeries:
     seed is split into an init stream and a dynamics stream, so identical
     params give bit-identical output.
     """
-    ss_init, ss_dyn = np.random.SeedSequence(params.seed).spawn(2)
-    lattice = new_lattice(params.dims, params.side, params.init,
-                          seed=ss_init if params.init == "random" else None)
-    sigma = (2 * lattice.occupations.astype(np.int64) - 1).tolist()
-    nbrs = lattice.neighbor_table.tolist()
-    ptab = _acceptance_table(params.dims, params.temperature)
-    rng = np.random.default_rng(ss_dyn)
-    values = _run_sweeps(sigma, nbrs, ptab, rng, params.sweeps,
-                         record_every=params.thin, skip=params.burn_in)
-    return MagnetizationSeries(values=np.asarray(values), params=params)
+    return _simulate(params, [params.seed])[0]
 
 
 def replica_seeds(master_seed: int, n_replicas: int) -> list[int]:
@@ -165,13 +234,13 @@ def replica_seeds(master_seed: int, n_replicas: int) -> list[int]:
 
 def run_replicas(params: SimulationParams,
                  n_replicas: int) -> list[MagnetizationSeries]:
-    """Run independent replicas, one after another, in replica order.
+    """Run independent replicas as one batch, in replica order.
 
-    Each replica is a fully independent simulation (own lattice, own rng
-    stream) seeded from params.seed, so the output is deterministic.
+    Replica i has its own lattice and rng streams, seeded by the i-th of
+    replica_seeds(params.seed), and is bit-identical to run_simulation
+    with that seed.
     """
-    return [run_simulation(replace(params, seed=s))
-            for s in replica_seeds(params.seed, n_replicas)]
+    return _simulate(params, replica_seeds(params.seed, n_replicas))
 
 
 def magnetization_to_returns(series: MagnetizationSeries) -> trends.ReturnSeries:

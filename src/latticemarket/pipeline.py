@@ -8,6 +8,7 @@ bootstrap samples, 15 cross-validation folds.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -127,8 +128,35 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
     io.write_json(params_path, {"params": dataclasses.asdict(params),
                                 "n_sites": n_sites,
                                 "returns_mu": returns.mu,
-                                "returns_sigma": returns.sigma}, prov)
+                                "returns_sigma": returns.sigma,
+                                "diagnostics": _mixing_diagnostics(series)},
+                  prov)
     return [mag_path, ret_path, params_path]
+
+
+def _mixing_diagnostics(series: dynamics.MagnetizationSeries) -> dict:
+    """Deterministic mixing diagnostics of a run; None where undefined.
+
+    tau_int is in sweeps (the recorded series' estimate times thin);
+    effective_samples counts recorded values, n / (2 tau_int).
+    """
+    params = series.params
+    diag = dict.fromkeys(("tau_int", "tau_int_reliable", "burn_in_over_tau_int",
+                          "effective_samples", "binder_cumulant"))
+    diag["acceptance_rate"] = series.acceptance_rate
+    with contextlib.suppress(ValueError):
+        diag["binder_cumulant"] = dynamics.binder_cumulant(series.values)
+    with contextlib.suppress(ValueError):
+        est = dynamics.autocorrelation_time(series.values)
+        tau = est.tau * params.thin
+        diag.update(tau_int=tau, tau_int_reliable=est.reliable)
+        if tau > 0:
+            diag.update(burn_in_over_tau_int=params.burn_in / tau,
+                        effective_samples=len(series.values) / (2.0 * est.tau))
+            if params.burn_in < 20.0 * tau:
+                log.warning("burn-in %d is below 20 tau_int (tau_int = "
+                            "%.3g sweeps)", params.burn_in, tau)
+    return diag
 
 
 # -- predict --------------------------------------------------------------

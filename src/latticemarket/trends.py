@@ -28,10 +28,11 @@ import numpy as np
 from scipy import signal
 from scipy.special import lambertw
 
-# Tail weights below this fraction of the peak are dropped, then the kept
-# weights are renormalized.  The kept length sets WeightFunction.n_max (the
-# trend warm-up) and weight_sum; trend values come from the untruncated
-# recursions and do not depend on it.
+# Tail weights below this fraction of the peak are dropped; the kept
+# weights are the closed forms, whose dropped tail is below 1e-26 in L2.
+# The kept length sets WeightFunction.n_max (the trend warm-up) and
+# weight_sum; trend values come from the untruncated recursions and do not
+# depend on it.
 TRUNCATION_REL_TOL = 1e-13
 
 
@@ -104,11 +105,6 @@ class WeightFunction:
         return int(np.argmax(self.weights))
 
 
-def _renormalized(kind: str, horizon: float, w: np.ndarray) -> WeightFunction:
-    return WeightFunction(kind=kind, horizon=horizon,
-                          weights=w / math.sqrt(float(np.dot(w, w))))
-
-
 def weight_step(horizon: int) -> WeightFunction:
     """Equal weights T^(-1/2) over the last T returns."""
     if horizon < 1:
@@ -126,8 +122,8 @@ def weight_psi(horizon: float) -> WeightFunction:
     # e^(-2n/T) < tol  <=>  n > T ln(1/tol) / 2
     n_cut = int(math.floor(t * math.log(1.0 / TRUNCATION_REL_TOL) / 2.0)) + 1
     n = np.arange(n_cut)
-    w = m_t * np.exp(-2.0 * n / t)
-    return _renormalized("psi", t, w)
+    return WeightFunction(kind="psi", horizon=t,
+                          weights=m_t * np.exp(-2.0 * n / t))
 
 
 def weight_phi(horizon: float) -> WeightFunction:
@@ -149,8 +145,8 @@ def weight_phi(horizon: float) -> WeightFunction:
     while (n_cut + 1) * math.exp(-2.0 * n_cut / t) >= TRUNCATION_REL_TOL:
         n_cut += 1
     n = np.arange(n_cut)
-    w = n_t * (n + 1) * np.exp(-2.0 * n / t)
-    return _renormalized("phi", t, w)
+    return WeightFunction(kind="phi", horizon=t,
+                          weights=n_t * (n + 1) * np.exp(-2.0 * n / t))
 
 
 def statistical_warmup(kind: str, horizon: float) -> int:

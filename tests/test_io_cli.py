@@ -180,6 +180,43 @@ class TestSimulateCommand:
         assert not out.exists() or not any(out.iterdir())
 
 
+    def test_odd_side_exits_2_without_output(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--side", "7", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "side 7" in caplog.text
+
+    def test_params_carry_mixing_diagnostics(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert cli.main([
+            "simulate", "--side", "8", "--sweeps", "400", "--burn-in", "2",
+            "--temperature", "0.35", "--seed", "3", "--out", str(out)]) == 0
+        diag = strict_json((out / "params.json").read_text())["diagnostics"]
+        assert 0.0 < diag["acceptance_rate"] < 1.0
+        assert diag["tau_int"] > 0 and diag["tau_int_reliable"] is True
+        assert diag["burn_in_over_tau_int"] == pytest.approx(
+            2.0 / diag["tau_int"])
+        assert diag["effective_samples"] == pytest.approx(
+            398 / (2.0 * diag["tau_int"]))
+        series = np.array([float(r[1]) for r in
+                           io.read_csv_rows(out / "magnetization.csv")[1]])
+        assert diag["binder_cumulant"] == pytest.approx(
+            lm.binder_cumulant(series), rel=1e-12)
+        assert "below 20 tau_int" in caplog.text
+
+    def test_undefined_diagnostics_are_null(self, tmp_path):
+        # 15 recorded sweeps: too few for tau_int (16) and Binder (100)
+        out = tmp_path / "run"
+        assert cli.main([
+            "simulate", "--side", "8", "--sweeps", "40", "--burn-in", "10",
+            "--thin", "2", "--temperature", "0.35", "--out", str(out)]) == 0
+        diag = strict_json((out / "params.json").read_text())["diagnostics"]
+        for key in ("tau_int", "tau_int_reliable", "burn_in_over_tau_int",
+                    "effective_samples", "binder_cumulant"):
+            assert diag[key] is None
+        assert 0.0 < diag["acceptance_rate"] < 1.0
+
+
 class TestPredictCommand:
     def test_kappa_one_zeroes_autocorrelation(self, tmp_path):
         out = tmp_path / "pred"

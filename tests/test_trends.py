@@ -88,6 +88,16 @@ class TestWeightFunctions:
                   lm.weight_phi(horizon)):
             assert abs(np.dot(w.weights, w.weights) - 1.0) < 1e-10
 
+    def test_gain_is_the_closed_form(self):
+        # the first weight is the gain of the trend recursions; at large T
+        # a renormalization by the summed squares would add rounding
+        t = 2.0 ** 13
+        m_t = math.sqrt(1.0 - math.exp(-4.0 / t))
+        y = math.exp(-4.0 / t)
+        n_t = (1.0 - y) ** 2 / math.sqrt(1.0 - y * y)
+        assert abs(lm.weight_psi(t).weights[0] / m_t - 1.0) <= 1e-15
+        assert abs(lm.weight_phi(t).weights[0] / n_t - 1.0) <= 1e-15
+
     def test_average_lookback_psi(self):
         w = lm.weight_psi(256.0)
         assert w.average_lookback() == pytest.approx(128.0, rel=0.02)
