@@ -21,8 +21,7 @@ integrated by Euler-Maruyama.
 Randomness: all entropy flows through numpy SeedSequence.  A master seed
 is split into named child streams (lattice init, dynamics, replicas), so
 replicas and bootstrap draws are independent and reproducible.
-Replicas share one kernel call as a leading batch axis, each drawing
-from its own generator.
+Replicas run one after another, each on its own generator.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ from . import trends
 # spins +-1/2 and coupling 1/D rescale the standard +-1 Ising coupling by
 # 1/(4D), so T_c(2D) = 2 * (1/8) / ln(1 + sqrt 2).
 CRITICAL_TEMPERATURE_2D = 0.25 / math.log(1.0 + math.sqrt(2.0))
-
-# Uniforms drawn per replica at a time, rounded down to whole sweeps (at
-# least one).  Doubles are consumed in order, so this bounds memory
-# without changing any output.
-_DRAW_BLOCK = 1 << 16
 
 
 def _check_even_side(side: int) -> None:
@@ -135,43 +129,34 @@ def _checkerboard(lattice: SpinLattice):
     return order, nbrs.reshape(2, n // 2, 2 * dims).transpose(0, 2, 1).copy()
 
 
-def _run_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray, rngs, sweeps: int,
+def _run_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray,
+                rng: np.random.Generator, sweeps: int,
                 record_every: int = 0, skip: int = 0):
-    """Checkerboard Glauber sweeps over a (replicas, N) sigma = +-1 array.
+    """Checkerboard Glauber sweeps over an (N,) sigma = +-1 int8 array.
 
-    sigma (int8) is in the permuted order of `_checkerboard` and is
-    mutated in place; replica r draws its uniforms from rngs[r], one per
-    site per sweep, the even half-sweep's before the odd one's.  A site
-    flips where u < p(sigma * sum sigma_nbr), so a global flip of the
-    start state mirrors the trajectory.  Returns (M, flips): M =
-    sum(sigma)/2 after each recorded sweep, shape (replicas, recorded),
-    and the number of accepted flips per replica after `skip` sweeps.
+    sigma is in the permuted order of `_checkerboard` and is mutated in
+    place.  Each sweep draws one uniform per site, the even half-sweep's
+    before the odd one's.  A site flips where u < p(sigma * sum
+    sigma_nbr), so a global flip of the start state mirrors the
+    trajectory.  Returns (M, flips): M = sum(sigma)/2 after each recorded
+    sweep, and the number of accepted flips after `skip` sweeps.
     """
-    n_rep, n = sigma.shape
-    half = n // 2
-    halves = ((sigma[:, :half], nbrs[0], slice(0, half)),
-              (sigma[:, half:], nbrs[1], slice(half, n)))
-    n_rec = (sweeps - skip) // record_every if record_every else 0
-    values = np.empty((n_rep, n_rec))
-    flips = np.zeros(n_rep, dtype=np.int64)
-    block = max(1, _DRAW_BLOCK // n)
-    coins = np.empty((n_rep, min(block, sweeps), n))
-    flipped = np.empty(coins.shape, dtype=bool)
-    for start in range(0, sweeps, block):
-        count = min(block, sweeps - start)
-        for r, rng in enumerate(rngs):
-            rng.random(out=coins[r, :count])
-        for b in range(count):
-            for spins, nbr, cols in halves:
-                m = spins * sigma[:, nbr].sum(axis=1, dtype=np.int8)
-                flip = np.less(coins[:, b, cols], ptab.take(m),
-                               out=flipped[:, b, cols])
-                np.negative(spins, out=spins, where=flip)
-            done = start + b + 1 - skip
-            if record_every and done > 0 and done % record_every == 0:
-                values[:, done // record_every - 1] = sigma.sum(axis=1) / 2.0
-        first = min(max(skip - start, 0), count)
-        flips += np.count_nonzero(flipped[:, first:count], axis=(1, 2))
+    half = sigma.size // 2
+    coins = np.empty(sigma.size)
+    halves = ((sigma[:half], nbrs[0], coins[:half]),
+              (sigma[half:], nbrs[1], coins[half:]))
+    values = np.empty((sweeps - skip) // record_every if record_every else 0)
+    flips = 0
+    for done in range(1 - skip, sweeps - skip + 1):
+        rng.random(out=coins)
+        for spins, nbr, u in halves:
+            m = spins * sigma[nbr].sum(axis=0, dtype=np.int8)
+            flip = u < ptab.take(m)
+            np.negative(spins, out=spins, where=flip)
+            if done > 0:
+                flips += np.count_nonzero(flip)
+        if record_every and done > 0 and done % record_every == 0:
+            values[done // record_every - 1] = sigma.sum() / 2.0
     return values, flips
 
 
@@ -184,35 +169,11 @@ def sweep(lattice: SpinLattice, temperature: float,
     an odd side.
     """
     order, nbrs = _checkerboard(lattice)
-    sigma = (2 * lattice.occupations[order] - 1)[None, :]
+    sigma = 2 * lattice.occupations[order] - 1
     _run_sweeps(sigma, nbrs, _acceptance_table(lattice.dims, temperature),
-                [rng], 1)
-    lattice.occupations[order] = (sigma[0] + 1) // 2
+                rng, 1)
+    lattice.occupations[order] = (sigma + 1) // 2
     return lattice
-
-
-def _simulate(params: SimulationParams,
-              seeds: list[int]) -> list[MagnetizationSeries]:
-    """One kernel call over a replica per seed, each seeded as run_simulation."""
-    if not seeds:
-        return []
-    lattices, rngs = [], []
-    for seed in seeds:
-        ss_init, ss_dyn = np.random.SeedSequence(seed).spawn(2)
-        lattices.append(new_lattice(
-            params.dims, params.side, params.init,
-            seed=ss_init if params.init == "random" else None))
-        rngs.append(np.random.default_rng(ss_dyn))
-    order, nbrs = _checkerboard(lattices[0])
-    sigma = np.stack([2 * lat.occupations[order] - 1 for lat in lattices])
-    values, flips = _run_sweeps(
-        sigma, nbrs, _acceptance_table(params.dims, params.temperature),
-        rngs, params.sweeps, record_every=params.thin, skip=params.burn_in)
-    attempts = (params.sweeps - params.burn_in) * lattices[0].n_sites
-    return [MagnetizationSeries(values=values[r],
-                                params=replace(params, seed=seed),
-                                acceptance_rate=int(flips[r]) / attempts)
-            for r, seed in enumerate(seeds)]
 
 
 def run_simulation(params: SimulationParams) -> MagnetizationSeries:
@@ -222,7 +183,18 @@ def run_simulation(params: SimulationParams) -> MagnetizationSeries:
     seed is split into an init stream and a dynamics stream, so identical
     params give bit-identical output.
     """
-    return _simulate(params, [params.seed])[0]
+    ss_init, ss_dyn = np.random.SeedSequence(params.seed).spawn(2)
+    lattice = new_lattice(params.dims, params.side, params.init,
+                          seed=ss_init if params.init == "random" else None)
+    order, nbrs = _checkerboard(lattice)
+    values, flips = _run_sweeps(
+        2 * lattice.occupations[order] - 1, nbrs,
+        _acceptance_table(params.dims, params.temperature),
+        np.random.default_rng(ss_dyn), params.sweeps,
+        record_every=params.thin, skip=params.burn_in)
+    attempts = (params.sweeps - params.burn_in) * lattice.n_sites
+    return MagnetizationSeries(values=values, params=params,
+                               acceptance_rate=int(flips) / attempts)
 
 
 def replica_seeds(master_seed: int, n_replicas: int) -> list[int]:
@@ -234,13 +206,13 @@ def replica_seeds(master_seed: int, n_replicas: int) -> list[int]:
 
 def run_replicas(params: SimulationParams,
                  n_replicas: int) -> list[MagnetizationSeries]:
-    """Run independent replicas as one batch, in replica order.
+    """Run independent replicas, one after another, in replica order.
 
-    Replica i has its own lattice and rng streams, seeded by the i-th of
-    replica_seeds(params.seed), and is bit-identical to run_simulation
-    with that seed.
+    Each replica is a fully independent simulation (own lattice, own rng
+    stream) seeded from params.seed, so the output is deterministic.
     """
-    return _simulate(params, replica_seeds(params.seed, n_replicas))
+    return [run_simulation(replace(params, seed=s))
+            for s in replica_seeds(params.seed, n_replicas)]
 
 
 def magnetization_to_returns(series: MagnetizationSeries) -> trends.ReturnSeries:

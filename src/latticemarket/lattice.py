@@ -31,9 +31,17 @@ def _neighbor_tables(dims: int, side: int):
     the +axis and -axis neighbor of every site, and shape (N, dims)
     with only +axis neighbors so that each link appears exactly once.
     """
-    grid = np.arange(side ** dims, dtype=np.int64).reshape((side,) * dims)
-    all_nbr = np.stack([np.roll(grid, -step, axis=axis).ravel()
-                        for axis in range(dims) for step in (1, -1)], axis=1)
+    n_sites = side ** dims
+    coords = np.indices((side,) * dims).reshape(dims, n_sites)
+    all_nbr = np.empty((n_sites, 2 * dims), dtype=np.int64)
+    for axis in range(dims):
+        for step, col in ((+1, 2 * axis), (-1, 2 * axis + 1)):
+            shifted = coords.copy()
+            shifted[axis] = (shifted[axis] + step) % side
+            idx = np.zeros(n_sites, dtype=np.int64)
+            for b in range(dims):
+                idx = idx * side + shifted[b]
+            all_nbr[:, col] = idx
     return all_nbr, all_nbr[:, 0::2].copy()
 
 

@@ -114,33 +114,6 @@ class TestCheckerboardKernel:
         # the lattice itself keeps odd sides (energy tests use side 3)
         assert new_lattice(2, 3, "all_up").n_sites == 9
 
-    @pytest.mark.parametrize("dims,side,init,burn_in,thin",
-                             [(2, 8, "random", 0, 1), (3, 4, "all_up", 7, 3),
-                              (1, 16, "random", 5, 2)])
-    def test_replica_batch_matches_single_runs(self, dims, side, init,
-                                               burn_in, thin):
-        p = lm.SimulationParams(dims=dims, side=side, init=init,
-                                temperature=0.4, sweeps=90, burn_in=burn_in,
-                                thin=thin, seed=11)
-        batch = lm.run_replicas(p, 4)
-        for series, seed in zip(batch, dynamics.replica_seeds(11, 4)):
-            single = lm.run_simulation(replace(p, seed=seed))
-            assert np.array_equal(series.values, single.values)
-            assert series.acceptance_rate == single.acceptance_rate
-            assert series.params == single.params
-
-    @pytest.mark.parametrize("block", [64, 200, 1000])
-    def test_draw_block_does_not_change_output(self, monkeypatch, block):
-        # 1, 3 and 15 sweeps of N = 64 uniforms per block; burn-in 20
-        # ends inside a block
-        p = lm.SimulationParams(dims=2, side=8, temperature=0.35,
-                                sweeps=100, burn_in=20, thin=3, seed=6)
-        reference = lm.run_replicas(p, 2)
-        monkeypatch.setattr(dynamics, "_DRAW_BLOCK", block)
-        for a, b in zip(reference, lm.run_replicas(p, 2)):
-            assert np.array_equal(a.values, b.values)
-            assert a.acceptance_rate == b.acceptance_rate
-
     def test_acceptance_rate_at_infinite_temperature(self):
         # every attempt is an independent fair coin: sd 0.5 / sqrt(attempts)
         p = lm.SimulationParams(dims=2, side=16, temperature=1e12,
@@ -259,6 +232,11 @@ class TestRunSimulation:
         for a, b in zip(first, second):
             assert np.array_equal(a.values, b.values)
         assert not np.array_equal(first[0].values, first[1].values)
+        # replica i is run_simulation with the i-th replica seed, bit for bit
+        for series, seed in zip(first, dynamics.replica_seeds(3, 3)):
+            single = lm.run_simulation(replace(p, seed=seed))
+            assert np.array_equal(series.values, single.values)
+            assert series.acceptance_rate == single.acceptance_rate
 
 
 class TestMagnetizationToReturns:

@@ -67,20 +67,6 @@ class TestConstruction:
         # D*N links when each +axis link is counted once
         assert lat.dims * lat.n_sites == lat.neighbor_table[:, 0::2].size
 
-    @pytest.mark.parametrize("dims,side", [(1, 5), (2, 3), (3, 4)])
-    def test_neighbor_columns_step_each_coordinate(self, dims, side):
-        # column 2a is the +1 neighbour along axis a, column 2a+1 the -1
-        lat = new_lattice(dims, side, "all_up")
-        shape = (side,) * dims
-        for site in range(lat.n_sites):
-            coords = np.unravel_index(site, shape)
-            for axis, step in itertools.product(range(dims), (1, -1)):
-                moved = list(coords)
-                moved[axis] = (moved[axis] + step) % side
-                col = 2 * axis + (step < 0)
-                assert lat.neighbor_table[site, col] == np.ravel_multi_index(
-                    moved, shape)
-
 
 def fig_cluster_lattice():
     """Five occupied sites forming a plus on a 4x4 grid: 4 occupied links."""
