@@ -60,7 +60,6 @@ from .stats import (
     ScalingFit,
     fit_cubic,
     fit_cubic_xy,
-    fit_langevin_pair,
     fit_langevin_xy,
     bootstrap_errors,
     bootstrap_errors_xy,

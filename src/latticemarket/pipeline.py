@@ -282,24 +282,24 @@ def _date_folds(days, folds: int) -> tuple[np.ndarray, np.ndarray]:
 def _date_block_cv(x, y, days, folds: int) -> float:
     """Out-of-sample R^2 with folds that are contiguous date blocks.
 
-    Each training fit solves the normal equations from the total moment
-    sums minus the held-out fold's sums.
+    The training fits solve the normal equations from the total moment
+    sums minus each held-out fold's sums, all folds in one stacked solve.
     """
     order, bounds = _date_folds(days, folds)
     x, y = x[order], y[order]
+    sizes = np.diff(bounds)
+    if np.any(sizes < 4) or np.any(x.size - sizes < 30):
+        raise ValueError("fold too small")
     fold_sums = np.add.reduceat(stats._moment_columns(x, y), bounds[:-1])
-    total = fold_sums.sum(axis=0)
+    train = fold_sums.sum(axis=0) - fold_sums
+    coef, _ = stats._solve_from_sums(train)
+    if np.isnan(coef).any():
+        raise ValueError("rank-deficient design (constant trend strength?)")
     scores = []
     for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if hi - lo < 4 or x.size - (hi - lo) < 30:
-            raise ValueError("fold too small")
-        train = total - fold_sums[i]
-        coef = stats._solve_from_sums(train)
-        if coef is None:
-            raise ValueError("rank-deficient design (constant trend strength?)")
         x_val, y_val = x[lo:hi], y[lo:hi]
-        pred = coef[0] + coef[1] * x_val + coef[2] * x_val ** 3
-        train_mean = train[6] / train[0]
+        pred = coef[i, 0] + coef[i, 1] * x_val + coef[i, 2] * x_val ** 3
+        train_mean = train[i, 6] / train[i, 0]
         ss_res = float(np.sum((y_val - pred) ** 2))
         ss_tot = float(np.sum((y_val - train_mean) ** 2))
         scores.append(1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
@@ -349,6 +349,7 @@ def analyze_price_table(table: io.PriceTable,
         "r_squared": stacked.r_squared,
         "r_squared_cv": cv_r2,
         "n_obs": stacked.n_obs,
+        "gram_condition": stacked.gram_condition,
         "bootstrap_samples": config.bootstrap_samples,
         "bootstrap_skipped": boot.n_skipped,
         "cv_folds": config.cv_folds,

@@ -26,6 +26,7 @@ from .trends import ReturnSeries, TrendSeries
 
 _MIN_OBSERVATIONS = 100
 _COND_LIMIT = 1e12
+_CHUNK_COUNTS = 2 ** 18     # bootstrap count-matrix cells per chunk
 
 
 # -- alignment -------------------------------------------------------------
@@ -67,7 +68,7 @@ class RegressionReport:
     r_squared: float
     r_squared_adj: float
     n_obs: int
-    se_method: str = "ols"
+    gram_condition: float     # 2-norm condition of the (1, x, x^3) Gram
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -78,16 +79,21 @@ class RegressionReport:
         return np.array([self.se_a, self.se_b, self.se_c])
 
 
+def _pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    return x, y
+
+
 def _design(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(x), x, x ** 3])
 
 
 def fit_cubic_xy(x, y, min_obs: int = _MIN_OBSERVATIONS) -> RegressionReport:
     """OLS of y on (1, x, x^3) for pre-aligned pairs."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
+    x, y = _pairs(x, y)
     n = x.size
     if n < min_obs:
         raise ValueError(f"need at least {min_obs} observations, got {n}")
@@ -99,7 +105,8 @@ def fit_cubic_xy(x, y, min_obs: int = _MIN_OBSERVATIONS) -> RegressionReport:
     ssr = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
     sigma2 = ssr / (n - 3)
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    gram = design.T @ design
+    cov = sigma2 * np.linalg.inv(gram)
     se = np.sqrt(np.diag(cov))
     r2 = 1.0 - ssr / sst if sst > 0 else 0.0
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 3)
@@ -109,7 +116,8 @@ def fit_cubic_xy(x, y, min_obs: int = _MIN_OBSERVATIONS) -> RegressionReport:
         a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
         se_a=float(se[0]), se_b=float(se[1]), se_c=float(se[2]),
         t_a=float(tstats[0]), t_b=float(tstats[1]), t_c=float(tstats[2]),
-        r_squared=r2, r_squared_adj=r2_adj, n_obs=n)
+        r_squared=r2, r_squared_adj=r2_adj, n_obs=n,
+        gram_condition=float(np.linalg.cond(gram)))
 
 
 def fit_cubic(trend: TrendSeries,
@@ -127,26 +135,13 @@ def fit_langevin_xy(x, y) -> tuple[float, float]:
 
     This equals no-intercept OLS on the regressors (x, x^3).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    x2 = x * x
-    moments = np.array([
-        [np.mean(x2), np.mean(x2 * x2)],
-        [np.mean(x2 * x2), np.mean(x2 * x2 * x2)],
-    ])
-    rhs = np.array([np.mean(x * y), np.mean(x2 * x * y)])
+    x, y = _pairs(x, y)
+    s = _moment_columns(x, y).mean(axis=0)
+    moments = s[[[2, 4], [4, 5]]]
     if np.linalg.cond(moments) > _COND_LIMIT:
         raise ValueError("singular moment matrix")
-    beta, gamma = np.linalg.solve(moments, rhs)
+    beta, gamma = np.linalg.solve(moments, s[[7, 8]])
     return float(beta), float(gamma)
-
-
-def fit_langevin_pair(trend: TrendSeries,
-                      next_returns: ReturnSeries) -> tuple[float, float]:
-    x, y = aligned_pairs(trend, next_returns)
-    return fit_langevin_xy(x, y)
 
 
 # -- bootstrap ---------------------------------------------------------------
@@ -167,24 +162,29 @@ class BootstrapResult:
 
 
 def _moment_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-observation sufficient statistics for the cubic normal equations."""
+    """Per-observation cubic normal-equation statistics, column-major."""
     x2 = x * x
     x3 = x2 * x
-    return np.column_stack([
+    return np.array([
         np.ones_like(x), x, x2, x3, x2 * x2, x3 * x3, y, x * y, x3 * y,
-    ])
+    ]).T
 
 
-def _solve_from_sums(s: np.ndarray) -> np.ndarray | None:
-    gram = np.array([
-        [s[0], s[1], s[3]],
-        [s[1], s[2], s[4]],
-        [s[3], s[4], s[5]],
-    ])
-    rhs = np.array([s[6], s[7], s[8]])
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _COND_LIMIT:
-        return None
-    return np.linalg.solve(gram, rhs)
+def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 3) coefficients and (k,) Gram conditions from (k, 9) moment sums.
+
+    Rows whose Gram is non-finite (condition inf) or has condition above
+    _COND_LIMIT are not solved: their coefficients are NaN.
+    """
+    gram = sums[:, [0, 1, 3, 1, 2, 4, 3, 4, 5]].reshape(-1, 3, 3)
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    cond = np.full(len(sums), np.inf)
+    cond[finite] = np.linalg.cond(gram[finite])
+    ok = cond <= _COND_LIMIT
+    coef = np.full((len(sums), 3), np.nan)
+    # the trailing axis keeps rhs a stack of vectors on numpy 1.x and 2.x
+    coef[ok] = np.linalg.solve(gram[ok], sums[ok, 6:, None])[..., 0]
+    return coef, cond
 
 
 def bootstrap_errors_xy(x, y, n_samples: int, seed,
@@ -197,10 +197,13 @@ def bootstrap_errors_xy(x, y, n_samples: int, seed,
     `groups` labels are given (e.g. dates shared by several markets),
     whole groups are resampled jointly, preserving within-group
     correlation.  Deterministic for a fixed seed; degenerate resamples
-    are skipped and counted.
+    (Gram non-finite or condition above 1e12) are skipped and counted.
+
+    The G groups are resampled in chunks of c = max(1, 2**18 // G):
+    rng.integers(0, G, (c, G)) draws the same integers as c per-resample
+    draws, and a chunk's moment sums are counts @ group_sums, solved at once.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _pairs(x, y)
     if n_samples < 100:
         raise ValueError("need at least 100 bootstrap samples")
     if x.size < _MIN_OBSERVATIONS:
@@ -210,36 +213,34 @@ def bootstrap_errors_xy(x, y, n_samples: int, seed,
     if groups is None:
         group_sums = cols
     else:
-        codes, _ = _group_codes(groups, x.size)
-        group_sums = np.zeros((codes.max() + 1, cols.shape[1]))
-        np.add.at(group_sums, codes, cols)
+        labels = np.asarray(groups)
+        if labels.shape != x.shape:
+            raise ValueError("groups must label every observation")
+        codes = np.unique(labels, return_inverse=True)[1]
+        group_sums = np.array(
+            [np.bincount(codes, weights=col) for col in cols.T]).T
+    if not np.isfinite(group_sums).all():
+        raise ValueError("x and y must give finite moment sums up to x^6")
     n_groups = group_sums.shape[0]
+    chunk = max(1, _CHUNK_COUNTS // n_groups)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    kept = []
-    skipped = 0
-    for _ in range(n_samples):
-        chosen = rng.integers(0, n_groups, n_groups)
-        coef = _solve_from_sums(group_sums[chosen].sum(axis=0))
-        if coef is None:
-            skipped += 1
-        else:
-            kept.append(coef)
-    if not kept:
+    coef, cond = np.empty((n_samples, 3)), np.empty(n_samples)
+    for start in range(0, n_samples, chunk):
+        c = min(chunk, n_samples - start)
+        draws = rng.integers(0, n_groups, (c, n_groups))
+        draws += np.arange(0, c * n_groups, n_groups)[:, None]
+        counts = np.bincount(draws.ravel(), minlength=c * n_groups)
+        coef[start:start + c], cond[start:start + c] = _solve_from_sums(
+            counts.reshape(c, n_groups).astype(np.float64) @ group_sums)
+    samples = coef[cond <= _COND_LIMIT]
+    if samples.size == 0:
         raise ValueError("all bootstrap resamples were degenerate")
-    samples = np.asarray(kept)
     se = samples.std(axis=0, ddof=1)
     pct = np.percentile(samples, [2.5, 97.5], axis=0).T
     return BootstrapResult(se_a=float(se[0]), se_b=float(se[1]),
                            se_c=float(se[2]), percentiles=pct,
-                           samples=samples, n_skipped=skipped)
-
-
-def _group_codes(groups, size: int) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(groups)
-    if labels.shape != (size,):
-        raise ValueError("groups must label every observation")
-    uniques, codes = np.unique(labels, return_inverse=True)
-    return codes, uniques
+                           samples=samples,
+                           n_skipped=n_samples - samples.shape[0])
 
 
 def bootstrap_errors(trend: TrendSeries, next_returns: ReturnSeries,
@@ -269,8 +270,7 @@ def cross_validate_xy(x, y, folds: int,
     (weight sum); the premium is re-estimated from the training folds
     and the trend levels shifted accordingly before fitting and scoring.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _pairs(x, y)
     if folds < 2:
         raise ValueError("need at least 2 folds")
     n = x.size

@@ -289,6 +289,8 @@ class TestAnalyzeCommand:
         # i.i.d. input: no significant coefficients
         reg = report["regression"]
         assert abs(reg["t_b"]) < 4.0 and abs(reg["t_c"]) < 4.0
+        assert math.isfinite(reg["gram_condition"])
+        assert reg["gram_condition"] > 0
         assert "kappa" in report and "dimension" in report
 
     def test_default_horizons_echoed(self, tmp_path):

@@ -65,6 +65,13 @@ class TestDateBlockCv:
         assert _date_block_cv(x, y, days, folds) == pytest.approx(
             reference_cv(x, y, days, folds), rel=1e-10)
 
+    @pytest.mark.parametrize("folds", [2, 5, 15])
+    def test_combined_factor_matches_brute_force_reference(self, panel,
+                                                           folds):
+        x, y, days = _combined_factor(panel, N_MARKETS)
+        assert _date_block_cv(x, y, days, folds) == pytest.approx(
+            reference_cv(x, y, days, folds), rel=1e-10)
+
     def test_folds_are_whole_date_blocks(self, panel):
         _, _, days = _stacked(panel)
         order, bounds = _date_folds(days, 15)

@@ -116,7 +116,88 @@ class TestFitLangevin:
             lm.fit_langevin_xy(np.zeros(200), np.ones(200))
 
 
+def loop_bootstrap(x, y, n_samples, seed, groups=None):
+    """One gather, sum, cond and solve per resample: the reference loop."""
+    cols = np.ascontiguousarray(stats._moment_columns(x, y))
+    if groups is None:
+        group_sums = cols
+    else:
+        _, codes = np.unique(groups, return_inverse=True)
+        group_sums = np.zeros((codes.max() + 1, cols.shape[1]))
+        np.add.at(group_sums, codes, cols)
+    n_groups = group_sums.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    kept, skipped = [], 0
+    for _ in range(n_samples):
+        s = group_sums[rng.integers(0, n_groups, n_groups)].sum(axis=0)
+        gram = np.array([[s[0], s[1], s[3]],
+                         [s[1], s[2], s[4]],
+                         [s[3], s[4], s[5]]])
+        if not np.all(np.isfinite(gram)) \
+                or np.linalg.cond(gram) > stats._COND_LIMIT:
+            skipped += 1
+        else:
+            kept.append(np.linalg.solve(gram, s[6:]))
+    return np.asarray(kept), skipped
+
+
+def degenerate_panel():
+    """4 groups, each holding one distinct x: resamples that draw fewer
+    than 3 distinct groups have a rank-2 Gram and are skipped."""
+    rng = np.random.default_rng(77)
+    groups = np.repeat(np.arange(4), 30)
+    x = np.array([0.3, 1.1, 1.7, 2.9])[groups]
+    return x, rng.standard_normal(x.size), groups
+
+
 class TestBootstrap:
+    @pytest.mark.parametrize("case", [
+        "ungrouped", "grouped", "ragged_chunks", "degenerate"])
+    def test_matches_per_resample_loop(self, case):
+        groups = None
+        n_samples = 200
+        if case == "ungrouped":
+            x, y = synthetic_xy(1500, 21)
+        elif case == "grouped":
+            x, y = synthetic_xy(3000, 22)
+            groups = np.repeat(np.arange(1000), 3)
+        elif case == "ragged_chunks":
+            # 2**18 // 5000 = 52 resamples per chunk: chunks 52, 52, 26
+            x, y = synthetic_xy(5000, 23)
+            n_samples = 130
+            assert n_samples % (stats._CHUNK_COUNTS // x.size) != 0
+        else:
+            x, y, groups = degenerate_panel()
+        boot = lm.bootstrap_errors_xy(x, y, n_samples, seed=31,
+                                      groups=groups)
+        samples, skipped = loop_bootstrap(x, y, n_samples, 31, groups)
+        assert boot.n_skipped == skipped
+        if case == "degenerate":
+            assert skipped > 0
+        # sums change order (counts @ group_sums), so a coefficient that
+        # lands near zero in one resample carries the rounding of its
+        # column's scale: the tolerance is 1e-12 of that scale
+        scale = np.abs(samples).max(axis=0)
+        np.testing.assert_allclose(boot.samples / scale, samples / scale,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_mismatched_inputs_rejected(self):
+        x, y = synthetic_xy(500, 24)
+        with pytest.raises(ValueError, match="equal length"):
+            lm.bootstrap_errors_xy(x, y[:-1], 150, seed=1)
+
+    def test_non_finite_inputs_rejected(self):
+        # counts @ group_sums would spread a non-finite row into every
+        # resample as 0 * inf, so such data is refused up front
+        x, y = synthetic_xy(500, 25)
+        x[7] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            lm.bootstrap_errors_xy(x, y, 150, seed=1)
+        x[7] = 1e60   # finite, but x^6 overflows
+        with pytest.raises(ValueError, match="finite"), \
+                np.errstate(over="ignore"):
+            lm.bootstrap_errors_xy(x, y, 150, seed=1)
+
     def test_noiseless_relation_zero_se(self):
         x, y = synthetic_xy(2000, 5, noise=0.0)
         boot = lm.bootstrap_errors_xy(x, y, 150, seed=8)
