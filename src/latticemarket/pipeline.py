@@ -224,14 +224,18 @@ class _ScaleData:
 
 
 def _market_scale_data(table: io.PriceTable, horizons: list[int],
-                       estimator: str) -> tuple[list[_ScaleData], list, list]:
-    """Aligned (phi, next return) observations per scale, pooled over markets."""
+                       estimator: str
+                       ) -> tuple[list[_ScaleData], list, list, list[dict]]:
+    """Aligned (phi, next return) observations per scale, pooled over markets.
+
+    Also returns the dropped horizons as {"k": k, "reason": text} rows.
+    """
     returns_all, days_all = [], []
     for market in table.markets:
         returns_all.append(trends.normalize_returns(market.prices))
         days_all.append(np.array([d.toordinal() for d in market.dates],
                                  dtype=np.int64))
-    scales = []
+    scales, dropped = [], []
     for k in horizons:
         horizon = 2 ** k
         weights = _weights_for(estimator, horizon)
@@ -249,18 +253,19 @@ def _market_scale_data(table: io.PriceTable, horizons: list[int],
             # return index i carries the date of its later price
             ds.append(days[start + 2:n + 1])
             ms.append(np.full(n - 1 - start, m_idx, dtype=np.int64))
+        n_pooled = sum(len(v) for v in xs)
         if not xs:
-            log.warning("dropping k=%d: no market has enough history", k)
+            reason = "no market has enough history"
+        elif n_pooled < stats._MIN_OBSERVATIONS:
+            reason = f"only {n_pooled} pooled observations"
+        else:
+            scales.append(_ScaleData(
+                k=k, x=np.concatenate(xs), y=np.concatenate(ys),
+                dates=np.concatenate(ds), market_idx=np.concatenate(ms)))
             continue
-        x = np.concatenate(xs)
-        if x.size < stats._MIN_OBSERVATIONS:
-            log.warning("dropping k=%d: only %d pooled observations",
-                        k, x.size)
-            continue
-        scales.append(_ScaleData(
-            k=k, x=x, y=np.concatenate(ys),
-            dates=np.concatenate(ds), market_idx=np.concatenate(ms)))
-    return scales, returns_all, [m.name for m in table.markets]
+        log.warning("dropping k=%d: %s", k, reason)
+        dropped.append({"k": k, "reason": reason})
+    return scales, returns_all, [m.name for m in table.markets], dropped
 
 
 def _date_folds(days, folds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,14 +314,15 @@ def _date_block_cv(x, y, days, folds: int) -> float:
 def analyze_price_table(table: io.PriceTable,
                         config: PipelineConfig) -> dict:
     """Full empirical pipeline on a loaded price table; returns the report."""
-    scales, returns_all, names = _market_scale_data(
+    scales, returns_all, names, dropped = _market_scale_data(
         table, config.horizons, config.estimator)
     if not scales:
         raise ValueError("no usable horizon: price history too short")
     report: dict = {"markets": names,
                     "estimator": config.estimator,
                     "horizons_requested": list(config.horizons),
-                    "horizons_used": [s.k for s in scales]}
+                    "horizons_used": [s.k for s in scales],
+                    "horizons_dropped": dropped}
 
     # per-scale regression and trend statistics
     by_scale = []

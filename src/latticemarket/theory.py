@@ -23,13 +23,13 @@ is labeled non-canonical wherever it surfaces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
+# scipy is imported inside the functions that use it, not here: importing
+# scipy.integrate, .interpolate and .optimize costs far more than a
+# simulation run that never calls them.
 
 
 class DomainError(ValueError):
@@ -89,14 +89,13 @@ def critical_exponent_table() -> list[CriticalExponents]:
     ]
 
 
-def _eta_interpolant() -> PchipInterpolator:
+@functools.cache
+def _eta_interpolant():
+    from scipy.interpolate import PchipInterpolator
     rows = sorted(PUBLISHED_EXPONENT_TABLE)
     dims = [r[0] for r in rows]
     etas = [r[1] for r in rows]
     return PchipInterpolator(dims, etas)
-
-
-_ETA_ITP = _eta_interpolant()
 
 
 def exponents_for_dimension(dimension: float) -> CriticalExponents:
@@ -110,7 +109,7 @@ def exponents_for_dimension(dimension: float) -> CriticalExponents:
     lo, hi = DIMENSION_RANGE
     if not lo <= dimension <= hi:
         raise ValueError(f"dimension must lie in [{lo}, {hi}]")
-    eta = float(_ETA_ITP(dimension))
+    eta = float(_eta_interpolant()(dimension))
     z = 2.0 + _Z_SLOPE * eta
     return CriticalExponents(dimension=float(dimension), eta=eta, z=z,
                              kappa=(2.0 - eta) / z)
@@ -120,21 +119,17 @@ def kappa_for_dimension(dimension: float) -> float:
     return exponents_for_dimension(dimension).kappa
 
 
-_KAPPA_MIN = None  # filled lazily; kappa at the lower dimension bound
-
-
 def dimension_for_kappa(kappa: float) -> float:
     """Invert the kappa(D) map by monotone root finding.
 
     Valid for kappa between kappa(1.5) and 1; the inverse is exact to
     better than 1e-6 in kappa (and in D).
     """
-    global _KAPPA_MIN
-    if _KAPPA_MIN is None:
-        _KAPPA_MIN = kappa_for_dimension(DIMENSION_RANGE[0])
-    if not _KAPPA_MIN <= kappa <= 1.0:
+    from scipy.optimize import brentq
+    kappa_min = kappa_for_dimension(DIMENSION_RANGE[0])
+    if not kappa_min <= kappa <= 1.0:
         raise ValueError(
-            f"kappa must lie in [{_KAPPA_MIN:.6f}, 1.0], got {kappa}")
+            f"kappa must lie in [{kappa_min:.6f}, 1.0], got {kappa}")
     if kappa == 1.0:
         return DIMENSION_RANGE[1]
     return float(brentq(lambda d: kappa_for_dimension(d) - kappa,
@@ -276,6 +271,7 @@ def _breakpoints(model: PropagatorModel) -> tuple[float, ...]:
 def _quad(f, model: PropagatorModel, scale: float,
           hi: float = math.inf) -> float:
     """Adaptive quadrature of f over (0, hi), split at the regime knees."""
+    from scipy import integrate
     edges = [b for b in _breakpoints(model) if 0 < b < hi] + [hi]
     total = 0.0
     lo = 0.0
@@ -304,7 +300,7 @@ def predicted_trend_return_correlation(model: PropagatorModel, omega: float,
     if method == "closed":
         if model.regime == "scaling":
             return -2.0 * omega ** 1.5 * 0.5 * k * (1.0 - k) \
-                * gamma_fn(k) * omega ** (-k)
+                * math.gamma(k) * omega ** (-k)
         if model.regime == "exponential":
             return -2.0 * omega ** 1.5 * 0.5 * tau ** (k - 2.0) \
                 / (omega + 1.0 / tau) ** 2
@@ -362,7 +358,7 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
         if model.regime == "scaling":
             if estimator == "tilde":
                 return horizon ** (k - 1.0)
-            return k * gamma_fn(k + 1.0) * omega ** (1.0 - k)
+            return k * math.gamma(k + 1.0) * omega ** (1.0 - k)
         if model.regime == "exponential":
             if estimator == "tilde":
                 return (tau / horizon) * (1.0 - math.exp(-horizon / tau)) \

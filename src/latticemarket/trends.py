@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
-from scipy.special import lambertw
 
 # Tail weights below this fraction of the peak are dropped; the kept
 # weights are the closed forms, whose dropped tail is below 1e-26 in L2.
@@ -34,6 +32,13 @@ from scipy.special import lambertw
 # weight_sum; trend values come from the untruncated recursions and do not
 # depend on it.
 TRUNCATION_REL_TOL = 1e-13
+
+# Block length of the first-order scan and its lag table: _LAG[i, j] is
+# i - j on and below the diagonal and points at a zero slot above it.
+_BLOCK = 64
+_LAG = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+_LAG[_LAG < 0] = _BLOCK + 1
+_EXPONENTS = np.arange(_BLOCK + 1)
 
 
 @dataclass(frozen=True)
@@ -130,18 +135,23 @@ def weight_phi(horizon: float) -> WeightFunction:
     """Rising-then-decaying weights N_T (n+1) e^(-2n/T).
 
     The square normalization follows from sum (n+1)^2 x^n = (1+x)/(1-x)^3
-    with x = e^(-4/T); the weight peaks near n = T/2 - 1.
+    with x = e^(-4/T); the weight peaks near n = T/2 - 1.  The kept range
+    ends before the first n past the peak with (n+1) e^(-2n/T) below
+    TRUNCATION_REL_TOL.
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     t = float(horizon)
     y = math.exp(-4.0 / t)
     n_t = (1.0 - y) ** 2 / math.sqrt(1.0 - y * y)
-    # Solve (n+1) e^(-2n/T) = tol via the lower Lambert branch, then scan
-    # forward so the kept range is exact.
-    arg = -(2.0 / t) * TRUNCATION_REL_TOL * math.exp(-2.0 / t)
-    m_est = -t / 2.0 * float(lambertw(arg, k=-1).real)
-    n_cut = max(1, int(m_est))
+    # (n+1) e^(-2n/T) = tol  <=>  n = (T/2) ln((n+1)/tol).  Iterating that
+    # map from n = (T/2) ln(1/tol) climbs to the upper root from below, so
+    # the forward scan then finds the exact kept range.
+    n_est, prev = t / 2.0 * math.log(1.0 / TRUNCATION_REL_TOL), -math.inf
+    while n_est - prev >= 1.0:
+        prev, n_est = n_est, t / 2.0 * math.log(
+            (n_est + 1.0) / TRUNCATION_REL_TOL)
+    n_cut = max(1, int(n_est))
     while (n_cut + 1) * math.exp(-2.0 * n_cut / t) >= TRUNCATION_REL_TOL:
         n_cut += 1
     n = np.arange(n_cut)
@@ -189,8 +199,27 @@ class TrendSeries:
 
 
 def _first_order(values: np.ndarray, x: float) -> np.ndarray:
-    """Exact recursion A(t) = x A(t-1) + values(t), with A(-1) = 0."""
-    return signal.lfilter([1.0], [1.0, -x], values)
+    """Exact recursion A(t) = x A(t-1) + values(t), with A(-1) = 0.
+
+    A blocked linear scan (Blelloch, Prefix Sums and Their Applications,
+    CMU-CS-90-190, 1990) over blocks of B = 64: every block is solved from
+    zero history by one product with the lower-triangular Toeplitz matrix
+    of x^(i-j), then each block's incoming value A(start - 1) is carried
+    across the block ends with factor x^B and added as carry x^(j+1).
+    """
+    n = values.size
+    n_blocks = -(-n // _BLOCK)
+    padded = np.zeros(n_blocks * _BLOCK)
+    padded[:n] = values
+    powers = np.append(x ** _EXPONENTS, 0.0)   # x^0 .. x^B, then zero
+    local = padded.reshape(n_blocks, _BLOCK) @ powers[_LAG].T
+    decay = powers[1:_BLOCK + 1]               # x^(j+1)
+    x_block = float(powers[_BLOCK])
+    carries = [0.0]
+    for end in local[:-1, -1].tolist():
+        carries.append(carries[-1] * x_block + end)
+    local += np.array(carries)[:, None] * decay
+    return local.reshape(-1)[:n]
 
 
 def trend_strength(returns: ReturnSeries,

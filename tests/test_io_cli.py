@@ -3,6 +3,10 @@
 import datetime
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,26 @@ class TestSimulateCommand:
         for name in ("magnetization.csv", "returns.csv", "params.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter: modules imported by other tests do not count
+        script = (
+            "import json, sys\n"
+            "import latticemarket.cli as cli\n"
+            "cli.build_parser()\n"
+            "code = cli.main(['simulate', '--side', '4', '--sweeps', '40',\n"
+            "                 '--burn-in', '4', '--out', sys.argv[1]])\n"
+            "print(json.dumps([code] + sorted(\n"
+            "    m for m in sys.modules\n"
+            "    if m == 'scipy' or m.startswith('scipy.'))))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0]
+
     def test_invalid_sweeps_exit_code(self, tmp_path):
         code = cli.main(["simulate", "--sweeps", "0",
                          "--out", str(tmp_path)])
@@ -292,6 +316,22 @@ class TestAnalyzeCommand:
         assert math.isfinite(reg["gram_condition"])
         assert reg["gram_condition"] > 0
         assert "kappa" in report and "dimension" in report
+        assert report["horizons_dropped"] == []
+        # 543 returns per market: the step window T = 512 leaves 31
+        # observations in each of the 3 markets, too few pooled; T = 1024
+        # leaves none
+        short_csv = make_long_csv(tmp_path / "short.csv", days=544)
+        out_short = tmp_path / "short"
+        code = cli.main([
+            "analyze", str(short_csv), "--out", str(out_short),
+            "--horizons", "1,2,3,9,10", "--estimator", "step",
+            "--bootstrap-samples", "100", "--cv-folds", "5"])
+        assert code == 0
+        report = strict_json((out_short / "report.json").read_text())["report"]
+        assert report["horizons_used"] == [1, 2, 3]
+        assert report["horizons_dropped"] == [
+            {"k": 9, "reason": "only 93 pooled observations"},
+            {"k": 10, "reason": "no market has enough history"}]
 
     def test_default_horizons_echoed(self, tmp_path):
         csv_path = make_long_csv(tmp_path / "prices.csv", days=600)

@@ -29,7 +29,7 @@ def panel():
         markets.append(io.MarketSeries(name=f"M{m}", dates=dates,
                                        prices=prices))
     table = io.PriceTable(markets=markets)
-    scales, _, _ = _market_scale_data(table, HORIZONS, "phi")
+    scales, _, _, _ = _market_scale_data(table, HORIZONS, "phi")
     assert [s.k for s in scales] == HORIZONS
     return scales
 

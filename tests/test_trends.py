@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
+from scipy.special import lambertw
 
 import latticemarket as lm
 from latticemarket import trends
@@ -274,6 +277,84 @@ class TestRecursiveTrend:
                                       weights=np.ones(8) / math.sqrt(8.0))
         with pytest.raises(ValueError):
             lm.trend_strength(rets, wedge)
+
+
+class TestScanOracle:
+    """The numpy scan and cut-off search against scipy references."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 4000])
+    def test_first_order_matches_lfilter(self, n):
+        # T = 0.01 makes x^64 underflow to zero
+        u = np.random.default_rng(n).standard_normal(n)
+        for horizon in [0.01, 0.5] + [2.0 ** k for k in range(14)]:
+            x = math.exp(-2.0 / horizon)
+            expected = lfilter([1.0], [1.0, -x], u)
+            got = trends._first_order(u, x)
+            assert got.shape == expected.shape
+            tol = 1e-13 * np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= tol, horizon
+
+    @staticmethod
+    def lambertw_n_max(horizon):
+        """Last kept phi index: the Lambert-W root, then a forward scan."""
+        tol = trends.TRUNCATION_REL_TOL
+        arg = -(2.0 / horizon) * tol * math.exp(-2.0 / horizon)
+        n_cut = max(1, int(-horizon / 2.0 * float(lambertw(arg, k=-1).real)))
+        while (n_cut + 1) * math.exp(-2.0 * n_cut / horizon) >= tol:
+            n_cut += 1
+        return n_cut - 1
+
+    def test_phi_cutoff_matches_lambertw(self):
+        rng = np.random.default_rng(20)
+        horizons = [2.0 ** k for k in range(16)]
+        horizons += np.exp(rng.uniform(math.log(0.01), math.log(2.0 ** 15),
+                                       3000)).tolist()
+        for horizon in horizons:
+            assert lm.weight_phi(horizon).n_max == \
+                self.lambertw_n_max(horizon), horizon
+
+
+def _trend_of(values, weights):
+    rets = trends.ReturnSeries(values=np.asarray(values, dtype=float),
+                               mu=0.0, sigma=1.0)
+    return lm.trend_strength(rets, weights).values
+
+
+_KINDS = {"step": lm.weight_step, "psi": lm.weight_psi, "phi": lm.weight_phi}
+_FINITE = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+class TestTrendProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(_KINDS)),
+           horizon=st.integers(1, 256),
+           data=st.data())
+    def test_causal(self, kind, horizon, data):
+        # bit-unchanged, so padding the last scan block leaks nothing back
+        values = data.draw(st.lists(_FINITE, min_size=1, max_size=300))
+        t = data.draw(st.integers(0, len(values) - 1))
+        tail = data.draw(st.lists(_FINITE, min_size=len(values) - t - 1,
+                                  max_size=len(values) - t - 1))
+        weights = _KINDS[kind](horizon)
+        before = _trend_of(values, weights)
+        after = _trend_of(values[:t + 1] + tail, weights)
+        np.testing.assert_array_equal(before[:t + 1], after[:t + 1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(_KINDS)),
+           horizon=st.integers(1, 256),
+           a=st.floats(-10.0, 10.0),
+           data=st.data())
+    def test_linear(self, kind, horizon, a, data):
+        n = data.draw(st.integers(1, 300))
+        u = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+        v = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+        weights = _KINDS[kind](horizon)
+        combo = _trend_of(a * u + v, weights)
+        parts = a * _trend_of(u, weights) + _trend_of(v, weights)
+        scale = (abs(a) * np.max(np.abs(u)) + np.max(np.abs(v))) \
+            * weights.weights.sum()
+        assert np.max(np.abs(combo - parts)) <= 1e-12 * scale
 
 
 class TestAdjacentWindows:
