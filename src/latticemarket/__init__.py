@@ -63,7 +63,6 @@ from .stats import (
     fit_langevin_xy,
     bootstrap_errors,
     bootstrap_errors_xy,
-    cross_validate,
     cross_validate_xy,
     fit_parabolic_b,
     moment_scaling,

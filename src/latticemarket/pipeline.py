@@ -268,49 +268,6 @@ def _market_scale_data(table: io.PriceTable, horizons: list[int],
     return scales, returns_all, [m.name for m in table.markets], dropped
 
 
-def _date_folds(days, folds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable day order and the slice bounds of contiguous date-block folds.
-
-    Fold i is order[bounds[i]:bounds[i + 1]]; a calendar day never
-    straddles two folds.
-    """
-    order = np.argsort(days, kind="stable")
-    sorted_days = days[order]
-    unique_days = np.unique(sorted_days)
-    if unique_days.size < folds:
-        raise ValueError("fewer distinct dates than folds")
-    first_days = [block[0] for block in np.array_split(unique_days, folds)]
-    bounds = np.append(np.searchsorted(sorted_days, first_days), days.size)
-    return order, bounds
-
-
-def _date_block_cv(x, y, days, folds: int) -> float:
-    """Out-of-sample R^2 with folds that are contiguous date blocks.
-
-    The training fits solve the normal equations from the total moment
-    sums minus each held-out fold's sums, all folds in one stacked solve.
-    """
-    order, bounds = _date_folds(days, folds)
-    x, y = x[order], y[order]
-    sizes = np.diff(bounds)
-    if np.any(sizes < 4) or np.any(x.size - sizes < 30):
-        raise ValueError("fold too small")
-    fold_sums = np.add.reduceat(stats._moment_columns(x, y), bounds[:-1])
-    train = fold_sums.sum(axis=0) - fold_sums
-    coef, _ = stats._solve_from_sums(train)
-    if np.isnan(coef).any():
-        raise ValueError("rank-deficient design (constant trend strength?)")
-    scores = []
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        x_val, y_val = x[lo:hi], y[lo:hi]
-        pred = coef[i, 0] + coef[i, 1] * x_val + coef[i, 2] * x_val ** 3
-        train_mean = train[i, 6] / train[i, 0]
-        ss_res = float(np.sum((y_val - pred) ** 2))
-        ss_tot = float(np.sum((y_val - train_mean) ** 2))
-        scores.append(1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
-    return float(np.mean(scores))
-
-
 def analyze_price_table(table: io.PriceTable,
                         config: PipelineConfig) -> dict:
     """Full empirical pipeline on a loaded price table; returns the report."""
@@ -345,7 +302,8 @@ def analyze_price_table(table: io.PriceTable,
     boot = stats.bootstrap_errors_xy(
         x_all, y_all, config.bootstrap_samples, config.seed,
         groups=dates_all)
-    cv_r2 = _date_block_cv(x_all, y_all, dates_all, config.cv_folds)
+    cv_r2 = stats.cross_validate_xy(
+        x_all, y_all, config.cv_folds, blocks=dates_all).r_squared_adj
     report["regression"] = {
         "a": stacked.a, "b": stacked.b, "c": stacked.c,
         "se_a": boot.se_a, "se_b": boot.se_b, "se_c": boot.se_c,
@@ -369,7 +327,8 @@ def analyze_price_table(table: io.PriceTable,
         report["aggregated_factor"] = {
             "a": cfit.a, "b": cfit.b, "c": cfit.c,
             "r_squared": cfit.r_squared,
-            "r_squared_cv": _date_block_cv(xc, yc, dc, config.cv_folds),
+            "r_squared_cv": stats.cross_validate_xy(
+                xc, yc, config.cv_folds, blocks=dc).r_squared_adj,
             "n_obs": cfit.n_obs,
         }
 

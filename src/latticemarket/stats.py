@@ -6,12 +6,14 @@ polynomial of today's trend strength,
     R(t+1) = a + b phi(t) + c phi(t)^3 + noise,
 
 with quadratic and quartic terms deliberately absent (they carry no
-statistical significance on market data).  Standard errors come from
-i.i.d. day bootstrapping, out-of-sample explanatory power from
-contiguous-block cross-validation.  Scaling exponents (kappa, Hurst) are
-read off log-log regressions of variance and moment curves, and a
-seeded Gaussian-process generator provides oracle paths whose two-point
-statistics follow a given propagator model.
+statistical significance on market data).  Every cubic fit (the point
+fit, each bootstrap resample and each cross-validation training set)
+solves the normal equations from sums of the same nine moment columns.
+Standard errors come from i.i.d. day bootstrapping, out-of-sample
+explanatory power from contiguous-block cross-validation.  Scaling
+exponents (kappa, Hurst) are read off log-log regressions of variance
+and moment curves, and a seeded Gaussian-process generator provides
+oracle paths whose two-point statistics follow a given propagator model.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from .trends import ReturnSeries, TrendSeries
 _MIN_OBSERVATIONS = 100
 _COND_LIMIT = 1e12
 _CHUNK_COUNTS = 2 ** 18     # bootstrap count-matrix cells per chunk
+# (1, x, x^3) Gram entries, row-major, as indices into the moment sums
+_GRAM = [0, 1, 3, 1, 2, 4, 3, 4, 5]
 
 
 # -- alignment -------------------------------------------------------------
 
-def aligned_pairs(trend: TrendSeries, next_returns: ReturnSeries,
-                  min_obs: int = _MIN_OBSERVATIONS):
+def aligned_pairs(trend: TrendSeries, next_returns: ReturnSeries):
     """Pair phi(t) with R(t+1), excluding the trend warm-up window."""
     n = len(next_returns.values)
     if len(trend.values) != n:
@@ -40,9 +43,9 @@ def aligned_pairs(trend: TrendSeries, next_returns: ReturnSeries,
     start = max(int(trend.warmup), 0)
     x = np.asarray(trend.values[start:n - 1], dtype=np.float64)
     y = np.asarray(next_returns.values[start + 1:n], dtype=np.float64)
-    if x.size < min_obs:
-        raise ValueError(
-            f"need at least {min_obs} aligned observations, got {x.size}")
+    if x.size < _MIN_OBSERVATIONS:
+        raise ValueError(f"need at least {_MIN_OBSERVATIONS} aligned "
+                         f"observations, got {x.size}")
     return x, y
 
 
@@ -53,7 +56,7 @@ class RegressionReport:
     """Cubic-regression coefficients with errors and fit quality.
 
     r_squared_adj is the classical small-sample adjustment; the honest
-    out-of-sample figure comes from cross_validate.  R-squared values
+    out-of-sample figure comes from cross_validate_xy.  R-squared values
     are fractions; multiply by 1e4 to read them in basis points.
     """
     a: float
@@ -87,26 +90,28 @@ def _pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _design(x: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones_like(x), x, x ** 3])
+def fit_cubic_xy(x, y) -> RegressionReport:
+    """OLS of y on (1, x, x^3) for pre-aligned pairs.
 
-
-def fit_cubic_xy(x, y, min_obs: int = _MIN_OBSERVATIONS) -> RegressionReport:
-    """OLS of y on (1, x, x^3) for pre-aligned pairs."""
+    The normal equations are solved from the moment-column sums, as in
+    the bootstrap and the cross-validation.  A Gram that is non-finite or
+    has a condition number above 1e12 is rejected as rank-deficient.
+    """
     x, y = _pairs(x, y)
     n = x.size
-    if n < min_obs:
-        raise ValueError(f"need at least {min_obs} observations, got {n}")
-    design = _design(x)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 3:
+    if n < _MIN_OBSERVATIONS:
+        raise ValueError(
+            f"need at least {_MIN_OBSERVATIONS} observations, got {n}")
+    sums = _moment_columns(x, y).sum(axis=0)
+    coef, cond = _solve_from_sums(sums[None])
+    coef, cond = coef[0], float(cond[0])
+    if not cond <= _COND_LIMIT:
         raise ValueError("rank-deficient design (constant trend strength?)")
-    resid = y - design @ coef
+    resid = y - (coef[0] + coef[1] * x + coef[2] * x ** 3)
     ssr = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
     sigma2 = ssr / (n - 3)
-    gram = design.T @ design
-    cov = sigma2 * np.linalg.inv(gram)
+    cov = sigma2 * np.linalg.inv(sums[_GRAM].reshape(3, 3))
     se = np.sqrt(np.diag(cov))
     r2 = 1.0 - ssr / sst if sst > 0 else 0.0
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 3)
@@ -116,8 +121,7 @@ def fit_cubic_xy(x, y, min_obs: int = _MIN_OBSERVATIONS) -> RegressionReport:
         a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
         se_a=float(se[0]), se_b=float(se[1]), se_c=float(se[2]),
         t_a=float(tstats[0]), t_b=float(tstats[1]), t_c=float(tstats[2]),
-        r_squared=r2, r_squared_adj=r2_adj, n_obs=n,
-        gram_condition=float(np.linalg.cond(gram)))
+        r_squared=r2, r_squared_adj=r2_adj, n_obs=n, gram_condition=cond)
 
 
 def fit_cubic(trend: TrendSeries,
@@ -162,12 +166,23 @@ class BootstrapResult:
 
 
 def _moment_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-observation cubic normal-equation statistics, column-major."""
-    x2 = x * x
-    x3 = x2 * x
-    return np.array([
-        np.ones_like(x), x, x2, x3, x2 * x2, x3 * x3, y, x * y, x3 * y,
-    ]).T
+    """Per-observation cubic normal-equation statistics, column-major.
+
+    The columns are 1, x, x^2, x^3, x^4, x^6, y, x y and x^3 y, each
+    written in place into one (n, 9) array.
+    """
+    cols = np.empty((x.size, 9), order="F")
+    one, x1, x2, x3, x4, x6, y1, xy, x3y = cols.T
+    one.fill(1.0)
+    x1[:] = x
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, x, out=x3)
+    np.multiply(x2, x2, out=x4)
+    np.multiply(x3, x3, out=x6)
+    y1[:] = y
+    np.multiply(x, y, out=xy)
+    np.multiply(x3, y, out=x3y)
+    return cols
 
 
 def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +191,7 @@ def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows whose Gram is non-finite (condition inf) or has condition above
     _COND_LIMIT are not solved: their coefficients are NaN.
     """
-    gram = sums[:, [0, 1, 3, 1, 2, 4, 3, 4, 5]].reshape(-1, 3, 3)
+    gram = sums[:, _GRAM].reshape(-1, 3, 3)
     finite = np.isfinite(gram).all(axis=(1, 2))
     cond = np.full(len(sums), np.inf)
     cond[finite] = np.linalg.cond(gram[finite])
@@ -260,56 +275,69 @@ class CrossValidationResult:
     n_obs: int
 
 
+def _block_folds(labels: np.ndarray,
+                 folds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable label order and the slice bounds of contiguous block folds.
+
+    The sorted distinct labels are split into `folds` runs as by
+    np.array_split; fold i is order[bounds[i]:bounds[i + 1]], and no label
+    straddles two folds.
+    """
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    unique_labels = np.unique(sorted_labels)
+    if unique_labels.size < folds:
+        raise ValueError("fewer distinct blocks than folds")
+    first = [block[0] for block in np.array_split(unique_labels, folds)]
+    bounds = np.append(np.searchsorted(sorted_labels, first), labels.size)
+    return order, bounds
+
+
 def cross_validate_xy(x, y, folds: int,
-                      premium_shift: float = 0.0) -> CrossValidationResult:
+                      blocks=None) -> CrossValidationResult:
     """Contiguous-block CV of the cubic regression on pre-aligned pairs.
 
-    Each fold is scored as 1 - SS_res / SS_tot with SS_tot measured
-    against the training mean.  premium_shift, when nonzero, is the
-    sensitivity of the trend value to the estimated risk premium
-    (weight sum); the premium is re-estimated from the training folds
-    and the trend levels shifted accordingly before fitting and scoring.
+    `blocks` labels the observations (e.g. calendar day ordinals); a
+    fold is a run of consecutive labels, so no block is split across two
+    folds.  With blocks=None each observation is its own block, which
+    gives the np.array_split(np.arange(n), folds) folds.  Each fold holds
+    at least 4 observations and leaves at least 30 for training.
+
+    The training fits solve the normal equations from the total moment
+    sums minus each held-out fold's sums, all folds in one stacked
+    solve; a training Gram that is non-finite or has a condition number
+    above 1e12 is rejected as rank-deficient.  Each fold is scored as
+    1 - SS_res / SS_tot with SS_tot measured against the training mean.
     """
     x, y = _pairs(x, y)
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    n = x.size
-    if n < folds * 30:
-        raise ValueError(f"need at least folds*30 = {folds * 30} observations")
-    blocks = np.array_split(np.arange(n), folds)
-    full_mean = float(y.mean())
+    labels = np.arange(x.size) if blocks is None else np.asarray(blocks)
+    if labels.shape != x.shape:
+        raise ValueError("blocks must label every observation")
+    order, bounds = _block_folds(labels, folds)
+    x, y = x[order], y[order]
+    sizes = np.diff(bounds)
+    if np.any(sizes < 4) or np.any(x.size - sizes < 30):
+        raise ValueError("fold too small: need at least 4 held-out and "
+                         "30 training observations per fold")
+    fold_sums = np.add.reduceat(_moment_columns(x, y), bounds[:-1])
+    train = fold_sums.sum(axis=0) - fold_sums
+    coef, _ = _solve_from_sums(train)
+    if np.isnan(coef).any():
+        raise ValueError("rank-deficient design (constant trend strength?)")
     scores = []
-    for i in range(folds):
-        val = blocks[i]
-        train = np.concatenate([blocks[j] for j in range(folds) if j != i])
-        delta = (full_mean - float(y[train].mean())) * premium_shift
-        x_train = x[train] + delta
-        x_val = x[val] + delta
-        design = _design(x_train)
-        coef, _, rank, _ = np.linalg.lstsq(design, y[train], rcond=None)
-        if rank < 3:
-            raise ValueError("rank-deficient training fold")
-        pred = _design(x_val) @ coef
-        ss_res = float(np.sum((y[val] - pred) ** 2))
-        ss_tot = float(np.sum((y[val] - y[train].mean()) ** 2))
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        x_val, y_val = x[lo:hi], y[lo:hi]
+        pred = coef[i, 0] + coef[i, 1] * x_val + coef[i, 2] * x_val ** 3
+        train_mean = train[i, 6] / train[i, 0]
+        ss_res = float(np.sum((y_val - pred) ** 2))
+        ss_tot = float(np.sum((y_val - train_mean) ** 2))
         scores.append(1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
     scores = np.asarray(scores)
     return CrossValidationResult(r_squared_folds=scores,
                                  r_squared_adj=float(scores.mean()),
-                                 folds=folds, n_obs=n)
-
-
-def cross_validate(trend: TrendSeries, next_returns: ReturnSeries,
-                   folds: int) -> CrossValidationResult:
-    """Cross-validate with the risk premium re-estimated per training set.
-
-    The trend's dependence on the premium estimate is a uniform level
-    shift of (premium difference) * (weight sum), applied from the
-    training data only.  Fold assignment is deterministic (contiguous
-    blocks).
-    """
-    x, y = aligned_pairs(trend, next_returns, min_obs=2)
-    return cross_validate_xy(x, y, folds, premium_shift=-trend.weight_sum)
+                                 folds=folds, n_obs=x.size)
 
 
 # -- parabolic scale dependence ------------------------------------------------

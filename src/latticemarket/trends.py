@@ -184,8 +184,8 @@ class TrendSeries:
     the series start: the last T returns for step, the whole history for
     psi and phi (no cut at n_max).  Entries before `warmup` (= n_max) lack
     full history and are excluded from downstream regressions by default.
-    weight_sum and premium_rate let cross-validation re-apply a
-    train-only risk premium as a uniform shift.
+    weight_sum is the sum of the truncated weights, written with trend
+    outputs; premium_rate is the normalized premium of the returns.
     """
     values: np.ndarray
     horizon: float

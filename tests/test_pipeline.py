@@ -7,7 +7,7 @@ import pytest
 
 from latticemarket import io, stats
 from latticemarket.pipeline import PipelineConfig, _combined_factor, \
-    _date_block_cv, _date_folds, _market_scale_data, analyze_price_table
+    _market_scale_data, analyze_price_table
 
 N_MARKETS = 12          # >= 11: string and numeric market order differ
 HORIZONS = [1, 2, 3, 4]
@@ -41,7 +41,8 @@ def _stacked(scales):
 
 
 def reference_cv(x, y, days, folds):
-    """One boolean mask per date block and one lstsq fit per fold."""
+    """Per-fold scores from one boolean mask per date block and one lstsq
+    fit per fold."""
     scores = []
     for block in np.array_split(np.unique(days), folds):
         val = np.zeros(days.size, dtype=bool)
@@ -55,26 +56,29 @@ def reference_cv(x, y, days, folds):
         ss_res = np.sum((y[val] - pred) ** 2)
         ss_tot = np.sum((y[val] - y[train].mean()) ** 2)
         scores.append(1.0 - ss_res / ss_tot)
-    return float(np.mean(scores))
+    return np.array(scores)
+
+
+def assert_matches_reference(x, y, days, folds):
+    cv = stats.cross_validate_xy(x, y, folds, blocks=days)
+    expected = reference_cv(x, y, days, folds)
+    np.testing.assert_allclose(cv.r_squared_folds, expected, rtol=1e-10)
+    assert cv.r_squared_adj == pytest.approx(expected.mean(), rel=1e-10)
 
 
 class TestDateBlockCv:
     @pytest.mark.parametrize("folds", [2, 5, 15])
     def test_matches_brute_force_reference(self, panel, folds):
-        x, y, days = _stacked(panel)
-        assert _date_block_cv(x, y, days, folds) == pytest.approx(
-            reference_cv(x, y, days, folds), rel=1e-10)
+        assert_matches_reference(*_stacked(panel), folds)
 
     @pytest.mark.parametrize("folds", [2, 5, 15])
     def test_combined_factor_matches_brute_force_reference(self, panel,
                                                            folds):
-        x, y, days = _combined_factor(panel, N_MARKETS)
-        assert _date_block_cv(x, y, days, folds) == pytest.approx(
-            reference_cv(x, y, days, folds), rel=1e-10)
+        assert_matches_reference(*_combined_factor(panel, N_MARKETS), folds)
 
     def test_folds_are_whole_date_blocks(self, panel):
         _, _, days = _stacked(panel)
-        order, bounds = _date_folds(days, 15)
+        order, bounds = stats._block_folds(days, 15)
         sorted_days = days[order]
         blocks = np.array_split(np.unique(days), 15)
         for i, block in enumerate(blocks):
@@ -87,13 +91,14 @@ class TestDateBlockCv:
     def test_constant_trend_rejected(self, panel):
         x, y, days = _stacked(panel)
         with pytest.raises(ValueError, match="rank"):
-            _date_block_cv(np.full_like(x, 0.5), y, days, 5)
+            stats.cross_validate_xy(np.full_like(x, 0.5), y, 5, blocks=days)
 
     def test_fold_too_small_rejected(self, panel):
         x, y, days = _stacked(panel)
         keep = days <= np.unique(days)[40]
         with pytest.raises(ValueError, match="too small"):
-            _date_block_cv(x[keep], y[keep], days[keep], 20)
+            stats.cross_validate_xy(x[keep], y[keep], 20,
+                                    blocks=days[keep])
 
 
 class TestCombinedFactor:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 import latticemarket as lm
@@ -30,7 +31,55 @@ def as_series(x, y):
     return trend, rets
 
 
+def lstsq_fit(x, y):
+    """The lstsq fit with an explicit inverse: the reference for fit_cubic_xy.
+
+    Returns (coef, se, r2, r2_adj, gram condition).
+    """
+    n = x.size
+    design = np.column_stack([np.ones_like(x), x, x ** 3])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ coef
+    ssr = resid @ resid
+    r2 = 1.0 - ssr / np.sum((y - y.mean()) ** 2)
+    gram = design.T @ design
+    se = np.sqrt(np.diag(ssr / (n - 3) * np.linalg.inv(gram)))
+    return (coef, se, r2, 1.0 - (1.0 - r2) * (n - 1) / (n - 3),
+            np.linalg.cond(gram))
+
+
 class TestFitCubic:
+    @pytest.mark.parametrize("shift", [0.0, 3.0])
+    def test_matches_lstsq_reference(self, shift):
+        # shift 3 puts the Gram condition near 8e4
+        x, y = synthetic_xy(5000, 26)
+        rep = lm.fit_cubic_xy(x + shift, y)
+        coef, se, r2, r2_adj, cond = lstsq_fit(x + shift, y)
+        np.testing.assert_allclose(rep.coefficients, coef, rtol=1e-9)
+        np.testing.assert_allclose(rep.standard_errors, se, rtol=1e-9)
+        assert rep.r_squared == pytest.approx(r2, rel=1e-9)
+        assert rep.r_squared_adj == pytest.approx(r2_adj, rel=1e-9)
+        assert rep.gram_condition == pytest.approx(cond, rel=1e-9)
+
+    def test_gram_condition_cut_is_the_rank_rule(self):
+        # lstsq finds full rank here, but the Gram condition is ~1.4e14,
+        # past the 1e12 cut that the bootstrap and the CV also apply
+        x, y = synthetic_xy(2000, 5)
+        assert np.linalg.matrix_rank(
+            np.column_stack([np.ones_like(x), x + 30, (x + 30) ** 3])) == 3
+        with pytest.raises(ValueError, match="rank"):
+            lm.fit_cubic_xy(x + 30, y)
+
+    def test_moment_columns_match_stacked_reference(self):
+        x, y = synthetic_xy(1001, 27)
+        x2 = x * x
+        x3 = x2 * x
+        stacked = np.array([np.ones_like(x), x, x2, x3, x2 * x2, x3 * x3,
+                            y, x * y, x3 * y]).T
+        cols = stats._moment_columns(x, y)
+        assert cols.flags.f_contiguous
+        np.testing.assert_array_equal(cols, stacked)
+
     def test_noiseless_exact_recovery(self):
         x, y = synthetic_xy(5000, 0, noise=0.0)
         rep = lm.fit_cubic_xy(x, y)
@@ -266,24 +315,79 @@ class TestCrossValidate:
             lm.cross_validate_xy(x, y, 1)
 
     def test_fold_size_precondition(self):
-        x, y = synthetic_xy(200, 14)
-        with pytest.raises(ValueError):
+        # 15 folds of 50 observations hold 3 or 4 each, under the 4 needed
+        x, y = synthetic_xy(50, 14)
+        with pytest.raises(ValueError, match="too small"):
             lm.cross_validate_xy(x, y, 15)
 
-    def test_premium_reestimated_from_training(self):
-        # a drifting mean plus premium sensitivity changes the score
-        x, y = synthetic_xy(3000, 15)
-        y = y + np.linspace(-0.5, 0.5, 3000)
-        base = lm.cross_validate_xy(x, y, 5)
-        shifted = lm.cross_validate_xy(x, y, 5, premium_shift=2.0)
-        assert base.r_squared_adj != shifted.r_squared_adj
+    @pytest.mark.parametrize("folds", [2, 7])
+    def test_unblocked_folds_match_lstsq_reference(self, folds):
+        x, y = synthetic_xy(1000, 15)
+        scores = []
+        for val in np.array_split(np.arange(x.size), folds):
+            train = np.ones(x.size, dtype=bool)
+            train[val] = False
+            design = np.column_stack([np.ones(train.sum()), x[train],
+                                      x[train] ** 3])
+            coef = np.linalg.lstsq(design, y[train], rcond=None)[0]
+            pred = coef[0] + coef[1] * x[val] + coef[2] * x[val] ** 3
+            ss_tot = np.sum((y[val] - y[train].mean()) ** 2)
+            scores.append(1.0 - np.sum((y[val] - pred) ** 2) / ss_tot)
+        cv = lm.cross_validate_xy(x, y, folds)
+        np.testing.assert_allclose(cv.r_squared_folds, scores, rtol=1e-10)
 
-    def test_object_interface_uses_weight_sum(self):
-        x, y = synthetic_xy(3000, 16)
-        trend, rets = as_series(x, y)
-        cv = lm.cross_validate(trend, rets, 10)
-        assert cv.folds == 10
-        assert cv.r_squared_folds.size == 10
+
+def _increasing_map(labels, rng):
+    """labels under a random strictly increasing map onto sparse int64s."""
+    unique, codes = np.unique(labels, return_inverse=True)
+    images = rng.integers(-10 ** 6, 10 ** 6) \
+        + np.cumsum(rng.integers(1, 10 ** 6, unique.size))
+    return images[codes]
+
+
+class TestBlockProperties:
+    """Fold and resample sets depend on block order, not on label values;
+    row order only changes the rounding of the moment sums."""
+
+    @staticmethod
+    def _panel(seed, n_blocks):
+        rng = np.random.default_rng(seed)
+        blocks = np.sort(rng.integers(0, n_blocks, 600)) * 7 + 3
+        x, y = synthetic_xy(blocks.size, seed)
+        return x, y, blocks, rng
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_blocks=st.integers(40, 300),
+           folds=st.integers(2, 12))
+    def test_cv_relabel_and_row_order(self, seed, n_blocks, folds):
+        x, y, blocks, rng = self._panel(seed, n_blocks)
+        base = lm.cross_validate_xy(x, y, folds, blocks=blocks)
+        relabelled = lm.cross_validate_xy(
+            x, y, folds, blocks=_increasing_map(blocks, rng))
+        np.testing.assert_array_equal(relabelled.r_squared_folds,
+                                      base.r_squared_folds)
+        perm = rng.permutation(x.size)
+        permuted = lm.cross_validate_xy(x[perm], y[perm], folds,
+                                        blocks=blocks[perm])
+        # a score is 1 - SS_res / SS_tot, so its scale is that of 1
+        np.testing.assert_allclose(permuted.r_squared_folds,
+                                   base.r_squared_folds, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_blocks=st.integers(3, 300))
+    def test_bootstrap_relabel_and_row_order(self, seed, n_blocks):
+        x, y, groups, rng = self._panel(seed, n_blocks)
+        base = lm.bootstrap_errors_xy(x, y, 100, seed, groups=groups)
+        relabelled = lm.bootstrap_errors_xy(
+            x, y, 100, seed, groups=_increasing_map(groups, rng))
+        np.testing.assert_array_equal(relabelled.samples, base.samples)
+        perm = rng.permutation(x.size)
+        permuted = lm.bootstrap_errors_xy(x[perm], y[perm], 100, seed,
+                                          groups=groups[perm])
+        assert permuted.n_skipped == base.n_skipped
+        scale = np.abs(base.samples).max(axis=0)
+        np.testing.assert_allclose(permuted.samples / scale,
+                                   base.samples / scale, rtol=0, atol=1e-12)
 
 
 class TestParabolicFit:
