@@ -39,6 +39,7 @@ from .theory import (
     CriticalExponents,
     PropagatorModel,
     DomainError,
+    QuadratureError,
     PUBLISHED_EXPONENT_TABLE,
     critical_exponent_table,
     exponents_for_dimension,

@@ -130,7 +130,7 @@ def main(argv=None) -> int:
             print(path)
         return 0
     except (ValueError, FileNotFoundError, KeyError) as exc:
-        logging.error("%s", exc)
+        logging.error("%s: %s", type(exc).__name__, exc)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         logging.error("unexpected failure: %s", exc)

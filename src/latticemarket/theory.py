@@ -23,17 +23,20 @@ is labeled non-canonical wherever it surfaces.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 
-# scipy is imported inside the functions that use it, not here: importing
-# scipy.integrate, .interpolate and .optimize costs far more than a
-# simulation run that never calls them.
+import numpy as np
 
 
 class DomainError(ValueError):
     """Raised when an evaluation leaves its regime's domain of validity."""
+
+
+class QuadratureError(ValueError):
+    """Raised when the double-exponential rule does not resolve an integral."""
 
 
 # Literature estimates of the critical exponents for the scalar
@@ -91,11 +94,43 @@ def critical_exponent_table() -> list[CriticalExponents]:
 
 @functools.cache
 def _eta_interpolant():
-    from scipy.interpolate import PchipInterpolator
-    rows = sorted(PUBLISHED_EXPONENT_TABLE)
-    dims = [r[0] for r in rows]
-    etas = [r[1] for r in rows]
-    return PchipInterpolator(dims, etas)
+    """Monotone cubic (PCHIP) eta(D) through the published nodes.
+
+    Interior slopes: weighted harmonic mean of the secants (Fritsch &
+    Butland 1984); end slopes: one-sided three-point rule with its shape
+    guards (Fritsch & Carlson 1980).  This is scipy's PchipInterpolator,
+    summed in the same order.
+    """
+    xs, ys = zip(*[r[:2] for r in sorted(PUBLISHED_EXPONENT_TABLE)])
+    hs = [b - a for a, b in zip(xs, xs[1:])]
+    ms = [(b - a) / h for a, b, h in zip(ys, ys[1:], hs)]
+
+    def end_slope(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if d * m0 <= 0.0:
+            return 0.0
+        if m0 * m1 <= 0.0 and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    slopes = [end_slope(hs[0], hs[1], ms[0], ms[1])]
+    for h0, h1, m0, m1 in zip(hs, hs[1:], ms, ms[1:]):
+        w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+        slopes.append(0.0 if m0 * m1 <= 0.0
+                      else 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+    slopes.append(end_slope(hs[-1], hs[-2], ms[-1], ms[-2]))
+    pieces = []
+    for i, h in enumerate(hs):
+        t = (slopes[i] + slopes[i + 1] - 2.0 * ms[i]) / h
+        pieces.append((ys[i], slopes[i], (ms[i] - slopes[i]) / h - t, t / h))
+
+    def eta(d: float) -> float:
+        i = min(max(bisect.bisect_right(xs, d) - 1, 0), len(hs) - 1)
+        c0, c1, c2, c3 = pieces[i]
+        s = d - xs[i]
+        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+    return eta
 
 
 def exponents_for_dimension(dimension: float) -> CriticalExponents:
@@ -109,7 +144,7 @@ def exponents_for_dimension(dimension: float) -> CriticalExponents:
     lo, hi = DIMENSION_RANGE
     if not lo <= dimension <= hi:
         raise ValueError(f"dimension must lie in [{lo}, {hi}]")
-    eta = float(_eta_interpolant()(dimension))
+    eta = _eta_interpolant()(float(dimension))
     z = 2.0 + _Z_SLOPE * eta
     return CriticalExponents(dimension=float(dimension), eta=eta, z=z,
                              kappa=(2.0 - eta) / z)
@@ -120,20 +155,26 @@ def kappa_for_dimension(dimension: float) -> float:
 
 
 def dimension_for_kappa(kappa: float) -> float:
-    """Invert the kappa(D) map by monotone root finding.
+    """Invert the kappa(D) map by bisection on the monotone interpolant.
 
-    Valid for kappa between kappa(1.5) and 1; the inverse is exact to
-    better than 1e-6 in kappa (and in D).
+    Valid for kappa between kappa(1.5) and 1; the bracket is narrowed to
+    1e-13 in D.  kappa(D) is flat at D = 4 (eta'(4) = 0), so within 1e-3
+    of D = 4 one rounding of kappa moves the returned D by up to ~1e-7.
     """
-    from scipy.optimize import brentq
     kappa_min = kappa_for_dimension(DIMENSION_RANGE[0])
     if not kappa_min <= kappa <= 1.0:
         raise ValueError(
             f"kappa must lie in [{kappa_min:.6f}, 1.0], got {kappa}")
     if kappa == 1.0:
         return DIMENSION_RANGE[1]
-    return float(brentq(lambda d: kappa_for_dimension(d) - kappa,
-                        *DIMENSION_RANGE, xtol=1e-10))
+    lo, hi = DIMENSION_RANGE
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if kappa_for_dimension(mid) < kappa:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def eta_from_beta_nu(beta: float, nu: float, dimension: float) -> float:
@@ -207,22 +248,26 @@ def propagator(model: PropagatorModel, t: float) -> float:
         -(at - model.t_star) / model.tau)
 
 
-def _derivatives(model: PropagatorModel, t: float) -> tuple[float, float]:
-    """(Delta'(t), Delta''(t)) for t > 0 with no domain check.
+def _derivatives(model: PropagatorModel, t):
+    """(Delta'(t), Delta''(t)) for t > 0, elementwise, with no domain check.
 
-    The scaling power law is used past tau as well; the quadratures
-    below integrate it over (0, inf).
+    t is a float or an array.  The scaling power law is used past tau as
+    well; the quadratures below integrate it over (0, inf).
     """
     k = model.kappa
     tau = model.tau
     if model.regime == "exponential":
-        e = math.exp(-t / tau)
+        e = np.exp(-t / tau)
         return (-0.5 * tau ** (k - 1.0) * e, 0.5 * tau ** (k - 2.0) * e)
-    if model.regime == "scaling" or t <= model.t_star:
-        return (-0.5 * k * t ** (k - 1.0),
-                0.5 * k * (1.0 - k) * t ** (k - 2.0))
-    d = propagator(model, t)
-    return (-d / tau, d / tau ** 2)
+    first = -0.5 * k * t ** (k - 1.0)
+    second = 0.5 * k * (1.0 - k) * t ** (k - 2.0)
+    if model.regime == "matched":
+        tail = t > model.t_star
+        d = _delta_scaling(model, model.t_star) * np.exp(
+            -(t - model.t_star) / tau)
+        first = np.where(tail, -d / tau, first)
+        second = np.where(tail, d / tau ** 2, second)
+    return first, second
 
 
 def propagator_derivatives(model: PropagatorModel,
@@ -238,7 +283,8 @@ def propagator_derivatives(model: PropagatorModel,
         raise DomainError("derivatives are defined for t > 0")
     if model.regime == "scaling" and t > model.tau:
         raise DomainError(f"scaling regime requires t <= tau = {model.tau}")
-    return _derivatives(model, t)
+    first, second = _derivatives(model, float(t))
+    return float(first), float(second)
 
 
 def predicted_return_autocorrelation(model: PropagatorModel,
@@ -264,32 +310,62 @@ def predicted_return_autocorrelation(model: PropagatorModel,
 # is the single Laplace integral on the right, by swapping the order of
 # integration.
 
-def _breakpoints(model: PropagatorModel) -> tuple[float, ...]:
-    return (model.t_star,) if model.regime == "matched" else ()
+# Double-exponential nodes (Takahasi & Mori 1974): t = j h, |t| <= 5.25,
+# u = (pi/2) sinh t.  tanh-sinh maps (0, 1) by x = 1/(1 + e^(-2u)) and
+# exp-sinh maps (0, inf) by x = e^(2u); both put a node e^(-299) from the
+# finite end, which absorbs the t^(kappa-1) singularity at 0.
+_DE_H = 1.0 / 64.0
+_DE_T = np.arange(-336, 337) * _DE_H
+_DE_U = 0.5 * math.pi * np.sinh(_DE_T)
+_DE_DU = 0.5 * math.pi * np.cosh(_DE_T)
+_TANH_SINH = (1.0 / (1.0 + np.exp(-2.0 * _DE_U)),
+              _DE_DU / (2.0 * np.cosh(_DE_U) ** 2))
+_EXP_SINH = (np.exp(2.0 * _DE_U), 2.0 * _DE_DU * np.exp(2.0 * _DE_U))
+# At a t^(kappa-1) end the integral beyond the last node is about
+# 1/(4.7 kappa) times that node's term, hence the tighter end tolerance.
+_QUAD_RTOL = 1e-10
+_QUAD_END_RTOL = 1e-12
 
 
-def _quad(f, model: PropagatorModel, scale: float,
+def _quad(f, model: PropagatorModel, omega: float,
           hi: float = math.inf) -> float:
-    """Adaptive quadrature of f over (0, hi), split at the regime knees."""
-    from scipy import integrate
-    edges = [b for b in _breakpoints(model) if 0 < b < hi] + [hi]
-    total = 0.0
-    lo = 0.0
-    for b in edges:
-        part, _ = integrate.quad(f, lo, b, epsrel=1e-10, epsabs=1e-14 * scale,
-                                 limit=200)
-        total += part
-        lo = b
-    return total
+    """Integral of f (vectorized) over (0, hi), split at t_star if matched.
+
+    Finite pieces use tanh-sinh, a piece to infinity exp-sinh scaled by
+    the decay length 1/(omega + 1/tau).  Every other node gives the sum
+    at step 2h.  If it differs from the step-h sum by more than 1e-10 of
+    the integral, or an end term exceeds 1e-12 of it, the rule has not
+    resolved f and QuadratureError is raised.
+    """
+    knees = [model.t_star] if model.regime == "matched" else []
+    edges = [0.0] + [b for b in knees if b < hi] + [hi]
+    fine = coarse = ends = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if math.isinf(b):
+            width, (x, w) = 1.0 / (omega + 1.0 / model.tau), _EXP_SINH
+        else:
+            width, (x, w) = b - a, _TANH_SINH
+        terms = (width * _DE_H) * w * f(a + width * x)
+        fine += float(terms.sum())
+        coarse += 2.0 * float(terms[::2].sum())
+        ends = max(ends, abs(float(terms[0])), abs(float(terms[-1])))
+    scale = abs(fine)
+    if not (abs(fine - coarse) <= _QUAD_RTOL * scale
+            and ends <= _QUAD_END_RTOL * scale):
+        raise QuadratureError(
+            f"quadrature over (0, {hi}) did not converge for {model}: steps "
+            f"h and 2h give {fine!r} and {coarse!r}, end terms {ends:.3g}")
+    return fine
 
 
 def predicted_trend_return_correlation(model: PropagatorModel, omega: float,
                                        method: str = "quadrature") -> float:
     """<phi_w R> = -2 w^(3/2) Int_0^inf zeta e^(-w zeta) Delta''(zeta) dzeta.
 
-    The quadrature is adaptive (relative tolerance 1e-8 or better) and
-    splits at the regime knee for matched models.  method="closed" uses
-    the Laplace/Gamma closed forms available for the pure regimes:
+    The quadrature is double-exponential (_quad: steps h and 2h agree to
+    1e-10 relative, else QuadratureError) and splits at the regime knee
+    for matched models.  method="closed" uses the Laplace/Gamma closed
+    forms available for the pure regimes:
 
         scaling:      -2 w^(3/2) (kappa(1-kappa)/2) Gamma(kappa) w^(-kappa)
         exponential:  -2 w^(3/2) (tau^(kappa-2)/2) / (w + 1/tau)^2
@@ -307,8 +383,8 @@ def predicted_trend_return_correlation(model: PropagatorModel, omega: float,
         raise DomainError("no closed form for the matched regime")
     if method != "quadrature":
         raise ValueError("method must be 'quadrature' or 'closed'")
-    val = _quad(lambda z: z * math.exp(-omega * z) * _derivatives(model, z)[1],
-                model, abs(_derivatives(model, 1.0)[1]))
+    val = _quad(lambda z: z * np.exp(-omega * z) * _derivatives(model, z)[1],
+                model, omega)
     return -2.0 * omega ** 1.5 * val
 
 
@@ -338,7 +414,8 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
                   = -2 w^2 Int_0^inf dv v e^(-w v) Delta'(v),
 
     a single Laplace integral (swap the order of integration) evaluated
-    by adaptive quadrature.  method="closed" uses the regime closed
+    by double-exponential quadrature (_quad; QuadratureError when it does
+    not converge).  method="closed" uses the regime closed
     forms (scaling: T^(kappa-1) for tilde and kappa Gamma(kappa+1)
     w^(1-kappa) for phi; exponential: (tau/T)(1 - e^(-T/tau))
     tau^(kappa-1) and w^2/(w + 1/tau)^2 tau^(kappa-1)); method="auto"
@@ -367,14 +444,13 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
         raise DomainError("no closed form for the matched regime")
     if method != "quadrature":
         raise ValueError("method must be 'auto', 'closed' or 'quadrature'")
-    scale = abs(_derivatives(model, 1.0)[0])
     if estimator == "tilde":
         # (2/T)(Delta(0) - Delta(T)) = -(2/T) Int_0^T Delta'(v) dv
         return -2.0 / horizon * _quad(lambda v: _derivatives(model, v)[0],
-                                      model, scale, horizon)
+                                      model, omega, horizon)
     return -2.0 * omega ** 2 * _quad(
-        lambda v: v * math.exp(-omega * v) * _derivatives(model, v)[0],
-        model, scale)
+        lambda v: v * np.exp(-omega * v) * _derivatives(model, v)[0],
+        model, omega)
 
 
 def predicted_adjacent_window_correlation(model: PropagatorModel,

@@ -185,14 +185,13 @@ class TrendSeries:
     psi and phi (no cut at n_max).  Entries before `warmup` (= n_max) lack
     full history and are excluded from downstream regressions by default.
     weight_sum is the sum of the truncated weights, written with trend
-    outputs; premium_rate is the normalized premium of the returns.
+    outputs.
     """
     values: np.ndarray
     horizon: float
     kind: str
     warmup: int
     weight_sum: float = 0.0
-    premium_rate: float = 0.0
 
     def __len__(self) -> int:
         return len(self.values)
@@ -252,8 +251,7 @@ def trend_strength(returns: ReturnSeries,
     return TrendSeries(values=weights.weights[0] * raw,
                        horizon=weights.horizon,
                        kind=weights.kind, warmup=weights.n_max,
-                       weight_sum=float(weights.weights.sum()),
-                       premium_rate=returns.premium_rate)
+                       weight_sum=float(weights.weights.sum()))
 
 
 @dataclass(frozen=True)

@@ -170,26 +170,6 @@ class TestSimulateCommand:
         for name in ("magnetization.csv", "returns.csv", "params.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_simulate_loads_no_scipy(self, tmp_path):
-        # a fresh interpreter: modules imported by other tests do not count
-        script = (
-            "import json, sys\n"
-            "import latticemarket.cli as cli\n"
-            "cli.build_parser()\n"
-            "code = cli.main(['simulate', '--side', '4', '--sweeps', '40',\n"
-            "                 '--burn-in', '4', '--out', sys.argv[1]])\n"
-            "print(json.dumps([code] + sorted(\n"
-            "    m for m in sys.modules\n"
-            "    if m == 'scipy' or m.startswith('scipy.'))))\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "run")],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [0]
-
     def test_invalid_sweeps_exit_code(self, tmp_path):
         code = cli.main(["simulate", "--sweeps", "0",
                          "--out", str(tmp_path)])
@@ -241,6 +221,51 @@ class TestSimulateCommand:
         assert 0.0 < diag["acceptance_rate"] < 1.0
 
 
+def _variance_csv(path):
+    rows = [(k, (2.0 ** k) ** (0.9 - 1.0)) for k in range(1, 11)]
+    io.write_csv(path, ["k", "variance"], rows, io.make_provenance(0))
+    return path
+
+
+class TestNoScipyAtRunTime:
+    """Every command runs on numpy alone: scipy is a test-only oracle."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--side", "4", "--sweeps", "40", "--burn-in", "4"],
+        ["analyze", "{prices}", "--horizons", "1,2,3,4",
+         "--bootstrap-samples", "100", "--cv-folds", "5"],
+        ["analyze", "{prices}", "--horizons", "1,2,3,4", "--estimator",
+         "step", "--bootstrap-samples", "100", "--cv-folds", "5"],
+        ["fit-kappa", "{variances}"],
+        ["predict", "--regime", "scaling"],
+        ["predict", "--regime", "exponential"],
+        ["predict", "--regime", "matched"],
+    ], ids=["simulate", "analyze-phi", "analyze-step", "fit-kappa",
+            "predict-scaling", "predict-exponential", "predict-matched"])
+    def test_command_loads_no_scipy(self, tmp_path, argv):
+        files = {"prices": str(make_long_csv(tmp_path / "p.csv", days=600)),
+                 "variances": str(_variance_csv(tmp_path / "v.csv"))}
+        argv = [a.format(**files) for a in argv]
+        # a fresh interpreter: modules imported by other tests do not count
+        script = (
+            "import json, sys\n"
+            "import latticemarket.cli as cli\n"
+            "cli.build_parser()\n"
+            "code = cli.main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code] + sorted(\n"
+            "    m for m in sys.modules\n"
+            "    if m == 'scipy' or m.startswith('scipy.'))))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps(argv + ["--out", str(tmp_path / "run")])],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0]
+
+
 class TestPredictCommand:
     def test_kappa_one_zeroes_autocorrelation(self, tmp_path):
         out = tmp_path / "pred"
@@ -286,6 +311,17 @@ class TestPredictCommand:
         out = tmp_path / "pred_bad"
         assert cli.main(["predict", "--dimension", "9",
                          "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unresolved_quadrature_exits_2_without_output(self, tmp_path,
+                                                          caplog):
+        # at kappa = 0.05 the t^(kappa-1) end singularity outlasts the
+        # quadrature's node range: fail closed rather than write a guess
+        out = tmp_path / "pred_quad"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["predict", "--kappa", "0.05", "--regime",
+                             "matched", "--out", str(out)]) == 2
+        assert "QuadratureError" in caplog.text
         assert not out.exists()
 
 

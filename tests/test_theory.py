@@ -1,17 +1,21 @@
 """Exponent tables, dimension interpolation and propagator predictions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as gamma_fn
 
 import latticemarket as lm
+from latticemarket import theory
 from latticemarket.theory import (
     DomainError,
     PUBLISHED_EXPONENT_TABLE,
     PropagatorModel,
+    QuadratureError,
     kappa_for_dimension,
 )
 
@@ -86,6 +90,13 @@ class TestDimensionInterpolation:
         with pytest.raises(ValueError):
             lm.exponents_for_dimension(4.5)
 
+    def test_matches_scipy_pchip(self):
+        rows = sorted(PUBLISHED_EXPONENT_TABLE)
+        pchip = PchipInterpolator([r[0] for r in rows], [r[1] for r in rows])
+        grid = np.linspace(1.5, 4.0, 10001)
+        ours = [lm.exponents_for_dimension(d).eta for d in grid]
+        np.testing.assert_allclose(ours, pchip(grid), rtol=0, atol=1e-14)
+
 
 class TestDimensionForKappa:
     def test_published_inversion(self):
@@ -100,13 +111,15 @@ class TestDimensionForKappa:
         assert lm.dimension_for_kappa(1.0) == 4.0
 
     def test_identity_on_grid(self):
-        for d in np.linspace(1.5, 4.0, 26):
+        for d in np.linspace(1.5, 4.0, 2501):
             kappa = kappa_for_dimension(d)
-            assert lm.dimension_for_kappa(kappa) == pytest.approx(
-                d, abs=1e-6)
-            assert kappa_for_dimension(
-                lm.dimension_for_kappa(kappa)) == pytest.approx(
-                kappa, abs=1e-6)
+            back = lm.dimension_for_kappa(kappa)
+            # kappa(D) is flat at D = 4 (eta'(4) = 0): there one rounding
+            # of kappa moves D by more than 1e-12, so only kappa round-trips
+            if d <= 3.99:
+                assert back == pytest.approx(d, abs=1e-12)
+            assert kappa_for_dimension(back) == pytest.approx(kappa,
+                                                              abs=2e-14)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -248,7 +261,7 @@ class TestTrendReturnCorrelation:
         val = lm.predicted_trend_return_correlation(m, 2.0 / 16.0)
         assert val == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("kappa", [0.6, 0.9, 0.97])
+    @pytest.mark.parametrize("kappa", [0.1, 0.2, 0.3, 0.6, 0.9, 0.97])
     def test_scaling_gamma_integral_oracle(self, kappa):
         m = PropagatorModel(tau=4096.0, kappa=kappa, regime="scaling")
         for horizon in (4.0, 64.0):
@@ -385,6 +398,136 @@ class TestPhiVarianceNestedOracle:
         assert lm.predicted_trend_variance(
             m, 16.0, "phi", method="quadrature") == pytest.approx(
             nested_phi_variance(m, 16.0), rel=1e-9)
+
+
+def reference_derivatives(model, t):
+    """(Delta'(t), Delta''(t)) at one t > 0 in scalar math."""
+    k, tau = model.kappa, model.tau
+    if model.regime == "exponential":
+        e = math.exp(-t / tau)
+        return -0.5 * tau ** (k - 1.0) * e, 0.5 * tau ** (k - 2.0) * e
+    if model.regime == "scaling" or t <= model.t_star:
+        return (-0.5 * k * t ** (k - 1.0),
+                0.5 * k * (1.0 - k) * t ** (k - 2.0))
+    d = lm.propagator(model, t)
+    return -d / tau, d / tau ** 2
+
+
+def quadpack(f, model, hi=math.inf):
+    """integrate.quad split at t_star; None unless QUADPACK converged."""
+    knees = [model.t_star] if model.regime == "matched" else []
+    edges = [0.0] + [b for b in knees if b < hi] + [hi]
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        for a, b in zip(edges, edges[1:]):
+            try:
+                total += integrate.quad(f, a, b, epsrel=1e-10, epsabs=0.0,
+                                        limit=200)[0]
+            except integrate.IntegrationWarning:
+                return None
+    return total
+
+
+class TestQuadratureOracle:
+    """The double-exponential rule against QUADPACK where it converges."""
+
+    @pytest.mark.parametrize("regime", ["scaling", "exponential", "matched"])
+    @pytest.mark.parametrize("kappa", [0.6, 0.808, 0.9, 0.97, 1.0])
+    def test_matches_quadpack(self, regime, kappa):
+        compared = 0
+        for tau in (2.0 ** 6, 2.0 ** 11, 2.0 ** 15):
+            m = PropagatorModel(
+                tau=tau, kappa=kappa, regime=regime,
+                t_star=tau / 2.0 if regime == "matched" else None)
+            for k in range(1, 14):
+                horizon = 2.0 ** k
+                w = 2.0 / horizon
+                pairs = [(lm.predicted_trend_return_correlation(m, w),
+                          quadpack(lambda z: -2.0 * w ** 1.5 * z
+                                   * math.exp(-w * z)
+                                   * reference_derivatives(m, z)[1], m))]
+                if regime != "scaling" or horizon <= tau / 4.0:
+                    pairs += [
+                        (lm.predicted_trend_variance(
+                            m, horizon, "phi", method="quadrature"),
+                         quadpack(lambda v: -2.0 * w ** 2 * v
+                                  * math.exp(-w * v)
+                                  * reference_derivatives(m, v)[0], m)),
+                        (lm.predicted_trend_variance(
+                            m, horizon, "tilde", method="quadrature"),
+                         quadpack(lambda v: -2.0 / horizon
+                                  * reference_derivatives(m, v)[0],
+                                  m, horizon)),
+                    ]
+                for ours, ref in pairs:
+                    if ref is not None:
+                        assert ours == pytest.approx(ref, rel=1e-10,
+                                                     abs=1e-300)
+                        compared += 1
+        assert compared >= 50
+
+
+class TestMatchedScalingLimit:
+    """Below t_star = tau/2 the matched curves are the scaling closed forms.
+
+    With tau = 2^15 and k <= 10, e^(-w t_star) <= e^(-32), so the tail
+    past t_star moves no prediction at 1e-9.  At small kappa the k = 1
+    trend/return correlation is the hard case: most of its mass sits
+    within a few days of 0 on a piece 16 384 days long.
+    """
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.2, 0.3, 0.6, 0.9])
+    def test_matched_equals_scaling_closed_forms(self, kappa):
+        tau = 2.0 ** 15
+        matched = PropagatorModel(tau=tau, kappa=kappa, regime="matched",
+                                  t_star=tau / 2.0)
+        scaling = PropagatorModel(tau=tau, kappa=kappa, regime="scaling")
+        for k in range(1, 11):
+            horizon = 2.0 ** k
+            omega = 2.0 / horizon
+            assert lm.predicted_trend_return_correlation(
+                matched, omega) == pytest.approx(
+                lm.predicted_trend_return_correlation(
+                    scaling, omega, method="closed"), rel=1e-9)
+            for estimator in ("phi", "tilde"):
+                assert lm.predicted_trend_variance(
+                    matched, horizon, estimator) == pytest.approx(
+                    lm.predicted_trend_variance(
+                        scaling, horizon, estimator, method="closed"),
+                    rel=1e-9)
+
+
+class TestQuadratureFailsClosed:
+    def test_is_a_value_error(self):
+        assert issubclass(QuadratureError, ValueError)
+        assert lm.QuadratureError is QuadratureError
+
+    def test_unresolved_singularity_raises(self):
+        # t^(kappa-1) at kappa = 0.05 decays too slowly toward t = 0 for
+        # the node range: the step-h and step-2h sums and the end terms fail
+        m = PropagatorModel(tau=2.0 ** 15, kappa=0.05, regime="matched",
+                            t_star=2.0 ** 14)
+        with pytest.raises(QuadratureError, match="kappa=0.05"):
+            lm.predicted_trend_return_correlation(m, 1.0)
+        with pytest.raises(QuadratureError):
+            lm.predicted_trend_variance(m, 2.0, "tilde")
+
+    def test_end_terms_alone_raise(self):
+        # kappa = 0.08: steps h and 2h agree to 1.4e-11, but the end terms
+        # reach 1.5e-11 of the integral
+        m = PropagatorModel(tau=2.0 ** 15, kappa=0.08, regime="matched",
+                            t_star=2.0 ** 14)
+        with pytest.raises(QuadratureError):
+            lm.predicted_trend_return_correlation(m, 1.0)
+
+    def test_step_disagreement_alone_raises(self):
+        m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
+        assert theory._quad(lambda x: np.cos(x) + 2.0, m, 1.0, 20.0) == \
+            pytest.approx(math.sin(20.0) + 40.0, rel=1e-14)
+        # cos(40 x) oscillates faster than the step-2h nodes resolve
+        with pytest.raises(QuadratureError, match="steps h and 2h"):
+            theory._quad(lambda x: np.cos(40.0 * x) + 2.0, m, 1.0, 20.0)
 
 
 class TestAdjacentWindowCorrelation:
