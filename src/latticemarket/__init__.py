@@ -59,11 +59,12 @@ from .stats import (
     CrossValidationResult,
     ParabolicFit,
     ScalingFit,
-    fit_cubic,
+    fit_cubic_sums,
     fit_cubic_xy,
     fit_langevin_xy,
-    bootstrap_errors,
+    bootstrap_errors_sums,
     bootstrap_errors_xy,
+    cross_validate_sums,
     cross_validate_xy,
     fit_parabolic_b,
     moment_scaling,

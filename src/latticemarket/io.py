@@ -12,6 +12,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 class MarketSeries:
     """One market's dated price history; dates strictly increasing."""
     name: str
-    dates: list[datetime.date]
+    dates: np.ndarray        # datetime64[D]
     prices: np.ndarray
     gap_days: int = 0
 
@@ -44,43 +45,88 @@ class PriceTable:
         raise KeyError(name)
 
 
-def _parse_date(token: str, line_no: int) -> datetime.date:
+def _parse_dates(tokens: list[str]) -> tuple[np.ndarray, int]:
+    """Days of the stripped tokens and the index of the first bad one
+    (len(tokens) if none): exactly the dates date.fromisoformat accepts.
+
+    numpy parses the distinct tokens, but it also reads 'NaT', 'today',
+    '2020-01' and '20200105' (as a year), so a day that does not print
+    back as its token, or lies outside years 1-9999, goes to fromisoformat.
+    """
+    stripped = [t.strip() for t in tokens]
+    index = {token: i for i, token in enumerate(dict.fromkeys(stripped))}
+    distinct = list(index)
     try:
-        return datetime.date.fromisoformat(token.strip())
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: bad date {token!r}") from exc
+        days = np.array(distinct, dtype=str).astype("datetime64[D]")
+        printed = np.datetime_as_string(days).tolist()
+        suspect = ~((days >= np.datetime64("0001-01-01"))
+                    & (days <= np.datetime64("9999-12-31"))) | np.fromiter(
+            map(str.__ne__, printed, distinct), bool, len(distinct))
+    except ValueError:
+        days = np.empty(len(distinct), dtype="datetime64[D]")
+        suspect = np.ones(len(distinct), dtype=bool)
+    for i in np.flatnonzero(suspect):
+        try:
+            days[i] = datetime.date.fromisoformat(distinct[i])
+        except ValueError:
+            return days, stripped.index(distinct[i])
+    return days[np.fromiter(map(index.__getitem__, stripped), np.int64,
+                            len(stripped))], len(tokens)
 
 
-def _parse_price(token: str, line_no: int) -> float:
+def _price(token: str) -> float:
     try:
-        price = float(token)
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: bad price {token!r}") from exc
-    if not price > 0 or not np.isfinite(price):
-        raise ValueError(f"line {line_no}: non-positive price {token!r}")
-    return price
+        return float(token)
+    except ValueError:
+        return math.nan
 
 
-def _build_market(name: str, rows: list[tuple[datetime.date, float, int]]
-                  ) -> MarketSeries:
-    seen: dict[datetime.date, int] = {}
-    gaps = 0
-    prev: datetime.date | None = None
-    for date, _, line_no in rows:
-        if date in seen:
-            raise ValueError(
-                f"line {line_no}: duplicate date {date.isoformat()}"
-                f" for market {name!r}")
-        seen[date] = line_no
-        if prev is not None:
-            if date <= prev:
-                raise ValueError(
-                    f"line {line_no}: dates not increasing for {name!r}"
-                    f" ({date.isoformat()} after {prev.isoformat()})")
-            gaps += (date - prev).days - 1
-        prev = date
-    return MarketSeries(name=name, dates=[r[0] for r in rows],
-                        prices=np.array([r[1] for r in rows]), gap_days=gaps)
+def _row_fault(row: list[str], schema: str, width: int) -> str | None:
+    """The first fault of one data row, in the order the checks run."""
+    if len(row) != width:
+        return f"expected {width} fields, got {len(row)}"
+    if schema == "long" and not row[0].strip():
+        return "empty market name"
+    date, tokens = (row[1], row[2:]) if schema == "long" else (row[0], row[1:])
+    if _parse_dates([date])[1] == 0:
+        return f"bad date {date!r}"
+    for token in tokens:
+        if schema == "long" or token.strip():
+            try:
+                price = float(token)
+            except ValueError:
+                return f"bad price {token!r}"
+            if not 0 < price < math.inf:
+                return f"non-positive price {token!r}"
+    return None
+
+
+def _group_markets(names: list[str], codes: np.ndarray, days: np.ndarray,
+                   prices: np.ndarray, lines: np.ndarray) -> list:
+    """Cells grouped by market in order of first price, file order within,
+    with each market's dates checked at its first duplicate or decrease."""
+    first = np.unique(codes, return_index=True)[1]     # per market code
+    by_first = np.argsort(first)
+    order = np.argsort(first[codes], kind="stable")
+    days, prices, lines = days[order], prices[order], lines[order]
+    bounds = np.append(0, np.cumsum(np.bincount(codes)[by_first]))
+    ordinals = days.astype(np.int64)
+    step = np.diff(ordinals)
+    step[bounds[1:-1] - 1] = 1          # no check across two markets
+    bad = np.flatnonzero(step <= 0)
+    if bad.size:
+        j = int(bad[0]) + 1
+        m = np.searchsorted(bounds, j, side="right") - 1
+        name, date = names[by_first[m]], days[j].item().isoformat()
+        if (days[bounds[m]:j] == days[j]).any():
+            raise ValueError(f"line {lines[j]}: duplicate date {date}"
+                             f" for market {name!r}")
+        raise ValueError(f"line {lines[j]}: dates not increasing for {name!r}"
+                         f" ({date} after {days[j - 1].item().isoformat()})")
+    gaps = ordinals[bounds[1:] - 1] - ordinals[bounds[:-1]] - np.diff(bounds) + 1
+    return [MarketSeries(name=names[c], dates=days[lo:hi],
+                         prices=prices[lo:hi], gap_days=int(gap))
+            for c, lo, hi, gap in zip(by_first, bounds[:-1], bounds[1:], gaps)]
 
 
 def load_price_csv(path, schema: str = "long") -> PriceTable:
@@ -89,7 +135,8 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
     Wide format has a date column followed by one price column per
     market; empty cells are allowed (ragged starts, gaps) and recorded
     per market as missing calendar days.  Malformed rows, duplicate
-    dates and non-positive prices are rejected with their line numbers.
+    dates and non-positive prices are rejected with their line numbers;
+    the first offending line, in file order, is the one reported.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -98,45 +145,52 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
     if not rows:
         raise ValueError(f"{path}: empty file")
     header_no, header = rows[0]
-    body = rows[1:]
-    if not body:
+    if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
-    per_market: dict[str, list[tuple[datetime.date, float, int]]] = {}
     if schema == "long":
         if len(header) < 3:
             raise ValueError(f"line {header_no}: need market,date,price header")
-        for line_no, row in body:
-            if len(row) != 3:
-                raise ValueError(f"line {line_no}: expected 3 fields, "
-                                 f"got {len(row)}")
-            market = row[0].strip()
-            if not market:
-                raise ValueError(f"line {line_no}: empty market name")
-            date = _parse_date(row[1], line_no)
-            price = _parse_price(row[2], line_no)
-            per_market.setdefault(market, []).append((date, price, line_no))
+        width, date_col = 3, 1
     elif schema == "wide":
-        names = [h.strip() for h in header[1:]]
-        if not names:
+        columns = [h.strip() for h in header[1:]]
+        if not columns:
             raise ValueError(f"line {header_no}: wide header needs markets")
-        for line_no, row in body:
-            if len(row) != len(header):
-                raise ValueError(f"line {line_no}: expected {len(header)}"
-                                 f" fields, got {len(row)}")
-            date = _parse_date(row[0], line_no)
-            for name, token in zip(names, row[1:]):
-                if token.strip() == "":
-                    continue
-                price = _parse_price(token, line_no)
-                per_market.setdefault(name, []).append((date, price, line_no))
-        for name in names:
-            if name not in per_market:
-                raise ValueError(f"market {name!r} has no prices")
+        width, date_col = len(header), 0
     else:
         raise ValueError("schema must be 'long' or 'wide'")
-    markets = [_build_market(name, rows_) for name, rows_
-               in per_market.items()]
-    return PriceTable(markets=markets)
+    body = [row for _, row in rows[1:]]
+    n_ok = next((i for i, row in enumerate(body) if len(row) != width),
+                len(body))
+    days, bad_date = _parse_dates([row[date_col] for row in body[:n_ok]])
+    # a cell is one price: its row, and its market label (row or column)
+    if schema == "long":
+        labels = [row[0].strip() for row in body[:n_ok]]
+        unnamed = [i for i, name in enumerate(labels) if not name][:1]
+        tokens = [row[2] for row in body[:n_ok]]
+        cell_rows = cell_labels = np.arange(n_ok)
+    else:
+        labels, unnamed = columns, []
+        cells = [token for row in body[:n_ok] for token in row[1:]]
+        filled = np.flatnonzero(np.fromiter(
+            map(bool, map(str.strip, cells)), bool, len(cells)))
+        tokens = [cells[i] for i in filled]
+        cell_rows, cell_labels = np.divmod(filled, len(columns))
+    prices = np.fromiter(map(_price, tokens), np.float64, len(tokens))
+    bad_price = cell_rows[~(prices > 0) | ~np.isfinite(prices)]
+    first = min([n_ok, bad_date, *bad_price[:1], *unnamed])
+    if first < len(body):
+        raise ValueError(f"line {rows[first + 1][0]}: "
+                         f"{_row_fault(body[first], schema, width)}")
+    lines = np.array([no for no, _ in rows[1:]], dtype=np.int64)
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(name, len(index)) for name in labels],
+                     dtype=np.int64)[cell_labels]
+    names = list(index)
+    for name, count in zip(names, np.bincount(codes, minlength=len(names))):
+        if not count:
+            raise ValueError(f"market {name!r} has no prices")
+    return PriceTable(markets=_group_markets(
+        names, codes, days[cell_rows], prices, lines[cell_rows]))
 
 
 # -- provenance-stamped output ------------------------------------------------

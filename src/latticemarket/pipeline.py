@@ -214,121 +214,129 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
 
 # -- analyze ----------------------------------------------------------------
 
-@dataclass
-class _ScaleData:
-    k: int
-    x: np.ndarray           # trend strengths, pooled across markets
-    y: np.ndarray           # next-day normalized returns
-    dates: np.ndarray       # day ordinal (int64) of the target return
-    market_idx: np.ndarray  # market index per observation
+def _union_panel(table: io.PriceTable) -> tuple:
+    """Normalized returns per market, the cell of each return's day in
+    the union calendar (the sorted dates of every market's returns; return
+    i carries the date of price i + 1), and the (markets, days) returns."""
+    returns_all = [trends.normalize_returns(m.prices) for m in table.markets]
+    days = [np.asarray(m.dates, dtype="datetime64[D]")[1:]
+            for m in table.markets]
+    calendar, cells = np.unique(np.concatenate(days), return_inverse=True)
+    cells = np.split(cells.ravel(), np.cumsum([d.size for d in days])[:-1])
+    y_panel = np.zeros((len(days), calendar.size))
+    for m, (rets, pos) in enumerate(zip(returns_all, cells)):
+        y_panel[m, pos] = rets.values
+    return returns_all, cells, y_panel
 
 
-def _market_scale_data(table: io.PriceTable, horizons: list[int],
-                       estimator: str
-                       ) -> tuple[list[_ScaleData], list, list, list[dict]]:
-    """Aligned (phi, next return) observations per scale, pooled over markets.
-
-    Also returns the dropped horizons as {"k": k, "reason": text} rows.
+def _trend_panel(returns_all: list, cells: list[np.ndarray], n_days: int,
+                 estimator: str, k: int) -> tuple:
+    """Warm-up, (markets, days) trend panel and mask of horizon 2^k:
+    phi(t) at the cell of R(t + 1) from the statistical warm-up (not the
+    much longer numerical truncation) on; markets under 30 pairs stay empty.
     """
-    returns_all, days_all = [], []
-    for market in table.markets:
-        returns_all.append(trends.normalize_returns(market.prices))
-        days_all.append(np.array([d.toordinal() for d in market.dates],
-                                 dtype=np.int64))
-    scales, dropped = [], []
-    for k in horizons:
-        horizon = 2 ** k
-        weights = _weights_for(estimator, horizon)
-        # statistical warm-up, not the (much longer) numerical truncation
-        warmup = trends.statistical_warmup(estimator, horizon)
-        xs, ys, ds, ms = [], [], [], []
-        for m_idx, (days, rets) in enumerate(zip(days_all, returns_all)):
-            n = len(rets.values)
-            start = warmup
-            if n - 1 - start < 30:
-                continue
-            trend = trends.trend_strength(rets, weights)
-            xs.append(trend.values[start:n - 1])
-            ys.append(rets.values[start + 1:n])
-            # return index i carries the date of its later price
-            ds.append(days[start + 2:n + 1])
-            ms.append(np.full(n - 1 - start, m_idx, dtype=np.int64))
-        n_pooled = sum(len(v) for v in xs)
-        if not xs:
-            reason = "no market has enough history"
-        elif n_pooled < stats._MIN_OBSERVATIONS:
-            reason = f"only {n_pooled} pooled observations"
-        else:
-            scales.append(_ScaleData(
-                k=k, x=np.concatenate(xs), y=np.concatenate(ys),
-                dates=np.concatenate(ds), market_idx=np.concatenate(ms)))
-            continue
-        log.warning("dropping k=%d: %s", k, reason)
-        dropped.append({"k": k, "reason": reason})
-    return scales, returns_all, [m.name for m in table.markets], dropped
+    warmup = trends.statistical_warmup(estimator, 2 ** k)
+    weights = _weights_for(estimator, 2 ** k)
+    x_panel = np.zeros((len(returns_all), n_days))
+    mask = np.zeros(x_panel.shape, dtype=bool)
+    for m, (rets, pos) in enumerate(zip(returns_all, cells)):
+        if len(rets.values) - 1 - warmup >= 30:
+            trend = trends.trend_strength(rets, weights).values
+            x_panel[m, pos[warmup + 1:]] = trend[warmup:-1]
+            mask[m, pos[warmup + 1:]] = True
+    return warmup, x_panel, mask
+
+
+def _panel_moments(x, y, mask: np.ndarray) -> np.ndarray:
+    """(10, markets, days) moment columns of a masked (markets, days)
+    panel of pairs; zero off the mask."""
+    cols = stats._moment_columns(np.where(mask, x, 0.0).ravel(),
+                                 np.where(mask, y, 0.0).ravel())
+    cols[:, 0] = mask.ravel()
+    return cols.T.reshape(10, *mask.shape)
 
 
 def analyze_price_table(table: io.PriceTable,
                         config: PipelineConfig) -> dict:
-    """Full empirical pipeline on a loaded price table; returns the report."""
-    scales, returns_all, names, dropped = _market_scale_data(
-        table, config.horizons, config.estimator)
-    if not scales:
-        raise ValueError("no usable horizon: price history too short")
-    report: dict = {"markets": names,
-                    "estimator": config.estimator,
-                    "horizons_requested": list(config.horizons),
-                    "horizons_used": [s.k for s in scales],
-                    "horizons_dropped": dropped}
+    """Full empirical pipeline on a loaded price table; returns the report.
 
-    # per-scale regression and trend statistics
-    by_scale = []
-    for s in scales:
-        fit = stats.fit_cubic_xy(s.x, s.y)
+    The regressions read only moment sums of the (markets, days) panels:
+    a scale's fit sums its panel, and the stacked fit, the day bootstrap
+    and the date-block CV read per-day sums added in the pooled row order
+    (scale, then market), so the day groups and their sums are the rows'.
+    """
+    returns_all, cells, y_panel = _union_panel(table)
+    n_markets, n_days = y_panel.shape
+    stacked = np.zeros((10, n_days))
+    x_sum, shared = np.zeros(y_panel.shape), np.ones(y_panel.shape, bool)
+    by_scale, dropped = [], []
+    for k in config.horizons:
+        warmup, x_panel, mask = _trend_panel(returns_all, cells, n_days,
+                                             config.estimator, k)
+        n_obs = int(mask.sum())
+        if n_obs < stats._MIN_OBSERVATIONS:
+            reason = (f"only {n_obs} pooled observations" if n_obs else
+                      "no market has enough history")
+            log.warning("dropping k=%d: %s", k, reason)
+            dropped.append({"k": k, "reason": reason})
+            continue
+        moments = _panel_moments(x_panel, y_panel, mask)
+        fit = stats.fit_cubic_sums(moments.reshape(10, -1).T)
         by_scale.append({
-            "k": s.k, "T": 2 ** s.k, "n_obs": fit.n_obs,
+            "k": k, "T": 2 ** k, "warmup": warmup, "n_obs": fit.n_obs,
             "a": fit.a, "b": fit.b, "c": fit.c,
             "se_b": fit.se_b, "se_c": fit.se_c,
-            "trend_return_covariance": float(np.mean(s.x * s.y)),
+            "trend_return_covariance": float(moments[7].sum() / fit.n_obs),
             "r_squared": fit.r_squared,
         })
-    report["by_scale"] = by_scale
+        for market in range(n_markets):
+            stacked += moments[:, market]
+        x_sum += x_panel
+        shared &= mask
+    if not by_scale:
+        raise ValueError("no usable horizon: price history too short")
+    report: dict = {"markets": table.names(),
+                    "estimator": config.estimator,
+                    "horizons_requested": list(config.horizons),
+                    "horizons_used": [row["k"] for row in by_scale],
+                    "horizons_dropped": dropped,
+                    "by_scale": by_scale}
 
     # stacked regression across markets and scales (the headline fit)
-    x_all = np.concatenate([s.x for s in scales])
-    y_all = np.concatenate([s.y for s in scales])
-    dates_all = np.concatenate([s.dates for s in scales])
-    stacked = stats.fit_cubic_xy(x_all, y_all)
-    boot = stats.bootstrap_errors_xy(
-        x_all, y_all, config.bootstrap_samples, config.seed,
-        groups=dates_all)
-    cv_r2 = stats.cross_validate_xy(
-        x_all, y_all, config.cv_folds, blocks=dates_all).r_squared_adj
+    days = stacked[:, stacked[0] > 0].T       # the days with data
+    fit = stats.fit_cubic_sums(days)
+    boot = stats.bootstrap_errors_sums(days, config.bootstrap_samples,
+                                       config.seed)
+    cv = stats.cross_validate_sums(days, config.cv_folds)
     report["regression"] = {
-        "a": stacked.a, "b": stacked.b, "c": stacked.c,
+        "a": fit.a, "b": fit.b, "c": fit.c,
         "se_a": boot.se_a, "se_b": boot.se_b, "se_c": boot.se_c,
-        "t_a": stacked.a / boot.se_a if boot.se_a > 0 else math.inf,
-        "t_b": stacked.b / boot.se_b if boot.se_b > 0 else math.inf,
-        "t_c": stacked.c / boot.se_c if boot.se_c > 0 else math.inf,
-        "r_squared": stacked.r_squared,
-        "r_squared_cv": cv_r2,
-        "n_obs": stacked.n_obs,
-        "gram_condition": stacked.gram_condition,
+        "t_a": fit.a / boot.se_a if boot.se_a > 0 else math.inf,
+        "t_b": fit.b / boot.se_b if boot.se_b > 0 else math.inf,
+        "t_c": fit.c / boot.se_c if boot.se_c > 0 else math.inf,
+        "r_squared": fit.r_squared,
+        "r_squared_cv": cv.r_squared_adj,
+        "cv_fold_sizes": cv.fold_sizes.tolist(),
+        "n_obs": fit.n_obs,
+        "gram_condition": fit.gram_condition,
         "bootstrap_samples": config.bootstrap_samples,
         "bootstrap_skipped": boot.n_skipped,
         "cv_folds": config.cv_folds,
     }
 
-    # combined factor: equally weighted mean trend across scales
-    combined = _combined_factor(scales, len(names))
-    if combined is not None:
-        xc, yc, dc = combined
-        cfit = stats.fit_cubic_xy(xc, yc)
+    # combined factor: equally weighted mean trend across scales, on the
+    # observations that every scale shares
+    if len(by_scale) >= 2 and shared.sum() >= stats._MIN_OBSERVATIONS:
+        combined = _panel_moments(x_sum / len(by_scale), y_panel,
+                                  shared).sum(axis=1)
+        days = combined[:, combined[0] > 0].T
+        cfit = stats.fit_cubic_sums(days)
+        ccv = stats.cross_validate_sums(days, config.cv_folds)
         report["aggregated_factor"] = {
             "a": cfit.a, "b": cfit.b, "c": cfit.c,
             "r_squared": cfit.r_squared,
-            "r_squared_cv": stats.cross_validate_xy(
-                xc, yc, config.cv_folds, blocks=dc).r_squared_adj,
+            "r_squared_cv": ccv.r_squared_adj,
+            "cv_fold_sizes": ccv.fold_sizes.tolist(),
             "n_obs": cfit.n_obs,
         }
 
@@ -345,8 +353,8 @@ def analyze_price_table(table: io.PriceTable,
 
     # step-trend variance over non-overlapping windows, pooled per scale
     var_rows, counts = [], []
-    for s in scales:
-        horizon = 2 ** s.k
+    for row in by_scale:
+        horizon = row["T"]
         sq_sum, n_win, pair_prod, n_pair = 0.0, 0, 0.0, 0
         for rets in returns_all:
             if len(rets.values) < 2 * horizon:
@@ -360,7 +368,7 @@ def analyze_price_table(table: io.PriceTable,
             continue
         variance = sq_sum / n_win
         var_rows.append({
-            "k": s.k, "T": horizon, "variance_tilde": variance,
+            "k": row["k"], "T": horizon, "variance_tilde": variance,
             "n_windows": n_win,
             "adjacent_correlation":
                 (pair_prod / n_pair / variance) if n_pair else 0.0,
@@ -387,30 +395,6 @@ def analyze_price_table(table: io.PriceTable,
     # moment scaling (generalized Hurst exponents), pooled per observation
     report["moment_scaling"] = _pooled_moments(returns_all, config.horizons)
     return report
-
-
-def _combined_factor(scales: list[_ScaleData], n_markets: int):
-    """Equally weighted mean of the per-scale trends on shared observations."""
-    if len(scales) < 2:
-        return None
-    keys = [s.dates * n_markets + s.market_idx for s in scales]
-    common = keys[0]
-    for arr in keys[1:]:
-        common = np.intersect1d(common, arr, assume_unique=True)
-    if common.size < stats._MIN_OBSERVATIONS:
-        return None
-    x_sum = np.zeros(common.size)
-    y_ref = None
-    d_ref = None
-    for s, key in zip(scales, keys):
-        order = np.argsort(key, kind="stable")
-        pos = np.searchsorted(key[order], common)
-        sel = order[pos]
-        x_sum += s.x[sel]
-        if y_ref is None:
-            y_ref = s.y[sel]
-            d_ref = s.dates[sel]
-    return x_sum / len(scales), y_ref, d_ref
 
 
 def _safe_dimension(kappa: float):

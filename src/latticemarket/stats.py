@@ -8,7 +8,9 @@ polynomial of today's trend strength,
 with quadratic and quartic terms deliberately absent (they carry no
 statistical significance on market data).  Every cubic fit (the point
 fit, each bootstrap resample and each cross-validation training set)
-solves the normal equations from sums of the same nine moment columns.
+solves the normal equations from sums of the same ten moment columns,
+and its residual sum of squares comes from those sums too, so the fits
+run on rows of per-group sums as well as on per-observation rows.
 Standard errors come from i.i.d. day bootstrapping, out-of-sample
 explanatory power from contiguous-block cross-validation.  Scaling
 exponents (kappa, Hurst) are read off log-log regressions of variance
@@ -24,29 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .theory import PropagatorModel
-from .trends import ReturnSeries, TrendSeries
 
 _MIN_OBSERVATIONS = 100
 _COND_LIMIT = 1e12
 _CHUNK_COUNTS = 2 ** 18     # bootstrap count-matrix cells per chunk
 # (1, x, x^3) Gram entries, row-major, as indices into the moment sums
 _GRAM = [0, 1, 3, 1, 2, 4, 3, 4, 5]
-
-
-# -- alignment -------------------------------------------------------------
-
-def aligned_pairs(trend: TrendSeries, next_returns: ReturnSeries):
-    """Pair phi(t) with R(t+1), excluding the trend warm-up window."""
-    n = len(next_returns.values)
-    if len(trend.values) != n:
-        raise ValueError("trend and return series must have equal length")
-    start = max(int(trend.warmup), 0)
-    x = np.asarray(trend.values[start:n - 1], dtype=np.float64)
-    y = np.asarray(next_returns.values[start + 1:n], dtype=np.float64)
-    if x.size < _MIN_OBSERVATIONS:
-        raise ValueError(f"need at least {_MIN_OBSERVATIONS} aligned "
-                         f"observations, got {x.size}")
-    return x, y
 
 
 # -- cubic regression --------------------------------------------------------
@@ -90,26 +75,33 @@ def _pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def fit_cubic_xy(x, y) -> RegressionReport:
-    """OLS of y on (1, x, x^3) for pre-aligned pairs.
+def _ss_res(sums: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Residual sums of squares, sum y^2 - 2 coef.(sum y, sum x y, sum x^3 y)
+    + coef' G coef, of (k, 3) coefficients on (k, 10) moment sums."""
+    gram = sums[:, _GRAM].reshape(-1, 3, 3)
+    return (sums[:, 9] - 2.0 * np.einsum("ki,ki->k", coef, sums[:, 6:9])
+            + np.einsum("ki,kij,kj->k", coef, gram, coef))
 
-    The normal equations are solved from the moment-column sums, as in
-    the bootstrap and the cross-validation.  A Gram that is non-finite or
-    has a condition number above 1e12 is rejected as rank-deficient.
+
+def fit_cubic_sums(rows) -> RegressionReport:
+    """OLS of y on (1, x, x^3) from (n, 10) rows of moment sums.
+
+    Only the column sums matter: rows per observation (_moment_columns)
+    or per group give the same fit.  A Gram that is non-finite or has a
+    condition number above 1e12 is rejected as rank-deficient.  SS_res and
+    SS_tot = sum y^2 - (sum y)^2 / n carry a few ulp of sum y^2 of rounding.
     """
-    x, y = _pairs(x, y)
-    n = x.size
+    sums = np.asarray(rows, dtype=np.float64).sum(axis=0)
+    n = int(sums[0])
     if n < _MIN_OBSERVATIONS:
         raise ValueError(
             f"need at least {_MIN_OBSERVATIONS} observations, got {n}")
-    sums = _moment_columns(x, y).sum(axis=0)
     coef, cond = _solve_from_sums(sums[None])
     coef, cond = coef[0], float(cond[0])
     if not cond <= _COND_LIMIT:
         raise ValueError("rank-deficient design (constant trend strength?)")
-    resid = y - (coef[0] + coef[1] * x + coef[2] * x ** 3)
-    ssr = float(resid @ resid)
-    sst = float(np.sum((y - y.mean()) ** 2))
+    ssr = max(float(_ss_res(sums[None], coef[None])[0]), 0.0)
+    sst = float(sums[9] - sums[6] ** 2 / n)
     sigma2 = ssr / (n - 3)
     cov = sigma2 * np.linalg.inv(sums[_GRAM].reshape(3, 3))
     se = np.sqrt(np.diag(cov))
@@ -124,11 +116,9 @@ def fit_cubic_xy(x, y) -> RegressionReport:
         r_squared=r2, r_squared_adj=r2_adj, n_obs=n, gram_condition=cond)
 
 
-def fit_cubic(trend: TrendSeries,
-              next_returns: ReturnSeries) -> RegressionReport:
-    """Cubic regression of next-day returns on the trend strength."""
-    x, y = aligned_pairs(trend, next_returns)
-    return fit_cubic_xy(x, y)
+def fit_cubic_xy(x, y) -> RegressionReport:
+    """OLS of y on (1, x, x^3) for pre-aligned pairs (fit_cubic_sums)."""
+    return fit_cubic_sums(_moment_columns(*_pairs(x, y)))
 
 
 def fit_langevin_xy(x, y) -> tuple[float, float]:
@@ -168,11 +158,11 @@ class BootstrapResult:
 def _moment_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-observation cubic normal-equation statistics, column-major.
 
-    The columns are 1, x, x^2, x^3, x^4, x^6, y, x y and x^3 y, each
-    written in place into one (n, 9) array.
+    The columns are 1, x, x^2, x^3, x^4, x^6, y, x y, x^3 y and y^2, each
+    written in place into one (n, 10) array.
     """
-    cols = np.empty((x.size, 9), order="F")
-    one, x1, x2, x3, x4, x6, y1, xy, x3y = cols.T
+    cols = np.empty((x.size, 10), order="F")
+    one, x1, x2, x3, x4, x6, y1, xy, x3y, y2 = cols.T
     one.fill(1.0)
     x1[:] = x
     np.multiply(x, x, out=x2)
@@ -182,11 +172,22 @@ def _moment_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y1[:] = y
     np.multiply(x, y, out=xy)
     np.multiply(x3, y, out=x3y)
+    np.multiply(y, y, out=y2)
     return cols
 
 
+def _group_rows(cols: np.ndarray, labels) -> np.ndarray:
+    """(G, 10) moment sums of the G distinct labels, in ascending order;
+    np.bincount adds each group's rows in row order."""
+    labels = np.asarray(labels)
+    if labels.shape != cols.shape[:1]:
+        raise ValueError("labels must mark every observation")
+    codes = np.unique(labels, return_inverse=True)[1]
+    return np.array([np.bincount(codes, weights=col) for col in cols.T]).T
+
+
 def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, 3) coefficients and (k,) Gram conditions from (k, 9) moment sums.
+    """(k, 3) coefficients and (k,) Gram conditions from (k, 10) moment sums.
 
     Rows whose Gram is non-finite (condition inf) or has condition above
     _COND_LIMIT are not solved: their coefficients are NaN.
@@ -198,42 +199,31 @@ def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = cond <= _COND_LIMIT
     coef = np.full((len(sums), 3), np.nan)
     # the trailing axis keeps rhs a stack of vectors on numpy 1.x and 2.x
-    coef[ok] = np.linalg.solve(gram[ok], sums[ok, 6:, None])[..., 0]
+    coef[ok] = np.linalg.solve(gram[ok], sums[ok, 6:9, None])[..., 0]
     return coef, cond
 
 
-def bootstrap_errors_xy(x, y, n_samples: int, seed,
-                        groups=None) -> BootstrapResult:
-    """Day-resampled standard errors for the cubic regression.
+def bootstrap_errors_sums(rows, n_samples: int, seed) -> BootstrapResult:
+    """Group-resampled standard errors from (G, 10) rows of moment sums.
 
-    Observations (days) are resampled i.i.d. with replacement and the
-    regression refit on each sample; the per-coefficient standard
-    deviation and 2.5/97.5 percentile interval are reported.  When
-    `groups` labels are given (e.g. dates shared by several markets),
-    whole groups are resampled jointly, preserving within-group
-    correlation.  Deterministic for a fixed seed; degenerate resamples
+    The G rows (groups, e.g. days holding several markets) are resampled
+    i.i.d. with replacement and the regression refit on each sample; the
+    per-coefficient standard deviation and 2.5/97.5 percentile interval
+    are reported.  Deterministic for a fixed seed; degenerate resamples
     (Gram non-finite or condition above 1e12) are skipped and counted.
 
-    The G groups are resampled in chunks of c = max(1, 2**18 // G):
+    The groups are resampled in chunks of c = max(1, 2**18 // G):
     rng.integers(0, G, (c, G)) draws the same integers as c per-resample
-    draws, and a chunk's moment sums are counts @ group_sums, solved at once.
+    draws, and a chunk's moment sums are counts @ rows, solved at once.
     """
-    x, y = _pairs(x, y)
     if n_samples < 100:
         raise ValueError("need at least 100 bootstrap samples")
-    if x.size < _MIN_OBSERVATIONS:
+    group_sums = np.ascontiguousarray(
+        np.asarray(rows, dtype=np.float64)[:, :9])
+    n_obs = int(group_sums[:, 0].sum())
+    if n_obs < _MIN_OBSERVATIONS:
         raise ValueError(
-            f"need at least {_MIN_OBSERVATIONS} observations, got {x.size}")
-    cols = _moment_columns(x, y)
-    if groups is None:
-        group_sums = cols
-    else:
-        labels = np.asarray(groups)
-        if labels.shape != x.shape:
-            raise ValueError("groups must label every observation")
-        codes = np.unique(labels, return_inverse=True)[1]
-        group_sums = np.array(
-            [np.bincount(codes, weights=col) for col in cols.T]).T
+            f"need at least {_MIN_OBSERVATIONS} observations, got {n_obs}")
     if not np.isfinite(group_sums).all():
         raise ValueError("x and y must give finite moment sums up to x^6")
     n_groups = group_sums.shape[0]
@@ -258,10 +248,16 @@ def bootstrap_errors_xy(x, y, n_samples: int, seed,
                            n_skipped=n_samples - samples.shape[0])
 
 
-def bootstrap_errors(trend: TrendSeries, next_returns: ReturnSeries,
-                     n_samples: int, seed, groups=None) -> BootstrapResult:
-    x, y = aligned_pairs(trend, next_returns)
-    return bootstrap_errors_xy(x, y, n_samples, seed, groups=groups)
+def bootstrap_errors_xy(x, y, n_samples: int, seed,
+                        groups=None) -> BootstrapResult:
+    """bootstrap_errors_sums for pre-aligned pairs: each observation is a
+    group, or with `groups` labels (e.g. dates shared by several markets)
+    whole groups are resampled jointly, keeping within-group correlation.
+    """
+    cols = _moment_columns(*_pairs(x, y))
+    if groups is not None:
+        cols = _group_rows(cols, groups)
+    return bootstrap_errors_sums(cols, n_samples, seed)
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -271,73 +267,58 @@ class CrossValidationResult:
     """Out-of-sample R-squared from contiguous-block folds."""
     r_squared_folds: np.ndarray
     r_squared_adj: float
-    folds: int
-    n_obs: int
+    fold_sizes: np.ndarray    # held-out observations per fold
 
 
-def _block_folds(labels: np.ndarray,
-                 folds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable label order and the slice bounds of contiguous block folds.
+def cross_validate_sums(rows, folds: int) -> CrossValidationResult:
+    """Contiguous-block CV of the cubic regression from (B, 10) rows of
+    moment sums, one row per block in block order.
 
-    The sorted distinct labels are split into `folds` runs as by
-    np.array_split; fold i is order[bounds[i]:bounds[i + 1]], and no label
-    straddles two folds.
+    The B blocks are split into `folds` runs as by np.array_split, so no
+    block is split across two folds; each fold holds at least 4
+    observations and leaves at least 30 for training.  The training fits
+    solve from the total sums minus each held-out fold's, in one stacked
+    solve, and a training Gram that is non-finite or has a condition
+    number above 1e12 is rank-deficient.  Each fold scores 1 - SS_res /
+    SS_tot from its sums, with SS_tot against the training mean.
     """
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    unique_labels = np.unique(sorted_labels)
-    if unique_labels.size < folds:
-        raise ValueError("fewer distinct blocks than folds")
-    first = [block[0] for block in np.array_split(unique_labels, folds)]
-    bounds = np.append(np.searchsorted(sorted_labels, first), labels.size)
-    return order, bounds
-
-
-def cross_validate_xy(x, y, folds: int,
-                      blocks=None) -> CrossValidationResult:
-    """Contiguous-block CV of the cubic regression on pre-aligned pairs.
-
-    `blocks` labels the observations (e.g. calendar day ordinals); a
-    fold is a run of consecutive labels, so no block is split across two
-    folds.  With blocks=None each observation is its own block, which
-    gives the np.array_split(np.arange(n), folds) folds.  Each fold holds
-    at least 4 observations and leaves at least 30 for training.
-
-    The training fits solve the normal equations from the total moment
-    sums minus each held-out fold's sums, all folds in one stacked
-    solve; a training Gram that is non-finite or has a condition number
-    above 1e12 is rejected as rank-deficient.  Each fold is scored as
-    1 - SS_res / SS_tot with SS_tot measured against the training mean.
-    """
-    x, y = _pairs(x, y)
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    labels = np.arange(x.size) if blocks is None else np.asarray(blocks)
-    if labels.shape != x.shape:
-        raise ValueError("blocks must label every observation")
-    order, bounds = _block_folds(labels, folds)
-    x, y = x[order], y[order]
-    sizes = np.diff(bounds)
-    if np.any(sizes < 4) or np.any(x.size - sizes < 30):
+    rows = np.asarray(rows, dtype=np.float64)
+    if len(rows) < folds:
+        raise ValueError("fewer distinct blocks than folds")
+    q, r = divmod(len(rows), folds)
+    fold = np.arange(folds)
+    fold_sums = np.add.reduceat(rows, fold * q + np.minimum(fold, r))
+    sizes = fold_sums[:, 0]
+    n = sizes.sum()
+    if np.any(sizes < 4) or np.any(n - sizes < 30):
         raise ValueError("fold too small: need at least 4 held-out and "
                          "30 training observations per fold")
-    fold_sums = np.add.reduceat(_moment_columns(x, y), bounds[:-1])
     train = fold_sums.sum(axis=0) - fold_sums
     coef, _ = _solve_from_sums(train)
     if np.isnan(coef).any():
         raise ValueError("rank-deficient design (constant trend strength?)")
-    scores = []
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        x_val, y_val = x[lo:hi], y[lo:hi]
-        pred = coef[i, 0] + coef[i, 1] * x_val + coef[i, 2] * x_val ** 3
-        train_mean = train[i, 6] / train[i, 0]
-        ss_res = float(np.sum((y_val - pred) ** 2))
-        ss_tot = float(np.sum((y_val - train_mean) ** 2))
-        scores.append(1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0)
-    scores = np.asarray(scores)
+    mean = train[:, 6] / train[:, 0]
+    ss_tot = fold_sums[:, 9] - 2.0 * mean * fold_sums[:, 6] + sizes * mean ** 2
+    ss_res = _ss_res(fold_sums, coef)
+    scores = 1.0 - ss_res / np.where(ss_tot > 0, ss_tot, 1.0)
+    scores[ss_tot <= 0] = 0.0
     return CrossValidationResult(r_squared_folds=scores,
                                  r_squared_adj=float(scores.mean()),
-                                 folds=folds, n_obs=x.size)
+                                 fold_sizes=sizes.astype(np.int64))
+
+
+def cross_validate_xy(x, y, folds: int,
+                      blocks=None) -> CrossValidationResult:
+    """cross_validate_sums for pre-aligned pairs, whose `blocks` labels
+    (e.g. calendar day ordinals) sort into the blocks; with blocks=None
+    each observation is a block: np.array_split(np.arange(n), folds).
+    """
+    cols = _moment_columns(*_pairs(x, y))
+    if blocks is not None:
+        cols = _group_rows(cols, blocks)
+    return cross_validate_sums(cols, folds)
 
 
 # -- parabolic scale dependence ------------------------------------------------

@@ -1,0 +1,264 @@
+"""The bulk CSV parser against the per-cell parser it replaced.
+
+`reference_load` is the per-cell parser: one `date.fromisoformat` and one
+`float` per cell, and a per-market duplicate and order scan.  The bulk
+`io.load_price_csv` must give the same markets, dates, prices and gap
+counts on every valid file, and the same message, line number included,
+on every invalid one.
+"""
+
+import csv
+import datetime
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from latticemarket import io
+
+
+# -- the per-cell reference ----------------------------------------------------
+
+def _parse_date(token, line_no):
+    try:
+        return datetime.date.fromisoformat(token.strip())
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: bad date {token!r}") from exc
+
+
+def _parse_price(token, line_no):
+    try:
+        price = float(token)
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: bad price {token!r}") from exc
+    if not price > 0 or not np.isfinite(price):
+        raise ValueError(f"line {line_no}: non-positive price {token!r}")
+    return price
+
+
+def _build_market(name, rows):
+    seen, gaps, prev = set(), 0, None
+    for date, _, line_no in rows:
+        if date in seen:
+            raise ValueError(
+                f"line {line_no}: duplicate date {date.isoformat()}"
+                f" for market {name!r}")
+        seen.add(date)
+        if prev is not None:
+            if date <= prev:
+                raise ValueError(
+                    f"line {line_no}: dates not increasing for {name!r}"
+                    f" ({date.isoformat()} after {prev.isoformat()})")
+            gaps += (date - prev).days - 1
+        prev = date
+    return (name, [r[0] for r in rows], [r[1] for r in rows], gaps)
+
+
+def reference_load(path, schema):
+    """(name, dates, prices, gap_days) per market, in io's market order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
+                if row and not row[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header_no, header = rows[0]
+    body = rows[1:]
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    per_market = {}
+    if schema == "long":
+        if len(header) < 3:
+            raise ValueError(f"line {header_no}: need market,date,price header")
+        for line_no, row in body:
+            if len(row) != 3:
+                raise ValueError(f"line {line_no}: expected 3 fields, "
+                                 f"got {len(row)}")
+            market = row[0].strip()
+            if not market:
+                raise ValueError(f"line {line_no}: empty market name")
+            date = _parse_date(row[1], line_no)
+            price = _parse_price(row[2], line_no)
+            per_market.setdefault(market, []).append((date, price, line_no))
+    else:
+        names = [h.strip() for h in header[1:]]
+        if not names:
+            raise ValueError(f"line {header_no}: wide header needs markets")
+        for line_no, row in body:
+            if len(row) != len(header):
+                raise ValueError(f"line {line_no}: expected {len(header)}"
+                                 f" fields, got {len(row)}")
+            date = _parse_date(row[0], line_no)
+            for name, token in zip(names, row[1:]):
+                if token.strip() == "":
+                    continue
+                price = _parse_price(token, line_no)
+                per_market.setdefault(name, []).append((date, price, line_no))
+        for name in names:
+            if name not in per_market:
+                raise ValueError(f"market {name!r} has no prices")
+    return [_build_market(name, r) for name, r in per_market.items()]
+
+
+def outcome(loader, text, schema):
+    """('ok', markets) or ('error', message) of a loader on the text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            result = loader(path, schema)
+        except ValueError as exc:
+            return "error", str(exc).replace(str(path), "<path>")
+    return "ok", result
+
+
+def bulk_load(path, schema):
+    table = io.load_price_csv(path, schema=schema)
+    for m in table.markets:
+        assert m.dates.dtype == np.dtype("datetime64[D]")
+    return [(m.name, m.dates.tolist(), m.prices.tolist(), m.gap_days)
+            for m in table.markets]
+
+
+# -- random panels -------------------------------------------------------------
+
+PAD = st.sampled_from(["", "", " ", "  "])
+BAD_DATES = ["NaT", "nat", "2020-01", "2020", "today", "20200105",
+             "2020-02-30", "2020-01-05T00", "0000-01-01", "10000-01-01",
+             "2020-1-5", "", "2020-W01-1", "abc"]
+BAD_PRICES = ["abc", "0", "-3", "0.0", "-0", "inf", "-inf", "nan", "1e999",
+              "", "1,5"]
+
+
+@st.composite
+def panels(draw):
+    """(schema, rows) of a valid panel: ragged starts and ends, interior
+    holes, padded tokens and whitespace-only cells."""
+    n_markets = draw(st.integers(1, 4))
+    n_days = draw(st.integers(2, 12))
+    start = draw(st.integers(datetime.date(1990, 1, 1).toordinal(),
+                             datetime.date(2030, 1, 1).toordinal()))
+    steps = draw(st.lists(st.integers(1, 4), min_size=n_days - 1,
+                          max_size=n_days - 1))
+    calendar = [datetime.date.fromordinal(d)
+                for d in start + np.cumsum([0] + steps)]
+    names = [f"M{m}" for m in range(n_markets)]
+    cells = [[None] * n_markets for _ in range(n_days)]
+    for m in range(n_markets):
+        first = draw(st.integers(0, n_days - 1))
+        last = draw(st.integers(first, n_days - 1))
+        for d in range(first, last + 1):
+            if d in (first, last) or draw(st.integers(0, 3)):
+                price = draw(st.floats(1e-3, 1e6))
+                cells[d][m] = draw(PAD) + repr(price) + draw(PAD)
+
+    def date_token(d):
+        return draw(PAD) + calendar[d].isoformat() + draw(PAD)
+
+    schema = draw(st.sampled_from(["long", "wide"]))
+    if schema == "wide":
+        rows = [["date"] + [draw(PAD) + n + draw(PAD) for n in names]]
+        for d in range(n_days):
+            rows.append([date_token(d)] + [
+                c if c is not None else draw(st.sampled_from(["", " "]))
+                for c in cells[d]])
+    else:
+        order = [(d, m) for d in range(n_days) for m in range(n_markets)]
+        if draw(st.booleans()):
+            order.sort(key=lambda dm: dm[1])
+        rows = [["market", "date", "price"]]
+        rows += [[draw(PAD) + names[m] + draw(PAD), date_token(d), cells[d][m]]
+                 for d, m in order if cells[d][m] is not None]
+    return schema, rows
+
+
+def render(rows, draw):
+    """CSV text with comment and blank lines scattered between rows."""
+    lines = []
+    for i, row in enumerate(rows):
+        if i and draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["# note", "", "  # x,y"])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def inject(schema, rows, draw):
+    """Put one fault into the body rows: a bad date or price, a wrong field
+    count, a repeated or decreasing date, or an empty market."""
+    body = rows[1:]
+    r = draw(st.integers(0, len(body) - 1))
+    date_col = 1 if schema == "long" else 0
+    kinds = ["date", "price", "fields", "repeat", "swap",
+             "empty_market" if schema == "long" else "no_prices"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "date":
+        body[r][date_col] = draw(st.sampled_from(BAD_DATES))
+    elif kind == "price":
+        cols = range(2, 3) if schema == "long" else range(1, len(body[r]))
+        body[r][draw(st.sampled_from(cols))] = draw(st.sampled_from(BAD_PRICES))
+    elif kind == "fields":
+        if draw(st.booleans()):
+            body[r].append("1")
+        else:
+            body[r].pop()
+    elif kind in ("repeat", "swap") and r > 0:
+        other = draw(st.integers(max(r - 3, 0), r - 1))
+        if kind == "repeat":
+            body[r][date_col] = body[other][date_col]
+        else:
+            body[r][date_col], body[other][date_col] = \
+                body[other][date_col], body[r][date_col]
+        if schema == "long" and draw(st.booleans()):
+            body[r][0] = body[other][0]
+    elif kind == "empty_market":
+        body[r][0] = " "
+    elif kind == "no_prices":
+        col = draw(st.integers(1, len(rows[0]) - 1))
+        for row in body:
+            row[col] = draw(st.sampled_from(["", "  "]))
+    return rows
+
+
+class TestBulkParserOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_valid_panels_round_trip(self, data):
+        schema, rows = data.draw(panels())
+        text = render(rows, data.draw)
+        got = outcome(bulk_load, text, schema)
+        assert got == outcome(reference_load, text, schema)
+        assert got[0] == "ok"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_single_fault_same_message(self, data):
+        schema, rows = data.draw(panels())
+        rows = inject(schema, rows, data.draw)
+        text = render(rows, data.draw)
+        assert outcome(bulk_load, text, schema) == \
+            outcome(reference_load, text, schema)
+
+    def test_numpy_only_date_forms_rejected(self):
+        # numpy reads these as dates; date.fromisoformat does not
+        for token in ["NaT", "2020-01", "2020", "today", "2020-01-05T00",
+                      "0000-01-01", "10000-01-01"]:
+            text = f"market,date,price\nA,2020-01-01,1\nA,{token},2\n"
+            assert outcome(bulk_load, text, "long") == \
+                ("error", f"line 3: bad date {token!r}")
+
+    def test_basic_iso_date_is_the_date_not_a_year(self):
+        # numpy would read 20200105 as the year 20200105; fromisoformat
+        # reads it as 2020-01-05 where it accepts the basic format
+        text = "date,A\n2020-01-04,1\n20200105,2\n"
+        want = outcome(reference_load, text, "wide")
+        assert outcome(bulk_load, text, "wide") == want
+        if want[0] == "ok":
+            assert want[1][0][1][1] == datetime.date(2020, 1, 5)
+
+    def test_first_fault_in_file_order_wins(self):
+        # a bad price on line 3 precedes a bad date on line 4 and the
+        # wrong field count on line 5, whatever the check order
+        text = ("date,A,B\n2020-01-01,1,2\n2020-01-02,1,-2\n"
+                "2020-13-01,1,2\n2020-01-04,1\n")
+        assert outcome(bulk_load, text, "wide") == \
+            ("error", "line 3: non-positive price '-2'")

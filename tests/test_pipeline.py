@@ -1,43 +1,195 @@
-"""analyze internals checked against brute-force, date-keyed references."""
+"""analyze checked against the pooled-row path and brute-force references.
+
+The row path is the assembly analyze used before it reduced a dense
+panel: per scale, every market's (phi(t), R(t+1), day of R(t+1)) pairs
+concatenated and sent through the `_xy` forms of the fits.
+"""
 
 import datetime
 
 import numpy as np
 import pytest
 
-from latticemarket import io, stats
-from latticemarket.pipeline import PipelineConfig, _combined_factor, \
-    _market_scale_data, analyze_price_table
+from latticemarket import io, pipeline, stats, trends
+from latticemarket.pipeline import PipelineConfig, analyze_price_table
 
 N_MARKETS = 12          # >= 11: string and numeric market order differ
 HORIZONS = [1, 2, 3, 4]
 
 
-@pytest.fixture(scope="module")
-def panel():
-    """Seeded ragged panel: late starts, early ends and weekend gaps."""
+def ragged_table(gapped: bool = False) -> io.PriceTable:
+    """Seeded ragged panel: late starts, early ends and weekend gaps; with
+    `gapped`, three markets also miss one interior trading day each."""
     rng = np.random.default_rng(2024)
     start = datetime.date(2003, 1, 6).toordinal()
     calendar = [datetime.date.fromordinal(start + i) for i in range(900)]
-    calendar = [d for d in calendar if d.weekday() < 5]
+    calendar = np.array([d for d in calendar if d.weekday() < 5],
+                        dtype="datetime64[D]")
     markets = []
     for m in range(N_MARKETS):
         first = int(rng.integers(0, 120))
         last = len(calendar) - int(rng.integers(0, 60))
         dates = calendar[first:last]
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, len(dates))))
+        if gapped and m in (2, 5, 9):
+            keep = np.arange(dates.size) != 200 + 7 * m
+            dates, prices = dates[keep], prices[keep]
         markets.append(io.MarketSeries(name=f"M{m}", dates=dates,
                                        prices=prices))
-    table = io.PriceTable(markets=markets)
-    scales, _, _, _ = _market_scale_data(table, HORIZONS, "phi")
-    assert [s.k for s in scales] == HORIZONS
-    return scales
+    return io.PriceTable(markets=markets)
+
+
+def reference_rows(table, horizons, estimator):
+    """Pooled rows per usable scale, and the dropped horizons."""
+    returns_all = [trends.normalize_returns(m.prices) for m in table.markets]
+    days_all = [np.array([d.toordinal() for d in
+                          np.asarray(m.dates, "datetime64[D]").tolist()])
+                for m in table.markets]
+    scales, dropped = [], []
+    for k in horizons:
+        weights = pipeline._weights_for(estimator, 2 ** k)
+        warmup = trends.statistical_warmup(estimator, 2 ** k)
+        xs, ys, ds, ms = [], [], [], []
+        for m_idx, (days, rets) in enumerate(zip(days_all, returns_all)):
+            n = len(rets.values)
+            if n - 1 - warmup < 30:
+                continue
+            trend = trends.trend_strength(rets, weights)
+            xs.append(trend.values[warmup:n - 1])
+            ys.append(rets.values[warmup + 1:n])
+            # return index i carries the date of its later price
+            ds.append(days[warmup + 2:n + 1])
+            ms.append(np.full(n - 1 - warmup, m_idx))
+        n_pooled = sum(len(v) for v in xs)
+        if not xs:
+            dropped.append({"k": k, "reason": "no market has enough history"})
+        elif n_pooled < 100:
+            dropped.append({"k": k,
+                            "reason": f"only {n_pooled} pooled observations"})
+        else:
+            scales.append({"k": k, "warmup": warmup, "x": np.concatenate(xs),
+                           "y": np.concatenate(ys), "days": np.concatenate(ds),
+                           "market": np.concatenate(ms)})
+    return scales, dropped
+
+
+def reference_combined(scales):
+    """Dict-keyed combined factor: the mean trend over scales on the
+    (day, market) keys every scale shares, in key order."""
+    per_scale = [{(int(d), int(m)): (xi, yi) for d, m, xi, yi
+                  in zip(s["days"], s["market"], s["x"], s["y"])}
+                 for s in scales]
+    keys = sorted(set(per_scale[0]).intersection(*per_scale[1:]))
+    x = np.array([np.mean([obs[key][0] for obs in per_scale])
+                  for key in keys])
+    y = np.array([per_scale[0][key][1] for key in keys])
+    return x, y, np.array([d for d, _ in keys]), keys
 
 
 def _stacked(scales):
-    return (np.concatenate([s.x for s in scales]),
-            np.concatenate([s.y for s in scales]),
-            np.concatenate([s.dates for s in scales]))
+    return tuple(np.concatenate([s[name] for s in scales])
+                 for name in ("x", "y", "days"))
+
+
+def reference_report(table, config):
+    """The regression sections of the report from pooled rows, and the
+    stacked bootstrap's samples."""
+    scales, dropped = reference_rows(table, config.horizons,
+                                     config.estimator)
+    by_scale = []
+    for s in scales:
+        fit = stats.fit_cubic_xy(s["x"], s["y"])
+        by_scale.append({
+            "k": s["k"], "T": 2 ** s["k"], "warmup": s["warmup"],
+            "n_obs": fit.n_obs, "a": fit.a, "b": fit.b, "c": fit.c,
+            "se_b": fit.se_b, "se_c": fit.se_c,
+            "trend_return_covariance": float(np.mean(s["x"] * s["y"])),
+            "r_squared": fit.r_squared})
+    x, y, days = _stacked(scales)
+    fit = stats.fit_cubic_xy(x, y)
+    boot = stats.bootstrap_errors_xy(x, y, config.bootstrap_samples,
+                                     config.seed, groups=days)
+    cv = stats.cross_validate_xy(x, y, config.cv_folds, blocks=days)
+    report = {
+        "horizons_used": [s["k"] for s in scales],
+        "horizons_dropped": dropped, "by_scale": by_scale,
+        "regression": {
+            "a": fit.a, "b": fit.b, "c": fit.c,
+            "se_a": boot.se_a, "se_b": boot.se_b, "se_c": boot.se_c,
+            "t_a": fit.a / boot.se_a, "t_b": fit.b / boot.se_b,
+            "t_c": fit.c / boot.se_c, "r_squared": fit.r_squared,
+            "r_squared_cv": cv.r_squared_adj,
+            "cv_fold_sizes": cv.fold_sizes.tolist(), "n_obs": fit.n_obs,
+            "gram_condition": fit.gram_condition,
+            "bootstrap_samples": config.bootstrap_samples,
+            "bootstrap_skipped": boot.n_skipped,
+            "cv_folds": config.cv_folds}}
+    xc, yc, dc, _ = reference_combined(scales)
+    cfit = stats.fit_cubic_xy(xc, yc)
+    ccv = stats.cross_validate_xy(xc, yc, config.cv_folds, blocks=dc)
+    report["aggregated_factor"] = {
+        "a": cfit.a, "b": cfit.b, "c": cfit.c, "r_squared": cfit.r_squared,
+        "r_squared_cv": ccv.r_squared_adj,
+        "cv_fold_sizes": ccv.fold_sizes.tolist(), "n_obs": cfit.n_obs}
+    return report, boot.samples
+
+
+def assert_same(got, want, path=""):
+    """Equal structure; floats at rtol 1e-9, everything else exactly."""
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9), path
+    else:
+        assert got == want, path
+
+
+@pytest.fixture(scope="module")
+def panel():
+    scales, dropped = reference_rows(ragged_table(), HORIZONS, "phi")
+    assert [s["k"] for s in scales] == HORIZONS and not dropped
+    return scales
+
+
+class TestRowPath:
+    @pytest.mark.parametrize("estimator", ["phi", "step"])
+    @pytest.mark.parametrize("gapped", [False, True],
+                             ids=["ragged", "interior-gaps"])
+    def test_report_matches_row_path(self, monkeypatch, gapped, estimator):
+        table = ragged_table(gapped)
+        config = PipelineConfig(horizons=HORIZONS + [10], estimator=estimator,
+                                bootstrap_samples=200, cv_folds=15, seed=5)
+        original, boots = stats.bootstrap_errors_sums, []
+
+        def recording(*args):
+            boots.append(original(*args))
+            return boots[-1]
+        monkeypatch.setattr(stats, "bootstrap_errors_sums", recording)
+        report = analyze_price_table(table, config)
+        want, samples = reference_report(table, config)
+        assert [row["k"] for row in report["horizons_dropped"]] == [10]
+        assert_same({key: report[key] for key in want}, want)
+        # the day groups and their sums are those of the pooled rows
+        np.testing.assert_array_equal(boots[0].samples, samples)
+
+    def test_warmup_excluded(self):
+        # one market of 400 returns: the step window 2^k starts at
+        # T - 1 = 2^k - 1, leaving 400 - 1 - (2^k - 1) pairs
+        dates = np.arange(401).astype("datetime64[D]")
+        prices = 100.0 * np.exp(np.cumsum(
+            np.random.default_rng(4).normal(0.0, 0.01, 401)))
+        table = io.PriceTable([io.MarketSeries("A", dates, prices)])
+        config = PipelineConfig(horizons=[1, 7], estimator="step",
+                                bootstrap_samples=100, cv_folds=5)
+        rows = analyze_price_table(table, config)["by_scale"]
+        assert [(r["warmup"], r["n_obs"]) for r in rows] == \
+            [(1, 398), (127, 272)]
 
 
 def reference_cv(x, y, days, folds):
@@ -74,19 +226,14 @@ class TestDateBlockCv:
     @pytest.mark.parametrize("folds", [2, 5, 15])
     def test_combined_factor_matches_brute_force_reference(self, panel,
                                                            folds):
-        assert_matches_reference(*_combined_factor(panel, N_MARKETS), folds)
+        assert_matches_reference(*reference_combined(panel)[:3], folds)
 
     def test_folds_are_whole_date_blocks(self, panel):
-        _, _, days = _stacked(panel)
-        order, bounds = stats._block_folds(days, 15)
-        sorted_days = days[order]
+        x, y, days = _stacked(panel)
+        cv = stats.cross_validate_xy(x, y, 15, blocks=days)
         blocks = np.array_split(np.unique(days), 15)
-        for i, block in enumerate(blocks):
-            fold = sorted_days[bounds[i]:bounds[i + 1]]
-            np.testing.assert_array_equal(np.unique(fold), block)
-        # no calendar day on both sides of a fold boundary
-        inner = bounds[1:-1]
-        assert np.all(sorted_days[inner - 1] < sorted_days[inner])
+        np.testing.assert_array_equal(
+            cv.fold_sizes, [np.isin(days, block).sum() for block in blocks])
 
     def test_constant_trend_rejected(self, panel):
         x, y, days = _stacked(panel)
@@ -103,18 +250,27 @@ class TestDateBlockCv:
 
 class TestCombinedFactor:
     def test_matches_dict_reference(self, panel):
-        x_c, y_c, d_c = _combined_factor(panel, N_MARKETS)
-        per_scale = [
-            {(int(d), int(m)): (xi, yi) for d, m, xi, yi
-             in zip(s.dates, s.market_idx, s.x, s.y)}
-            for s in panel]
-        shared = set(per_scale[0]).intersection(*per_scale[1:])
-        keys = sorted(shared)
-        x_ref = [np.mean([obs[key][0] for obs in per_scale]) for key in keys]
-        y_ref = [per_scale[0][key][1] for key in keys]
-        np.testing.assert_array_equal(d_c, [d for d, _ in keys])
-        np.testing.assert_allclose(x_c, x_ref, rtol=1e-12)
-        np.testing.assert_array_equal(y_c, y_ref)
+        # the mean of the scale panels on the cells every scale fills
+        returns_all, cells, y_panel = pipeline._union_panel(ragged_table())
+        panels = [pipeline._trend_panel(returns_all, cells, y_panel.shape[1],
+                                        "phi", k)
+                  for k in HORIZONS]
+        shared = np.logical_and.reduce([mask for _, _, mask in panels])
+        x_sum = np.zeros(shared.shape)
+        for _, x_panel, _ in panels:
+            x_sum += x_panel
+        x_ref, _, _, keys = reference_combined(panel)
+        # day ordinal -> union-calendar cell, from any market's own days
+        cell_of = {}
+        for m, market in enumerate(ragged_table().markets):
+            ordinals = [d.toordinal() for d in market.dates[1:].tolist()]
+            cell_of.update(zip(ordinals, cells[m].tolist()))
+        got = {(int(c), int(m)): x_sum[m, c] / len(panels)
+               for m, c in zip(*np.nonzero(shared))}
+        want = {(cell_of[d], m): x for (d, m), x in zip(keys, x_ref)}
+        assert got.keys() == want.keys()
+        np.testing.assert_allclose([got[key] for key in want],
+                                   list(want.values()), rtol=1e-12)
 
     def test_bootstrap_groups_iso_or_ordinal(self, panel):
         x, y, days = _stacked(panel)

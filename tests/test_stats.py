@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 import latticemarket as lm
-from latticemarket import stats, trends
+from latticemarket import stats
 from latticemarket.theory import PropagatorModel
 
 TABLE_COEFFS = (0.0133, 0.0129, -0.0062)
@@ -20,15 +20,6 @@ def synthetic_xy(n, seed, noise=1.0, coeffs=TABLE_COEFFS):
     a, b, c = coeffs
     y = a + b * x + c * x ** 3 + noise * rng.standard_normal(n)
     return x, y
-
-
-def as_series(x, y):
-    """Wrap pre-aligned pairs in TrendSeries/ReturnSeries objects."""
-    trend = trends.TrendSeries(values=np.append(x, 0.0), horizon=1.0,
-                               kind="synthetic", warmup=0)
-    rets = trends.ReturnSeries(values=np.insert(y, 0, 0.0), mu=0.0,
-                               sigma=1.0)
-    return trend, rets
 
 
 def lstsq_fit(x, y):
@@ -75,7 +66,7 @@ class TestFitCubic:
         x2 = x * x
         x3 = x2 * x
         stacked = np.array([np.ones_like(x), x, x2, x3, x2 * x2, x3 * x3,
-                            y, x * y, x3 * y]).T
+                            y, x * y, x3 * y, y * y]).T
         cols = stats._moment_columns(x, y)
         assert cols.flags.f_contiguous
         np.testing.assert_array_equal(cols, stacked)
@@ -116,20 +107,28 @@ class TestFitCubic:
         with pytest.raises(ValueError):
             lm.fit_cubic_xy(np.arange(50.0), np.arange(50.0))
 
-    def test_object_interface_aligns_pairs(self):
-        x, y = synthetic_xy(400, 3, noise=0.0)
-        trend, rets = as_series(x, y)
-        rep = lm.fit_cubic(trend, rets)
-        assert rep.b == pytest.approx(0.0129, abs=1e-10)
-        assert rep.n_obs == 400
+    def test_group_sums_give_the_pair_fit(self):
+        # only the column sums of the rows matter: 400 pairs summed in
+        # 37 groups fit as the pairs do, up to the sums' rounding
+        x, y = synthetic_xy(400, 3)
+        groups = np.random.default_rng(3).integers(0, 37, x.size)
+        by_pair = lm.fit_cubic_xy(x, y)
+        by_group = lm.fit_cubic_sums(
+            stats._group_rows(stats._moment_columns(x, y), groups))
+        assert by_group.n_obs == by_pair.n_obs == 400
+        for name in ("a", "b", "c", "se_a", "se_b", "se_c", "r_squared",
+                     "gram_condition"):
+            assert getattr(by_group, name) == pytest.approx(
+                getattr(by_pair, name), rel=1e-12), name
 
-    def test_warmup_excluded(self):
-        x, y = synthetic_xy(400, 4, noise=0.0)
-        trend, rets = as_series(x, y)
-        flagged = trends.TrendSeries(values=trend.values, horizon=1.0,
-                                     kind="synthetic", warmup=100)
-        rep = lm.fit_cubic(flagged, rets)
-        assert rep.n_obs == 300
+    def test_r_squared_from_sums_matches_residual_pass(self):
+        # SS_res = sum y^2 - 2 b.(sum y, sum xy, sum x^3 y) + b' G b cancels
+        # at a few ulp of sum y^2: the R^2 error is near 1e-16 absolute
+        x, y = synthetic_xy(20000, 28)
+        rep = lm.fit_cubic_xy(x, y)
+        resid = y - (rep.a + rep.b * x + rep.c * x ** 3)
+        r2 = 1.0 - (resid @ resid) / np.sum((y - y.mean()) ** 2)
+        assert abs(rep.r_squared - r2) < 1e-14
 
 
 class TestFitLangevin:
@@ -186,7 +185,7 @@ def loop_bootstrap(x, y, n_samples, seed, groups=None):
                 or np.linalg.cond(gram) > stats._COND_LIMIT:
             skipped += 1
         else:
-            kept.append(np.linalg.solve(gram, s[6:]))
+            kept.append(np.linalg.solve(gram, s[6:9]))
     return np.asarray(kept), skipped
 
 
@@ -288,11 +287,14 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             lm.bootstrap_errors_xy(x, y, 50, seed=1)
 
-    def test_object_interface(self):
+    def test_sums_form_is_the_pair_form(self):
         x, y = synthetic_xy(500, 11)
-        trend, rets = as_series(x, y)
-        boot = lm.bootstrap_errors(trend, rets, 150, seed=2)
-        assert boot.samples.shape[1] == 3
+        groups = np.repeat(np.arange(250), 2)
+        by_pair = lm.bootstrap_errors_xy(x, y, 150, seed=2, groups=groups)
+        by_rows = lm.bootstrap_errors_sums(
+            stats._group_rows(stats._moment_columns(x, y), groups), 150, 2)
+        np.testing.assert_array_equal(by_rows.samples, by_pair.samples)
+        assert by_rows.samples.shape == (150, 3)
 
 
 class TestCrossValidate:
