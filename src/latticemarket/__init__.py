@@ -7,7 +7,7 @@ trend/regression pipeline that infers the network dimension and the
 correlation time from return series.
 """
 
-from .lattice import SpinLattice, new_lattice, save_snapshot, load_snapshot
+from .lattice import SpinLattice, new_lattice
 from .dynamics import (
     CRITICAL_TEMPERATURE_2D,
     SimulationParams,
@@ -25,13 +25,9 @@ from .dynamics import (
 )
 from .trends import (
     ReturnSeries,
-    WeightFunction,
     TrendSeries,
     normalize_returns,
     normalize_raw_returns,
-    weight_step,
-    weight_psi,
-    weight_phi,
     trend_strength,
     adjacent_window_trends,
 )
@@ -44,7 +40,6 @@ from .theory import (
     critical_exponent_table,
     exponents_for_dimension,
     dimension_for_kappa,
-    eta_from_beta_nu,
     propagator,
     propagator_derivatives,
     predicted_return_autocorrelation,

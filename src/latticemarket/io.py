@@ -252,19 +252,20 @@ def write_json(path, payload: dict, provenance: dict) -> None:
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV written by write_csv, skipping provenance comments."""
+    """Read a CSV written by write_csv, skipping provenance comments.
+
+    A row with fewer fields than the header is rejected by its line.
+    """
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)
-                if row and not row[0].lstrip().startswith("#")]
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if rows and len(row) < len(rows[0]):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(rows[0])} fields, got {len(row)}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty file")
     return rows[0], rows[1:]
-
-
-def write_trend_csv(trend, path, provenance: dict) -> None:
-    """Export a trend series as (t, phi) with a weight descriptor sidecar."""
-    rows = [(t, v) for t, v in enumerate(trend.values)]
-    write_csv(path, ["t", "phi"], rows, provenance)
-    descriptor = {"kind": trend.kind, "horizon": trend.horizon,
-                  "warmup": trend.warmup, "weight_sum": trend.weight_sum}
-    write_json(str(path) + ".json", descriptor, provenance)

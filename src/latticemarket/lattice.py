@@ -45,24 +45,28 @@ def _neighbor_tables(dims: int, side: int):
     return all_nbr, all_nbr[:, 0::2].copy()
 
 
+def _check_shape(dims: int, side: int) -> int:
+    """Site count L**D of a valid lattice shape, before any allocation."""
+    if dims < 1:
+        raise ValueError("dims must be >= 1")
+    if side < 2:
+        raise ValueError("side must be >= 2 (neighbor pairs degenerate)")
+    if dims * np.log2(side) > _MAX_SITES_BITS:
+        raise ValueError(f"lattice size {side}^{dims} overflows")
+    return side ** dims
+
+
 class SpinLattice:
     """D-dimensional periodic lattice of binary occupations.
 
     Occupations are stored as 0/1 integers; the +-1/2 spin semantics are
     applied in arithmetic only, so the state itself never touches
-    floating point.  Mutation goes through single-site updates; all
-    read-only methods are safe to call concurrently.
+    floating point.  The Glauber kernel in `dynamics` writes the
+    occupations in place.
     """
 
-    def __init__(self, dims: int, side: int, occupations: np.ndarray,
-                 init_seed: int | None = None):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        if side < 2:
-            raise ValueError("side must be >= 2 (neighbor pairs degenerate)")
-        if dims * np.log2(side) > _MAX_SITES_BITS:
-            raise ValueError(f"lattice size {side}^{dims} overflows")
-        n_sites = side ** dims
+    def __init__(self, dims: int, side: int, occupations: np.ndarray):
+        n_sites = _check_shape(dims, side)
         occ = np.asarray(occupations, dtype=np.int8)
         if occ.shape != (n_sites,):
             raise ValueError(f"expected {n_sites} occupations, got {occ.shape}")
@@ -71,7 +75,6 @@ class SpinLattice:
         self.dims = dims
         self.side = side
         self.n_sites = n_sites
-        self.init_seed = init_seed
         self._occ = occ
         self._nbr, self._nbr_plus = _neighbor_tables(dims, side)
 
@@ -95,10 +98,6 @@ class SpinLattice:
     def shares(self) -> int:
         """Total number of shares n = sum_i n_i."""
         return int(self._occ.sum())
-
-    def copy(self) -> "SpinLattice":
-        return SpinLattice(self.dims, self.side, self._occ.copy(),
-                           init_seed=self.init_seed)
 
     # -- observables -------------------------------------------------------
 
@@ -130,23 +129,6 @@ class SpinLattice:
             link_sum += int(np.dot(sigma, sigma[self._nbr_plus[:, axis]]))
         return -link_sum / (4.0 * self.dims)
 
-    def flip_delta_energy(self, site: int) -> float:
-        """Spin-energy change of flipping one site, from its 2D neighbors only.
-
-        dE = (2/D) * s_site * sum_neighbors s_j; equals the brute-force
-        difference spin_energy(flipped) - spin_energy(original) exactly.
-        """
-        if not 0 <= site < self.n_sites:
-            raise IndexError(f"site {site} out of range 0..{self.n_sites - 1}")
-        sigma = 2 * self._occ.astype(np.int64) - 1
-        return float(sigma[site] * sigma[self._nbr[site]].sum()) / (2.0 * self.dims)
-
-    def flip(self, site: int) -> None:
-        """Flip the spin (toggle the occupation) at one site."""
-        if not 0 <= site < self.n_sites:
-            raise IndexError(f"site {site} out of range 0..{self.n_sites - 1}")
-        self._occ[site] ^= 1
-
 
 def new_lattice(dims: int, side: int, init: str = "all_up",
                 seed=None) -> SpinLattice:
@@ -156,13 +138,7 @@ def new_lattice(dims: int, side: int, init: str = "all_up",
     spin +-1/2 with probability 1/2 and requires a seed for
     reproducibility.
     """
-    if dims < 1:
-        raise ValueError("dims must be >= 1")
-    if side < 2:
-        raise ValueError("side must be >= 2 (neighbor pairs degenerate)")
-    if dims * np.log2(side) > _MAX_SITES_BITS:
-        raise ValueError(f"lattice size {side}^{dims} overflows")
-    n_sites = side ** dims
+    n_sites = _check_shape(dims, side)
     if init == "all_up":
         occ = np.ones(n_sites, dtype=np.int8)
     elif init == "all_down":
@@ -174,41 +150,4 @@ def new_lattice(dims: int, side: int, init: str = "all_up",
         occ = rng.integers(0, 2, n_sites, dtype=np.int8)
     else:
         raise ValueError(f"unknown init {init!r}")
-    init_seed = seed if isinstance(seed, int) else None
-    return SpinLattice(dims, side, occ, init_seed=init_seed)
-
-
-# -- snapshot serialization ---------------------------------------------
-# Text format: one header line "D L seed" (seed -1 when unknown), then one
-# line of N characters '0'/'1' in site order.
-
-def snapshot_to_text(lattice: SpinLattice) -> str:
-    seed = -1 if lattice.init_seed is None else lattice.init_seed
-    bits = "".join("1" if b else "0" for b in lattice.occupations)
-    return f"{lattice.dims} {lattice.side} {seed}\n{bits}\n"
-
-
-def snapshot_from_text(text: str) -> SpinLattice:
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise ValueError("snapshot must have a header line and a bits line")
-    try:
-        dims, side, seed = (int(tok) for tok in lines[0].split())
-    except Exception as exc:
-        raise ValueError(f"malformed snapshot header {lines[0]!r}") from exc
-    bits = lines[1].strip()
-    if set(bits) - {"0", "1"}:
-        raise ValueError("snapshot bits must be 0/1")
-    occ = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    return SpinLattice(dims, side, occ.astype(np.int8),
-                       init_seed=None if seed == -1 else seed)
-
-
-def save_snapshot(lattice: SpinLattice, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(snapshot_to_text(lattice))
-
-
-def load_snapshot(path) -> SpinLattice:
-    with open(path, "r", encoding="ascii") as fh:
-        return snapshot_from_text(fh.read())
+    return SpinLattice(dims, side, occ)

@@ -64,10 +64,16 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if not _fits(value, types[key]):
+                raise ValueError(f"config key {key!r} must be {types[key]},"
+                                 f" got {value!r}")
         return cls(**data)
 
     def overridden(self, **kwargs) -> "PipelineConfig":
@@ -78,12 +84,16 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-def _weights_for(estimator: str, horizon: int) -> trends.WeightFunction:
-    if estimator == "step":
-        return trends.weight_step(horizon)
-    if estimator == "psi":
-        return trends.weight_psi(horizon)
-    return trends.weight_phi(horizon)
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value has the type of a PipelineConfig annotation."""
+    if isinstance(value, bool):
+        return False
+    if annotation == "list[int]":
+        return isinstance(value, list) and all(_fits(v, "int") for v in value)
+    if value is None:
+        return annotation.endswith("| None")
+    return isinstance(value, {"int": int, "str": str}.get(
+        annotation.split(" |")[0], (int, float)))
 
 
 def _propagator_from_config(config: PipelineConfig) -> theory.PropagatorModel:
@@ -232,16 +242,15 @@ def _union_panel(table: io.PriceTable) -> tuple:
 def _trend_panel(returns_all: list, cells: list[np.ndarray], n_days: int,
                  estimator: str, k: int) -> tuple:
     """Warm-up, (markets, days) trend panel and mask of horizon 2^k:
-    phi(t) at the cell of R(t + 1) from the statistical warm-up (not the
-    much longer numerical truncation) on; markets under 30 pairs stay empty.
+    phi(t) at the cell of R(t + 1) from the statistical warm-up on;
+    markets under 30 pairs stay empty.
     """
     warmup = trends.statistical_warmup(estimator, 2 ** k)
-    weights = _weights_for(estimator, 2 ** k)
     x_panel = np.zeros((len(returns_all), n_days))
     mask = np.zeros(x_panel.shape, dtype=bool)
     for m, (rets, pos) in enumerate(zip(returns_all, cells)):
         if len(rets.values) - 1 - warmup >= 30:
-            trend = trends.trend_strength(rets, weights).values
+            trend = trends.trend_strength(rets, estimator, 2 ** k).values
             x_panel[m, pos[warmup + 1:]] = trend[warmup:-1]
             mask[m, pos[warmup + 1:]] = True
     return warmup, x_panel, mask

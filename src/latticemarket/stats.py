@@ -427,20 +427,14 @@ def _line_fit(x: np.ndarray, y: np.ndarray,
     return float(beta[0]), float(beta[1]), float(math.sqrt(cov[0, 0])), resid
 
 
-def moment_scaling(series, qs, horizons, kind: str = "path"
-                   ) -> dict[float, ScalingFit]:
-    """Generalized Hurst exponents from moment curves M_q(T).
+def moment_scaling(path, qs, horizons) -> dict[float, ScalingFit]:
+    """Generalized Hurst exponents from moment curves M_q(T) of a path.
 
     M_q(T) = mean over sliding windows (step 1) of |pi(t+T) - pi(t)|^q;
-    H_q is slope(log M_q vs log T) / q.  kind="returns" cumulates the
-    input into a path first.  The series must cover at least 10 times
-    the largest horizon.
+    H_q is slope(log M_q vs log T) / q.  The path must cover at least 10
+    times the largest horizon.
     """
-    x = np.asarray(getattr(series, "values", series), dtype=np.float64)
-    if kind == "returns":
-        x = np.cumsum(x)
-    elif kind != "path":
-        raise ValueError("kind must be 'path' or 'returns'")
+    x = np.asarray(path, dtype=np.float64)
     horizons = np.asarray(sorted(int(t) for t in horizons))
     if horizons.size < 3:
         raise ValueError("need at least 3 horizons")
@@ -465,39 +459,30 @@ def moment_scaling(series, qs, horizons, kind: str = "path"
     return out
 
 
-def fit_kappa(variances_by_scale, weights=None,
-              method: str = "log") -> ScalingFit:
+def fit_kappa(variances_by_scale, weights=None) -> ScalingFit:
     """Read kappa off the scale dependence of the trend variance.
 
-    Input points are (k, var) with k = log2(horizon).  method="log"
-    regresses ln(var) on k ln 2, whose slope is kappa - 1 (exact for the
-    power law var = T^(kappa-1)); method="linear" uses the small-slope
-    approximation var ~ 1 - (1-kappa) ln2 k, valid only for kappa near 1.
-    Optional per-point weights (e.g. effective window counts) give a
-    weighted fit.
+    Input points are (k, var) with k = log2(horizon).  ln(var) is
+    regressed on k ln 2, whose slope is kappa - 1 (exact for the power
+    law var = T^(kappa-1)).  Optional per-point weights (e.g. effective
+    window counts) give a weighted fit.  Points and weights must be
+    finite, and variances positive.
     """
     pts = np.asarray(list(variances_by_scale), dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("need at least 3 (k, variance) points")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(pts).all() and (w is None or np.isfinite(w).all())):
+        raise ValueError("k, variances and weights must be finite")
     k = pts[:, 0]
     var = pts[:, 1]
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    if method == "log":
-        if np.any(var <= 0):
-            raise ValueError("variances must be positive for the log fit")
-        slope, intercept, slope_se, resid = _line_fit(
-            k * math.log(2.0), np.log(var), w)
-        kappa_hat = 1.0 + slope
-        kappa_se = slope_se
-    elif method == "linear":
-        slope, intercept, slope_se, resid = _line_fit(k, var, w)
-        kappa_hat = 1.0 + slope / math.log(2.0)
-        kappa_se = slope_se / math.log(2.0)
-    else:
-        raise ValueError("method must be 'log' or 'linear'")
+    if np.any(var <= 0):
+        raise ValueError("variances must be positive for the log fit")
+    slope, intercept, slope_se, resid = _line_fit(
+        k * math.log(2.0), np.log(var), w)
     return ScalingFit(horizons=2.0 ** k, statistics=var, slope=slope,
                       intercept=intercept, slope_se=slope_se,
-                      exponent=kappa_hat, exponent_se=kappa_se,
+                      exponent=1.0 + slope, exponent_se=slope_se,
                       residuals=resid)
 
 
@@ -505,7 +490,6 @@ def fit_kappa(variances_by_scale, weights=None,
 
 _EIG_CLIP_REL = 1e-10
 _MAX_PATH = 2 ** 15
-_MAX_DENSE = 2 ** 12
 
 
 def _stationary_gaussian(cov: np.ndarray, rng: np.random.Generator
@@ -553,29 +537,13 @@ def fractional_gaussian_noise(n: int, hurst: float, seed) -> np.ndarray:
     return _stationary_gaussian(rho, rng)
 
 
-def _dense_stationary(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Dense-eigendecomposition sampler, cross-check for small n."""
-    n = cov.size
-    idx = np.arange(n)
-    c_mat = cov[np.abs(idx[:, None] - idx[None, :])]
-    lam, vec = np.linalg.eigh(c_mat)
-    trace = float(np.trace(c_mat))
-    if lam.min() < -_EIG_CLIP_REL * trace / n:
-        raise ValueError(
-            "covariance is not positive semi-definite beyond clip tolerance")
-    lam = np.clip(lam, 0.0, None)
-    return vec @ (np.sqrt(lam) * rng.standard_normal(n))
-
-
-def gaussian_process_from_propagator(model: PropagatorModel, n: int, seed,
-                                     method: str = "auto") -> np.ndarray:
+def gaussian_process_from_propagator(model: PropagatorModel, n: int,
+                                     seed) -> np.ndarray:
     """Sample a path pi(0..n-1) whose two-point statistics follow the model.
 
     exponential regime: the stationary Gaussian process with covariance
     Delta(h) itself (an Ornstein-Uhlenbeck kernel), sampled exactly by
-    circulant embedding (method="circulant", default) or by dense
-    eigendecomposition with eigenvalue clipping (method="dense",
-    n <= 4096).
+    circulant embedding.
 
     scaling regime: the stationary kernel only exists as an increment
     law, E[(pi(t+T) - pi(t))^2] = T^kappa, matching fractional Brownian
@@ -592,10 +560,6 @@ def gaussian_process_from_propagator(model: PropagatorModel, n: int, seed,
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(np.random.SeedSequence(seed))
     if model.regime == "scaling":
-        if method not in ("auto", "circulant"):
-            raise ValueError(
-                "scaling-regime paths are generated from fractional noise; "
-                "use method='auto'")
         increments = fractional_gaussian_noise(n - 1, model.kappa / 2.0, rng)
         path = np.empty(n)
         path[0] = 0.0
@@ -604,11 +568,5 @@ def gaussian_process_from_propagator(model: PropagatorModel, n: int, seed,
     if model.regime == "exponential":
         h = np.arange(n, dtype=np.float64)
         cov = 0.5 * model.tau ** model.kappa * np.exp(-h / model.tau)
-        if method in ("auto", "circulant"):
-            return _stationary_gaussian(cov, rng)
-        if method == "dense":
-            if n > _MAX_DENSE:
-                raise ValueError(f"dense sampling capped at n={_MAX_DENSE}")
-            return _dense_stationary(cov, rng)
-        raise ValueError("method must be 'auto', 'circulant' or 'dense'")
+        return _stationary_gaussian(cov, rng)
     raise ValueError("path sampling supports scaling and exponential regimes")

@@ -177,18 +177,6 @@ def dimension_for_kappa(kappa: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def eta_from_beta_nu(beta: float, nu: float, dimension: float) -> float:
-    """Anomalous dimension from the hyperscaling relation 2 beta/nu + 2 - D.
-
-    With the rounded three-dimensional values beta = 0.33, nu = 0.63 this
-    gives 0.0476 rather than the published 0.036; the discrepancy is the
-    rounding of beta and nu and is deliberately left unreconciled.
-    """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    return 2.0 * beta / nu + 2.0 - dimension
-
-
 def predicted_hurst(dimension: float) -> float:
     """Mono-scaling Hurst exponent H = kappa(D) / 2."""
     return kappa_for_dimension(dimension) / 2.0

@@ -26,13 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tail weights below this fraction of the peak are dropped; the kept
-# weights are the closed forms, whose dropped tail is below 1e-26 in L2.
-# The kept length sets WeightFunction.n_max (the trend warm-up) and
-# weight_sum; trend values come from the untruncated recursions and do not
-# depend on it.
-TRUNCATION_REL_TOL = 1e-13
-
 # Block length of the first-order scan and its lag table: _LAG[i, j] is
 # i - j on and below the diagonal and points at a zero slot above it.
 _BLOCK = 64
@@ -53,13 +46,8 @@ class ReturnSeries:
     mu: float
     sigma: float
 
-    @property
-    def premium_rate(self) -> float:
-        """Normalized risk premium mu/sigma that excess() subtracts."""
-        return self.mu / self.sigma
-
     def excess(self) -> np.ndarray:
-        return self.values - self.premium_rate
+        return self.values - self.mu / self.sigma
 
     def __len__(self) -> int:
         return len(self.values)
@@ -88,90 +76,19 @@ def normalize_returns(prices) -> ReturnSeries:
     return normalize_raw_returns(np.diff(np.log(p)))
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Truncated, square-normalized weight sequence for one horizon."""
-    kind: str
-    horizon: float
-    weights: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        """Largest lookback index carrying weight."""
-        return len(self.weights) - 1
-
-    def average_lookback(self) -> float:
-        """E[n+1] under the raw weights (today counts as a 1-day lookback)."""
-        w = self.weights
-        n_plus_1 = np.arange(1, len(w) + 1)
-        return float(np.dot(n_plus_1, w) / w.sum())
-
-    def peak_index(self) -> int:
-        return int(np.argmax(self.weights))
-
-
-def weight_step(horizon: int) -> WeightFunction:
-    """Equal weights T^(-1/2) over the last T returns."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    w = np.full(int(horizon), 1.0 / math.sqrt(horizon))
-    return WeightFunction(kind="step", horizon=float(horizon), weights=w)
-
-
-def weight_psi(horizon: float) -> WeightFunction:
-    """Exponential weights M_T e^(-2n/T); sum of squares is 1 exactly."""
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    t = float(horizon)
-    m_t = math.sqrt(1.0 - math.exp(-4.0 / t))
-    # e^(-2n/T) < tol  <=>  n > T ln(1/tol) / 2
-    n_cut = int(math.floor(t * math.log(1.0 / TRUNCATION_REL_TOL) / 2.0)) + 1
-    n = np.arange(n_cut)
-    return WeightFunction(kind="psi", horizon=t,
-                          weights=m_t * np.exp(-2.0 * n / t))
-
-
-def weight_phi(horizon: float) -> WeightFunction:
-    """Rising-then-decaying weights N_T (n+1) e^(-2n/T).
-
-    The square normalization follows from sum (n+1)^2 x^n = (1+x)/(1-x)^3
-    with x = e^(-4/T); the weight peaks near n = T/2 - 1.  The kept range
-    ends before the first n past the peak with (n+1) e^(-2n/T) below
-    TRUNCATION_REL_TOL.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    t = float(horizon)
-    y = math.exp(-4.0 / t)
-    n_t = (1.0 - y) ** 2 / math.sqrt(1.0 - y * y)
-    # (n+1) e^(-2n/T) = tol  <=>  n = (T/2) ln((n+1)/tol).  Iterating that
-    # map from n = (T/2) ln(1/tol) climbs to the upper root from below, so
-    # the forward scan then finds the exact kept range.
-    n_est, prev = t / 2.0 * math.log(1.0 / TRUNCATION_REL_TOL), -math.inf
-    while n_est - prev >= 1.0:
-        prev, n_est = n_est, t / 2.0 * math.log(
-            (n_est + 1.0) / TRUNCATION_REL_TOL)
-    n_cut = max(1, int(n_est))
-    while (n_cut + 1) * math.exp(-2.0 * n_cut / t) >= TRUNCATION_REL_TOL:
-        n_cut += 1
-    n = np.arange(n_cut)
-    return WeightFunction(kind="phi", horizon=t,
-                          weights=n_t * (n + 1) * np.exp(-2.0 * n / t))
-
-
 def statistical_warmup(kind: str, horizon: float) -> int:
     """History needed before a trend value is statistically trustworthy.
 
-    The numerical truncation keeps tail weights down to 1e-13 of the
-    peak, so the full n_max window can reach ~15 T; statistically the
-    omitted L2 weight mass is negligible far sooner.  This returns the
-    index past which the missing mass is below 1e-4 in L2 (about 4.6 T
-    for the exponential shapes, exactly T - 1 for the step window).
+    Exactly T - 1 for the step window, which then misses no weight.  For
+    the exponential shapes it is about 4.6 T, where the weight psi misses
+    for lack of history is below 1e-4 in L2; phi's tail decays at the
+    same rate with a prefactor of about 8 (W/T)^2 in L2^2, so phi misses
+    up to 1.4e-3.
     """
     if kind == "step":
         return int(horizon) - 1
     if kind in ("psi", "phi"):
-        # psi tail L2^2 = e^(-4W/T); phi's decays at the same rate
+        # psi tail L2^2 = e^(-4W/T)
         return int(math.ceil(horizon * math.log(1e8) / 4.0))
     raise ValueError(f"unknown weight kind {kind!r}")
 
@@ -182,16 +99,10 @@ class TrendSeries:
 
     values[t] uses returns at t, t-1, ... only, with zero history before
     the series start: the last T returns for step, the whole history for
-    psi and phi (no cut at n_max).  Entries before `warmup` (= n_max) lack
-    full history and are excluded from downstream regressions by default.
-    weight_sum is the sum of the truncated weights, written with trend
-    outputs.
+    psi and phi.  Entries before statistical_warmup(kind, horizon) lack
+    enough history for a regression.
     """
     values: np.ndarray
-    horizon: float
-    kind: str
-    warmup: int
-    weight_sum: float = 0.0
 
     def __len__(self) -> int:
         return len(self.values)
@@ -221,8 +132,8 @@ def _first_order(values: np.ndarray, x: float) -> np.ndarray:
     return local.reshape(-1)[:n]
 
 
-def trend_strength(returns: ReturnSeries,
-                   weights: WeightFunction) -> TrendSeries:
+def trend_strength(returns: ReturnSeries, kind: str,
+                   horizon: float) -> TrendSeries:
     """Trend strength of the excess returns, in O(n) for every horizon.
 
     With x = e^(-2/T) and Rhat the excess return,
@@ -237,21 +148,26 @@ def trend_strength(returns: ReturnSeries,
     T^(-1/2) is the first weight.
     """
     excess = returns.excess()
-    if weights.kind == "step":
-        t = int(weights.horizon)
+    if kind == "step":
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        t = int(horizon)
         raw = np.cumsum(excess)
         raw[t:] = raw[t:] - raw[:-t]
-    elif weights.kind in ("psi", "phi"):
-        x = math.exp(-2.0 / weights.horizon)
+        gain = 1.0 / math.sqrt(horizon)
+    elif kind in ("psi", "phi"):
+        if horizon <= 0:
+            raise ValueError("horizon must be > 0")
+        x, y = math.exp(-2.0 / horizon), math.exp(-4.0 / horizon)
         raw = _first_order(excess, x)
-        if weights.kind == "phi":
+        if kind == "psi":
+            gain = math.sqrt(1.0 - y)
+        else:
             raw = _first_order(raw, x)
+            gain = (1.0 - y) ** 2 / math.sqrt(1.0 - y * y)
     else:
-        raise ValueError(f"unknown weight kind {weights.kind!r}")
-    return TrendSeries(values=weights.weights[0] * raw,
-                       horizon=weights.horizon,
-                       kind=weights.kind, warmup=weights.n_max,
-                       weight_sum=float(weights.weights.sum()))
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return TrendSeries(values=gain * raw)
 
 
 @dataclass(frozen=True)

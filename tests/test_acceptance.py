@@ -132,12 +132,27 @@ def test_criterion_4_phase_transition():
 
 # -- 5: estimator model consistency --------------------------------------------
 
+def closed_form_weights(kind, horizon, n):
+    """w(0..n-1): T^(-1/2) for n < T, M_T e^(-2n/T) or N_T (n+1) e^(-2n/T)."""
+    lags = np.arange(n)
+    if kind == "step":
+        return np.where(lags < horizon, 1.0 / math.sqrt(horizon), 0.0)
+    y = math.exp(-4.0 / horizon)
+    if kind == "psi":
+        return math.sqrt(1.0 - y) * np.exp(-2.0 * lags / horizon)
+    n_t = (1.0 - y) ** 2 / math.sqrt(1.0 - y * y)
+    return n_t * (lags + 1) * np.exp(-2.0 * lags / horizon)
+
+
 def test_criterion_5_estimator_consistency():
+    # the weights are the impulse response of trend_strength
     for k in range(1, 14):
         horizon = 2 ** k
-        for weights in (lm.weight_step(horizon), lm.weight_psi(horizon),
-                        lm.weight_phi(horizon)):
-            assert abs(np.dot(weights.weights, weights.weights) - 1.0) <= 1e-10
+        unit = lm.ReturnSeries(values=np.eye(1, 16 * horizon + 1)[0],
+                               mu=0.0, sigma=1.0)
+        for kind in ("step", "psi", "phi"):
+            w = lm.trend_strength(unit, kind, horizon).values
+            assert abs(np.dot(w, w) - 1.0) <= 1e-10
 
     rng = np.random.default_rng(51)
     rets_small = lm.normalize_raw_returns(rng.standard_normal(1000))
@@ -145,20 +160,21 @@ def test_criterion_5_estimator_consistency():
     worst = 0.0
     for rets, horizon in ((rets_small, 16.0), (rets_large, 1024.0)):
         excess = rets.excess()
-        for weights in (lm.weight_psi(horizon), lm.weight_phi(horizon)):
-            rec = lm.trend_strength(rets, weights)
-            direct = np.convolve(excess, weights.weights)[:excess.size]
+        for kind in ("psi", "phi"):
+            rec = lm.trend_strength(rets, kind, horizon)
+            weights = closed_form_weights(kind, horizon, excess.size)
+            direct = np.convolve(excess, weights)[:excess.size]
             dev = float(np.max(np.abs(rec.values - direct)))
             worst = max(worst, dev)
             assert dev <= 1e-9
 
     rets = lm.normalize_raw_returns(
         np.random.default_rng(52).standard_normal(100000))
-    for weights in (lm.weight_step(64), lm.weight_psi(64.0),
-                    lm.weight_phi(64.0)):
-        trend = lm.trend_strength(rets, weights)
-        x = trend.values[weights.n_max:]
-        rho = np.correlate(weights.weights, weights.weights, "full")
+    for kind in ("step", "psi", "phi"):
+        trend = lm.trend_strength(rets, kind, 64)
+        x = trend.values[lm.trends.statistical_warmup(kind, 64):]
+        weights = closed_form_weights(kind, 64, 16 * 64)
+        rho = np.correlate(weights, weights, "full")
         n_eff = x.size / float(np.sum(rho * rho))
         tol = 3.0 * math.sqrt(2.0 / n_eff)
         assert abs(np.var(x, ddof=1) - 1.0) <= tol

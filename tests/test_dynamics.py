@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as sci_integrate
 from scipy.signal import lfilter
 from scipy.special import ellipk
 
 import latticemarket as lm
 from latticemarket import dynamics
-from latticemarket.lattice import new_lattice
+from latticemarket.lattice import SpinLattice, new_lattice
 
 TC = dynamics.CRITICAL_TEMPERATURE_2D
 
@@ -72,17 +73,26 @@ class TestSweep:
             runs.append(lat.occupations.copy())
         assert np.array_equal(runs[0], runs[1])
 
-    def test_global_flip_mirrors_trajectory(self):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dims=st.integers(1, 3), side=st.sampled_from([2, 4, 6, 8]),
+           temperature=st.floats(0.01, 100.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_global_flip_mirrors_trajectory(self, dims, side, temperature,
+                                            seed):
         # dE depends on sigma_site * sum sigma_nbr, which is flip invariant,
         # so the same coins drive the mirrored trajectory
-        m_up, m_down = [], []
-        for init, store in (("all_up", m_up), ("all_down", m_down)):
-            lat = new_lattice(2, 8, init)
-            rng = np.random.default_rng(23)
-            for _ in range(30):
-                lm.sweep(lat, 0.35, rng)
-                store.append(lat.magnetization())
-        assert m_up == [-m for m in m_down]
+        occ = np.random.default_rng(seed).integers(0, 2, side ** dims,
+                                                   dtype=np.int8)
+        traces = []
+        for start in (occ, 1 - occ):
+            lat = SpinLattice(dims, side, start)
+            rng = np.random.default_rng(seed + 1)
+            trace = []
+            for _ in range(12):
+                lm.sweep(lat, temperature, rng)
+                trace.append(lat.magnetization())
+            traces.append(trace)
+        assert traces[0] == [-m for m in traces[1]]
 
 
 def onsager_energy_per_site(temperature, coupling=1.0 / 8.0):

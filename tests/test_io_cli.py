@@ -130,20 +130,6 @@ class TestProvenanceOutput:
         assert doc["a"] is None and doc["b"] == [None]
         assert doc["c"] == {"d": [None, 1.5]}
 
-    def test_trend_export(self, tmp_path):
-        rets = lm.normalize_raw_returns(
-            np.random.default_rng(0).standard_normal(50))
-        trend = lm.trend_strength(rets, lm.weight_step(4))
-        io.write_trend_csv(trend, tmp_path / "trend.csv",
-                           io.make_provenance(0))
-        header, rows = io.read_csv_rows(tmp_path / "trend.csv")
-        assert header == ["t", "phi"]
-        assert len(rows) == 50
-        descriptor = json.loads(
-            (tmp_path / "trend.csv.json").read_text())
-        assert descriptor["kind"] == "step"
-
-
 class TestSimulateCommand:
     def test_outputs_and_price_identity(self, tmp_path):
         out = tmp_path / "run"
@@ -382,11 +368,15 @@ class TestAnalyzeCommand:
         with caplog.at_level("WARNING", logger="latticemarket"):
             code = cli.main([
                 "analyze", str(csv_path), "--out", str(out),
-                "--horizons", "1,2,3,9", "--bootstrap-samples", "150",
+                "--horizons", "1,2,3,4,9,40", "--bootstrap-samples", "150",
                 "--cv-folds", "5"])
         assert code == 0
         report = json.loads((out / "report.json").read_text())["report"]
-        assert 9 not in report["horizons_used"]
+        assert report["horizons_used"] == [1, 2, 3, 4]
+        # no market can fill k = 40, so nothing of length 2^40 is built
+        assert report["horizons_dropped"] == [
+            {"k": k, "reason": "no market has enough history"}
+            for k in (9, 40)]
         assert any("k=9" in rec.message for rec in caplog.records)
 
     def test_planted_cubic_signal_recovered(self, tmp_path):
@@ -497,6 +487,25 @@ class TestFitKappaCommand:
         assert any(missing in rec.message for rec in caplog.records)
         assert not out.exists()
 
+    def test_short_row_exits_2_without_output(self, tmp_path, caplog):
+        var_csv = tmp_path / "var.csv"
+        var_csv.write_text("k,variance\n1,0.9\n2\n3,0.8\n")
+        out = tmp_path / "fit"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["fit-kappa", str(var_csv),
+                             "--out", str(out)]) == 2
+        assert any("line 3" in rec.message for rec in caplog.records)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_variance_exits_2_without_output(self, tmp_path,
+                                                        bad):
+        var_csv = tmp_path / "var.csv"
+        var_csv.write_text(f"k,variance\n1,0.9\n2,{bad}\n3,0.8\n")
+        out = tmp_path / "fit"
+        assert cli.main(["fit-kappa", str(var_csv), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_cli_overrides_config_file(self, tmp_path):
@@ -515,6 +524,28 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"sides": 6}))
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"horizons": 5}, "'horizons'"),
+        ({"horizons": [1, "2"]}, "'horizons'"),
+        ({"bootstrap_samples": "500"}, "'bootstrap_samples'"),
+        ({"sweeps": 200.0}, "'sweeps'"),
+        ({"seed": True}, "'seed'"),
+        ({"temperature": None}, "'temperature'"),
+        ({"kappa": "0.9"}, "'kappa'"),
+        ({"estimator": 1}, "'estimator'"),
+        ([["side", 6]], "JSON object"),
+    ])
+    def test_wrong_typed_config_value_exits_2(self, tmp_path, caplog, doc,
+                                               key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(out)]) == 2
+        assert any(key in rec.message for rec in caplog.records)
+        assert not out.exists()
 
     def test_help_lists_protocol_defaults(self):
         parser = cli.build_parser()

@@ -1,18 +1,12 @@
-"""Lattice construction, energies, magnetization and serialization."""
+"""Lattice construction, energies, flip acceptance and magnetization."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from latticemarket.lattice import (
-    SpinLattice,
-    load_snapshot,
-    new_lattice,
-    save_snapshot,
-    snapshot_from_text,
-    snapshot_to_text,
-)
+from latticemarket.dynamics import _acceptance_table, glauber_flip_probability
+from latticemarket.lattice import SpinLattice, new_lattice
 
 
 def brute_force_spin_energy(lattice):
@@ -126,36 +120,47 @@ class TestEnergies:
             brute_force_spin_energy(lat), abs=1e-12)
 
 
+def flip_acceptance(lattice, temperature):
+    """Per site: the kernel's table entry at m = sigma_site * sum sigma_nbr,
+    the heat-bath probability of the brute-force spin_energy change of
+    flipping that site, and that change."""
+    sigma = 2 * lattice.occupations.astype(np.int64) - 1
+    table = _acceptance_table(lattice.dims, temperature)
+    rows = []
+    for site in range(lattice.n_sites):
+        m = sigma[site] * sigma[lattice.neighbor_table[site]].sum()
+        flipped = lattice.occupations.copy()
+        flipped[site] ^= 1
+        d_e = (SpinLattice(lattice.dims, lattice.side, flipped).spin_energy()
+               - lattice.spin_energy())
+        rows.append((table[m], glauber_flip_probability(d_e, temperature),
+                     d_e))
+    return rows
+
+
 class TestFlipDelta:
     def test_all_up_flip(self):
         lat = new_lattice(2, 4, "all_up")
-        for site in (0, 5, 15):
-            assert lat.flip_delta_energy(site) == pytest.approx(1.0)
+        for kernel, brute, d_e in flip_acceptance(lat, 0.3):
+            assert d_e == pytest.approx(1.0)
+            assert kernel == pytest.approx(brute, rel=1e-12)
 
     def test_balanced_neighborhood(self):
         # 1D half-and-half pattern: every site has one up, one down neighbor
         occ = np.array([1, 1, 0, 0], dtype=np.int8)
         lat = SpinLattice(1, 4, occ)
-        for site in range(4):
-            assert lat.flip_delta_energy(site) == pytest.approx(0.0)
+        for kernel, brute, d_e in flip_acceptance(lat, 0.3):
+            assert d_e == pytest.approx(0.0)
+            assert kernel == brute == 0.5
 
     def test_matches_full_recomputation(self):
         rng = np.random.default_rng(3)
-        lat = SpinLattice(2, 3, rng.integers(0, 2, 9, dtype=np.int8))
-        for site in range(lat.n_sites):
-            before = lat.spin_energy()
-            local = lat.flip_delta_energy(site)
-            lat.flip(site)
-            after = lat.spin_energy()
-            lat.flip(site)
-            assert local == pytest.approx(after - before, abs=1e-12)
-
-    def test_out_of_range_site(self):
-        lat = new_lattice(2, 4, "all_up")
-        with pytest.raises(IndexError):
-            lat.flip_delta_energy(16)
-        with pytest.raises(IndexError):
-            lat.flip_delta_energy(-1)
+        for dims, side in ((1, 6), (2, 3), (2, 4), (3, 4)):
+            lat = SpinLattice(dims, side, rng.integers(
+                0, 2, side ** dims, dtype=np.int8))
+            for temperature in (0.1, 0.2836, 2.0):
+                for kernel, brute, _ in flip_acceptance(lat, temperature):
+                    assert kernel == pytest.approx(brute, rel=1e-12)
 
 
 class TestMagnetizationPrice:
@@ -184,27 +189,3 @@ class TestMagnetizationPrice:
             lhs = lat.implied_price() - 1.0
             rhs = 2.0 * lat.magnetization() / lat.n_sites
             assert lhs == pytest.approx(rhs, abs=1e-14)
-
-
-class TestSnapshot:
-    def test_roundtrip(self, tmp_path):
-        lat = new_lattice(3, 4, "random", seed=21)
-        path = tmp_path / "snap.txt"
-        save_snapshot(lat, path)
-        back = load_snapshot(path)
-        assert back.dims == 3 and back.side == 4
-        assert back.init_seed == 21
-        assert np.array_equal(back.occupations, lat.occupations)
-
-    def test_text_format_header(self):
-        lat = new_lattice(1, 4, "all_up")
-        text = snapshot_to_text(lat)
-        header, bits = text.splitlines()
-        assert header == "1 4 -1"
-        assert bits == "1111"
-
-    def test_malformed_snapshot_rejected(self):
-        with pytest.raises(ValueError):
-            snapshot_from_text("only-header\n")
-        with pytest.raises(ValueError):
-            snapshot_from_text("2 4 -1\nabc\n")

@@ -47,14 +47,13 @@ def reference_rows(table, horizons, estimator):
                 for m in table.markets]
     scales, dropped = [], []
     for k in horizons:
-        weights = pipeline._weights_for(estimator, 2 ** k)
         warmup = trends.statistical_warmup(estimator, 2 ** k)
         xs, ys, ds, ms = [], [], [], []
         for m_idx, (days, rets) in enumerate(zip(days_all, returns_all)):
             n = len(rets.values)
             if n - 1 - warmup < 30:
                 continue
-            trend = trends.trend_strength(rets, weights)
+            trend = trends.trend_strength(rets, estimator, 2 ** k)
             xs.append(trend.values[warmup:n - 1])
             ys.append(rets.values[warmup + 1:n])
             # return index i carries the date of its later price

@@ -128,27 +128,6 @@ class TestDimensionForKappa:
             lm.dimension_for_kappa(1.01)
 
 
-class TestEtaFromBetaNu:
-    def test_rounded_three_dimensional_values(self):
-        # differs from the published 0.036 because beta, nu are rounded
-        assert lm.eta_from_beta_nu(0.33, 0.63, 3.0) == pytest.approx(
-            0.047619, abs=1e-6)
-
-    def test_free_field_zero(self):
-        d = 3.2
-        nu = 0.7
-        beta = nu * (d - 2.0) / 2.0
-        assert lm.eta_from_beta_nu(beta, nu, d) == pytest.approx(0.0,
-                                                                 abs=1e-12)
-
-    def test_exact_two_dimensional_ising(self):
-        assert lm.eta_from_beta_nu(0.125, 1.0, 2.0) == pytest.approx(0.25)
-
-    def test_invalid_nu(self):
-        with pytest.raises(ValueError):
-            lm.eta_from_beta_nu(0.33, 0.0, 3.0)
-
-
 class TestPropagator:
     def test_static_limit_both_regimes(self):
         for regime in ("scaling", "exponential"):
