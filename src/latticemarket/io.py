@@ -14,9 +14,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
+
+_BLOCK_FIELDS = 2 ** 14      # CSV fields parsed per block
 
 
 @dataclass(frozen=True)
@@ -45,17 +49,24 @@ class PriceTable:
         raise KeyError(name)
 
 
-def _parse_dates(tokens: list[str]) -> tuple[np.ndarray, int]:
+def _copy(text: str) -> str:
+    """An equal str of its own, which keeps no CSV record's memory alive."""
+    return text.encode().decode()
+
+
+def _parse_dates(tokens: list[str], known: dict) -> tuple[np.ndarray, int]:
     """Days of the stripped tokens and the index of the first bad one
     (len(tokens) if none): exactly the dates date.fromisoformat accepts.
+    `known` maps tokens parsed before to their day numbers and gains this
+    call's tokens when none is bad, so each distinct token is parsed once.
 
-    numpy parses the distinct tokens, but it also reads 'NaT', 'today',
+    numpy parses the new distinct tokens, but it also reads 'NaT', 'today',
     '2020-01' and '20200105' (as a year), so a day that does not print
     back as its token, or lies outside years 1-9999, goes to fromisoformat.
     """
-    stripped = [t.strip() for t in tokens]
-    index = {token: i for i, token in enumerate(dict.fromkeys(stripped))}
-    distinct = list(index)
+    stripped = list(map(str.strip, tokens))
+    distinct = [token for token in dict.fromkeys(stripped)
+                if token not in known]
     try:
         days = np.array(distinct, dtype=str).astype("datetime64[D]")
         printed = np.datetime_as_string(days).tolist()
@@ -70,8 +81,9 @@ def _parse_dates(tokens: list[str]) -> tuple[np.ndarray, int]:
             days[i] = datetime.date.fromisoformat(distinct[i])
         except ValueError:
             return days, stripped.index(distinct[i])
-    return days[np.fromiter(map(index.__getitem__, stripped), np.int64,
-                            len(stripped))], len(tokens)
+    known.update(zip(map(_copy, distinct), days.astype(np.int64).tolist()))
+    return np.fromiter(map(known.__getitem__, stripped), np.int64,
+                       len(stripped)).view("datetime64[D]"), len(tokens)
 
 
 def _price(token: str) -> float:
@@ -88,7 +100,7 @@ def _row_fault(row: list[str], schema: str, width: int) -> str | None:
     if schema == "long" and not row[0].strip():
         return "empty market name"
     date, tokens = (row[1], row[2:]) if schema == "long" else (row[0], row[1:])
-    if _parse_dates([date])[1] == 0:
+    if _parse_dates([date], {})[1] == 0:
         return f"bad date {date!r}"
     for token in tokens:
         if schema == "long" or token.strip():
@@ -129,6 +141,75 @@ def _group_markets(names: list[str], codes: np.ndarray, days: np.ndarray,
             for c, lo, hi, gap in zip(by_first, bounds[:-1], bounds[1:], gaps)]
 
 
+def _blocks(reader, size: int, start: int):
+    """(line numbers, rows) of the data records in each run of `size`
+    records of a csv.reader, the first of them record `start`; blank and
+    comment records are left out."""
+    comment = methodcaller("startswith", "#")
+    while chunk := list(islice(reader, size)):
+        lines = np.arange(start, start + len(chunk))
+        start += len(chunk)
+        # a blank record has no first field; "#" stands in for it
+        firsts = map(next, map(iter, chunk), repeat("#"))
+        skip = np.fromiter(map(comment, map(str.lstrip, firsts)), bool,
+                           len(chunk))
+        if skip.any():
+            chunk, lines = list(compress(chunk, ~skip)), lines[~skip]
+        if chunk:
+            yield lines, chunk
+        del chunk                       # before more records are read
+
+
+def _parse_prices(tokens: list[str]) -> np.ndarray:
+    """float(token) of every token, NaN where float rejects it."""
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return np.fromiter(map(_price, tokens), np.float64, len(tokens))
+
+
+def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
+                 index: dict, column_codes: np.ndarray,
+                 known: dict) -> tuple:
+    """Day, price, market code and line of every price cell of a block of
+    data records; raises on the block's first faulty row.  A long-format
+    market seen for the first time gets the next code in `index`, and a
+    new date token its day in `known`, each under a copy of the token."""
+    short = np.flatnonzero(np.fromiter(map(len, body), np.int64,
+                                       len(body)) != width)
+    n_ok = int(short[0]) if short.size else len(body)
+    rows = body[:n_ok]
+    # a cell is one price: its row, and its market label (row or column)
+    if schema == "long":
+        names, dates, tokens = map(list, zip(*rows)) if rows else ([],) * 3
+        labels = list(map(str.strip, names))
+        unnamed = [labels.index("")] if "" in labels else []
+        cell_rows = np.arange(n_ok)
+    else:
+        unnamed = []
+        dates = [row[0] for row in rows]
+        cells = [token for row in rows for token in row[1:]]
+        filled = np.flatnonzero(np.fromiter(
+            map(bool, map(str.strip, cells)), bool, len(cells)))
+        tokens = [cells[i] for i in filled]
+        cell_rows, cell_columns = np.divmod(filled, width - 1)
+    days, bad_date = _parse_dates(dates, known)
+    prices = _parse_prices(tokens)
+    bad_price = cell_rows[~(prices > 0) | ~np.isfinite(prices)]
+    first = min([n_ok, bad_date, *bad_price[:1], *unnamed])
+    if first < len(body):
+        raise ValueError(f"line {lines[first]}: "
+                         f"{_row_fault(body[first], schema, width)}")
+    if schema == "long":
+        for name in dict.fromkeys(labels):
+            if name not in index:
+                index[_copy(name)] = len(index)
+        codes = np.fromiter(map(index.__getitem__, labels), np.int64, n_ok)
+    else:
+        codes = column_codes[cell_columns]
+    return days[cell_rows], prices, codes, lines[cell_rows]
+
+
 def load_price_csv(path, schema: str = "long") -> PriceTable:
     """Load a price CSV in long (market,date,price) or wide format.
 
@@ -137,60 +218,51 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
     per market as missing calendar days.  Malformed rows, duplicate
     dates and non-positive prices are rejected with their line numbers;
     the first offending line, in file order, is the one reported.
+
+    The records are parsed in blocks of about _BLOCK_FIELDS fields, each
+    turned into day, price, code and line arrays before the next is read,
+    so the CSV's strings never all live at once.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
-                if row and not row[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header_no, header = rows[0]
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-    if schema == "long":
-        if len(header) < 3:
-            raise ValueError(f"line {header_no}: need market,date,price header")
-        width, date_col = 3, 1
-    elif schema == "wide":
-        columns = [h.strip() for h in header[1:]]
-        if not columns:
-            raise ValueError(f"line {header_no}: wide header needs markets")
-        width, date_col = len(header), 0
-    else:
-        raise ValueError("schema must be 'long' or 'wide'")
-    body = [row for _, row in rows[1:]]
-    n_ok = next((i for i, row in enumerate(body) if len(row) != width),
-                len(body))
-    days, bad_date = _parse_dates([row[date_col] for row in body[:n_ok]])
-    # a cell is one price: its row, and its market label (row or column)
-    if schema == "long":
-        labels = [row[0].strip() for row in body[:n_ok]]
-        unnamed = [i for i, name in enumerate(labels) if not name][:1]
-        tokens = [row[2] for row in body[:n_ok]]
-        cell_rows = cell_labels = np.arange(n_ok)
-    else:
-        labels, unnamed = columns, []
-        cells = [token for row in body[:n_ok] for token in row[1:]]
-        filled = np.flatnonzero(np.fromiter(
-            map(bool, map(str.strip, cells)), bool, len(cells)))
-        tokens = [cells[i] for i in filled]
-        cell_rows, cell_labels = np.divmod(filled, len(columns))
-    prices = np.fromiter(map(_price, tokens), np.float64, len(tokens))
-    bad_price = cell_rows[~(prices > 0) | ~np.isfinite(prices)]
-    first = min([n_ok, bad_date, *bad_price[:1], *unnamed])
-    if first < len(body):
-        raise ValueError(f"line {rows[first + 1][0]}: "
-                         f"{_row_fault(body[first], schema, width)}")
-    lines = np.array([no for no, _ in rows[1:]], dtype=np.int64)
-    index: dict[str, int] = {}
-    codes = np.array([index.setdefault(name, len(index)) for name in labels],
-                     dtype=np.int64)[cell_labels]
+        reader = csv.reader(fh)
+        head = next(_blocks(reader, 1, 1), None)
+        if head is None:
+            raise ValueError(f"{path}: empty file")
+        (header_no,), (header,) = head
+        width = 3 if schema == "long" else len(header)
+        blocks = _blocks(reader, max(1, _BLOCK_FIELDS // width),
+                         header_no + 1)
+        block = next(blocks, None)
+        if block is None:
+            raise ValueError(f"{path}: no data rows")
+        if schema == "long":
+            if len(header) < 3:
+                raise ValueError(
+                    f"line {header_no}: need market,date,price header")
+        elif schema == "wide":
+            if len(header) < 2:
+                raise ValueError(f"line {header_no}: wide header needs markets")
+        else:
+            raise ValueError("schema must be 'long' or 'wide'")
+        index: dict[str, int] = {}
+        column_codes = np.array(
+            [index.setdefault(_copy(h.strip()), len(index))
+             for h in header[1:]] if schema == "wide" else [], dtype=np.int64)
+        parsed, known = [], {}
+        while block is not None:
+            parsed.append(_parse_block(*block, schema, width, index,
+                                       column_codes, known))
+            del block                   # its records go before more are read
+            block = next(blocks, None)
+    days, prices, codes, lines = map(np.concatenate, zip(*parsed))
+    del parsed
     names = list(index)
     for name, count in zip(names, np.bincount(codes, minlength=len(names))):
         if not count:
             raise ValueError(f"market {name!r} has no prices")
-    return PriceTable(markets=_group_markets(
-        names, codes, days[cell_rows], prices, lines[cell_rows]))
+    return PriceTable(markets=_group_markets(names, codes, days, prices,
+                                             lines))
 
 
 # -- provenance-stamped output ------------------------------------------------

@@ -256,23 +256,35 @@ def _trend_panel(returns_all: list, cells: list[np.ndarray], n_days: int,
     return warmup, x_panel, mask
 
 
-def _panel_moments(x, y, mask: np.ndarray) -> np.ndarray:
-    """(10, markets, days) moment columns of a masked (markets, days)
-    panel of pairs; zero off the mask."""
-    cols = stats._moment_columns(np.where(mask, x, 0.0).ravel(),
-                                 np.where(mask, y, 0.0).ravel())
-    cols[:, 0] = mask.ravel()
-    return cols.T.reshape(10, *mask.shape)
+def _moment_panels(x, y, mask: np.ndarray):
+    """The ten moment columns of stats._moment_columns, in column order,
+    as (markets, days) panels of a masked panel of pairs, zero off the
+    mask; each is computed as it is asked for, from the same products."""
+    x, y = np.where(mask, x, 0.0), np.where(mask, y, 0.0)
+    yield mask.astype(np.float64)
+    yield x
+    x2 = x * x
+    yield x2
+    x3 = x2 * x
+    yield x3
+    yield x2 * x2
+    del x2
+    yield x3 * x3
+    yield y
+    yield x * y
+    yield x3 * y
+    yield y * y
 
 
 def analyze_price_table(table: io.PriceTable,
                         config: PipelineConfig) -> dict:
     """Full empirical pipeline on a loaded price table; returns the report.
 
-    The regressions read only moment sums of the (markets, days) panels:
-    a scale's fit sums its panel, and the stacked fit, the day bootstrap
-    and the date-block CV read per-day sums added in the pooled row order
-    (scale, then market), so the day groups and their sums are the rows'.
+    The regressions read only moment sums of the (markets, days) panels,
+    reduced one moment panel at a time: a scale's fit sums its panels,
+    and the stacked fit, the day bootstrap and the date-block CV read
+    per-day sums added in the pooled row order (scale, then market), so
+    the day groups and their sums are the rows'.
     """
     returns_all, cells, y_panel = _union_panel(table)
     n_markets, n_days = y_panel.shape
@@ -289,17 +301,20 @@ def analyze_price_table(table: io.PriceTable,
             log.warning("dropping k=%d: %s", k, reason)
             dropped.append({"k": k, "reason": reason})
             continue
-        moments = _panel_moments(x_panel, y_panel, mask)
-        fit = stats.fit_cubic_sums(moments.reshape(10, -1).T)
+        sums = np.empty(10)
+        for i, panel in enumerate(_moment_panels(x_panel, y_panel, mask)):
+            sums[i] = panel.sum()
+            for market in range(n_markets):
+                stacked[i] += panel[market]
+            del panel                   # before the next panel is made
+        fit = stats.fit_cubic_sums(sums[None])
         by_scale.append({
             "k": k, "T": 2 ** k, "warmup": warmup, "n_obs": fit.n_obs,
             "a": fit.a, "b": fit.b, "c": fit.c,
             "se_b": fit.se_b, "se_c": fit.se_c,
-            "trend_return_covariance": float(moments[7].sum() / fit.n_obs),
+            "trend_return_covariance": float(sums[7] / fit.n_obs),
             "r_squared": fit.r_squared,
         })
-        for market in range(n_markets):
-            stacked += moments[:, market]
         x_sum += x_panel
         shared &= mask
     if not by_scale:
@@ -336,8 +351,8 @@ def analyze_price_table(table: io.PriceTable,
     # combined factor: equally weighted mean trend across scales, on the
     # observations that every scale shares
     if len(by_scale) >= 2 and shared.sum() >= stats._MIN_OBSERVATIONS:
-        combined = _panel_moments(x_sum / len(by_scale), y_panel,
-                                  shared).sum(axis=1)
+        combined = np.array([panel.sum(axis=0) for panel in _moment_panels(
+            x_sum / len(by_scale), y_panel, shared)])
         days = combined[:, combined[0] > 0].T
         cfit = stats.fit_cubic_sums(days)
         ccv = stats.cross_validate_sums(days, config.cv_folds)

@@ -187,7 +187,8 @@ def _group_rows(cols: np.ndarray, labels) -> np.ndarray:
 
 
 def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, 3) coefficients and (k,) Gram conditions from (k, 10) moment sums.
+    """(k, 3) coefficients and (k,) Gram conditions from the first nine
+    columns of (k, 10) moment sums.
 
     Rows whose Gram is non-finite (condition inf) or has condition above
     _COND_LIMIT are not solved: their coefficients are NaN.
@@ -214,7 +215,8 @@ def bootstrap_errors_sums(rows, n_samples: int, seed) -> BootstrapResult:
 
     The groups are resampled in chunks of c = max(1, 2**18 // G):
     rng.integers(0, G, (c, G)) draws the same integers as c per-resample
-    draws, and a chunk's moment sums are counts @ rows, solved at once.
+    draws, and a chunk's moment sums are counts @ rows; the sums of all
+    resamples are solved at once.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 bootstrap samples")
@@ -229,14 +231,15 @@ def bootstrap_errors_sums(rows, n_samples: int, seed) -> BootstrapResult:
     n_groups = group_sums.shape[0]
     chunk = max(1, _CHUNK_COUNTS // n_groups)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    coef, cond = np.empty((n_samples, 3)), np.empty(n_samples)
+    sums = np.empty((n_samples, 9))
     for start in range(0, n_samples, chunk):
         c = min(chunk, n_samples - start)
         draws = rng.integers(0, n_groups, (c, n_groups))
         draws += np.arange(0, c * n_groups, n_groups)[:, None]
         counts = np.bincount(draws.ravel(), minlength=c * n_groups)
-        coef[start:start + c], cond[start:start + c] = _solve_from_sums(
+        sums[start:start + c] = (
             counts.reshape(c, n_groups).astype(np.float64) @ group_sums)
+    coef, cond = _solve_from_sums(sums)
     samples = coef[cond <= _COND_LIMIT]
     if samples.size == 0:
         raise ValueError("all bootstrap resamples were degenerate")

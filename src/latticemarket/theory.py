@@ -64,16 +64,12 @@ DIMENSION_RANGE = (1.5, 4.0)
 class CriticalExponents:
     """(eta, z, kappa) bundle for one network dimension.
 
-    kappa always satisfies kappa = (2 - eta) / z to 1e-9; beta and nu
-    (order-parameter onset and correlation-length exponents) are carried
-    when known.
+    kappa always satisfies kappa = (2 - eta) / z to 1e-9.
     """
     dimension: float
     eta: float
     z: float
     kappa: float
-    beta: float | None = None
-    nu: float | None = None
 
     def __post_init__(self):
         if self.z <= 0:

@@ -174,7 +174,6 @@ def trend_strength(returns: ReturnSeries, kind: str,
 class AdjacentWindowTrends:
     """Step trends phi_tilde on consecutive non-overlapping windows."""
     values: np.ndarray            # one phi_tilde per window, oldest first
-    horizon: int
     pairs: np.ndarray = field(repr=False)  # rows (phi(t), phi(t-T))
 
 
@@ -198,4 +197,4 @@ def adjacent_window_trends(returns: ReturnSeries,
     sums = excess[start:].reshape(n_win, t).sum(axis=1)
     values = sums / math.sqrt(t)
     pairs = np.column_stack([values[1:], values[:-1]])
-    return AdjacentWindowTrends(values=values, horizon=t, pairs=pairs)
+    return AdjacentWindowTrends(values=values, pairs=pairs)

@@ -4,15 +4,18 @@
 `float` per cell, and a per-market duplicate and order scan.  The bulk
 `io.load_price_csv` must give the same markets, dates, prices and gap
 counts on every valid file, and the same message, line number included,
-on every invalid one.
+on every invalid one, whether a file is read in one block or in blocks
+of a few rows.
 """
 
 import csv
 import datetime
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticemarket import io
@@ -219,24 +222,62 @@ def inject(schema, rows, draw):
     return rows
 
 
+def few_rows(draw):
+    """A loader block size of a few rows, so that comment lines, faults and
+    a market's first price fall across block boundaries."""
+    return mock.patch.object(io, "_BLOCK_FIELDS", draw(st.integers(1, 12)))
+
+
+def check_round_trip(draw):
+    schema, rows = draw(panels())
+    text = render(rows, draw)
+    got = outcome(bulk_load, text, schema)
+    assert got == outcome(reference_load, text, schema)
+    assert got[0] == "ok"
+
+
+def check_single_fault(draw):
+    schema, rows = draw(panels())
+    rows = inject(schema, rows, draw)
+    text = render(rows, draw)
+    assert outcome(bulk_load, text, schema) == \
+        outcome(reference_load, text, schema)
+
+
 class TestBulkParserOracle:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_valid_panels_round_trip(self, data):
-        schema, rows = data.draw(panels())
-        text = render(rows, data.draw)
-        got = outcome(bulk_load, text, schema)
-        assert got == outcome(reference_load, text, schema)
-        assert got[0] == "ok"
+        check_round_trip(data.draw)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_valid_panels_round_trip_in_few_row_blocks(self, data):
+        with few_rows(data.draw):
+            check_round_trip(data.draw)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_single_fault_same_message(self, data):
-        schema, rows = data.draw(panels())
-        rows = inject(schema, rows, data.draw)
-        text = render(rows, data.draw)
-        assert outcome(bulk_load, text, schema) == \
-            outcome(reference_load, text, schema)
+        check_single_fault(data.draw)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_single_fault_same_message_in_few_row_blocks(self, data):
+        with few_rows(data.draw):
+            check_single_fault(data.draw)
+
+    @pytest.mark.parametrize("fields", [3, 6, io._BLOCK_FIELDS])
+    def test_later_row_fault_beats_earlier_date_order(self, fields):
+        # line 3 goes back in time for A, but the order of a market's
+        # dates is checked after every row has passed, so the bad price
+        # on line 7, blocks later, is the reported fault
+        text = ("market,date,price\nA,2020-01-02,1\nA,2020-01-01,2\n"
+                "# note\nB,2020-01-01,3\nB,2020-01-02,4\nB,2020-01-03,x\n")
+        want = ("error", "line 7: bad price 'x'")
+        assert outcome(reference_load, text, "long") == want
+        with mock.patch.object(io, "_BLOCK_FIELDS", fields):
+            assert outcome(bulk_load, text, "long") == want
 
     def test_numpy_only_date_forms_rejected(self):
         # numpy reads these as dates; date.fromisoformat does not

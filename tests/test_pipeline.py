@@ -177,6 +177,46 @@ class TestRowPath:
         # the day groups and their sums are those of the pooled rows
         np.testing.assert_array_equal(boots[0].samples, samples)
 
+    @pytest.mark.parametrize("estimator", ["phi", "step"])
+    @pytest.mark.parametrize("gapped", [False, True],
+                             ids=["ragged", "interior-gaps"])
+    def test_moment_sums_are_the_pooled_rows(self, monkeypatch, gapped,
+                                             estimator):
+        # exact: each scale's sums are the pooled rows' moment columns
+        # summed in the panel layout (a market's row of union-calendar
+        # cells, zero elsewhere), and the stacked day sums are the pooled
+        # rows' grouped by day in row order (scale, then market)
+        table = ragged_table(gapped)
+        config = PipelineConfig(horizons=HORIZONS, estimator=estimator,
+                                bootstrap_samples=100, cv_folds=5)
+        seen = {}
+        for name in ("fit_cubic_sums", "bootstrap_errors_sums"):
+            original = getattr(stats, name)
+
+            def recording(rows, *args, _original=original, _name=name):
+                seen.setdefault(_name, []).append(np.array(rows))
+                return _original(rows, *args)
+            monkeypatch.setattr(stats, name, recording)
+        report = analyze_price_table(table, config)
+        scales, _ = reference_rows(table, HORIZONS, estimator)
+        calendar = np.unique(np.concatenate([
+            [d.toordinal() for d in m.dates[1:].tolist()]
+            for m in table.markets]))
+        for s, row, got in zip(scales, report["by_scale"],
+                               seen["fit_cubic_sums"]):
+            cols = stats._moment_columns(s["x"], s["y"])
+            layout = np.zeros((10, len(table.markets), calendar.size))
+            layout[:, s["market"], np.searchsorted(calendar, s["days"])] = \
+                cols.T
+            want = layout.reshape(10, -1).sum(axis=1)
+            np.testing.assert_array_equal(got, want[None])
+            assert row["n_obs"] == s["x"].size
+            assert row["trend_return_covariance"] == want[7] / s["x"].size
+        x, y, days = _stacked(scales)
+        np.testing.assert_array_equal(
+            seen["bootstrap_errors_sums"][0],
+            stats._group_rows(stats._moment_columns(x, y), days))
+
     def test_warmup_excluded(self):
         # one market of 400 returns: the step window 2^k starts at
         # T - 1 = 2^k - 1, leaving 400 - 1 - (2^k - 1) pairs
