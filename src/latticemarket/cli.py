@@ -89,17 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = ("seed", "dims", "side", "init", "temperature", "sweeps",
-                "burn_in", "thin", "dimension", "kappa", "tau", "regime",
-                "predict_horizons", "horizons", "estimator",
-                "bootstrap_samples", "cv_folds")
-
-
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config \
         else PipelineConfig()
-    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
-                 if hasattr(args, key)}
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(PipelineConfig)
+                 if hasattr(args, f.name)}
     config = config.overridden(**overrides)
     if getattr(args, "kappa", None) is not None \
             and getattr(args, "dimension", None) is None:

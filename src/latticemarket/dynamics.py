@@ -60,8 +60,8 @@ class SimulationParams:
 
     def __post_init__(self):
         _check_even_side(self.side)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
         if not 0 <= self.burn_in < self.sweeps:

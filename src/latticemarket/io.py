@@ -8,6 +8,7 @@ rerun with identical inputs is byte-identical (no timestamps anywhere).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 _BLOCK_FIELDS = 2 ** 14      # CSV fields parsed per block
+_EPOCH = datetime.date(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -54,43 +56,20 @@ def _copy(text: str) -> str:
     return text.encode().decode()
 
 
-def _parse_dates(tokens: list[str], known: dict) -> tuple[np.ndarray, int]:
-    """Days of the stripped tokens and the index of the first bad one
-    (len(tokens) if none): exactly the dates date.fromisoformat accepts.
-    `known` maps tokens parsed before to their day numbers and gains this
-    call's tokens when none is bad, so each distinct token is parsed once.
-
-    numpy parses the new distinct tokens, but it also reads 'NaT', 'today',
-    '2020-01' and '20200105' (as a year), so a day that does not print
-    back as its token, or lies outside years 1-9999, goes to fromisoformat.
-    """
+def _parse_dates(tokens: list[str], known: dict) -> np.ndarray | None:
+    """Days of the stripped tokens, or None if date.fromisoformat rejects
+    one.  `known` maps tokens parsed before to their day numbers and gains
+    this call's new tokens, so each distinct token is parsed once."""
     stripped = list(map(str.strip, tokens))
-    distinct = [token for token in dict.fromkeys(stripped)
-                if token not in known]
     try:
-        days = np.array(distinct, dtype=str).astype("datetime64[D]")
-        printed = np.datetime_as_string(days).tolist()
-        suspect = ~((days >= np.datetime64("0001-01-01"))
-                    & (days <= np.datetime64("9999-12-31"))) | np.fromiter(
-            map(str.__ne__, printed, distinct), bool, len(distinct))
+        for token in dict.fromkeys(stripped):
+            if token not in known:
+                known[_copy(token)] = (datetime.date.fromisoformat(token)
+                                       .toordinal() - _EPOCH)
     except ValueError:
-        days = np.empty(len(distinct), dtype="datetime64[D]")
-        suspect = np.ones(len(distinct), dtype=bool)
-    for i in np.flatnonzero(suspect):
-        try:
-            days[i] = datetime.date.fromisoformat(distinct[i])
-        except ValueError:
-            return days, stripped.index(distinct[i])
-    known.update(zip(map(_copy, distinct), days.astype(np.int64).tolist()))
+        return None
     return np.fromiter(map(known.__getitem__, stripped), np.int64,
-                       len(stripped)).view("datetime64[D]"), len(tokens)
-
-
-def _price(token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        return math.nan
+                       len(stripped)).view("datetime64[D]")
 
 
 def _row_fault(row: list[str], schema: str, width: int) -> str | None:
@@ -100,7 +79,7 @@ def _row_fault(row: list[str], schema: str, width: int) -> str | None:
     if schema == "long" and not row[0].strip():
         return "empty market name"
     date, tokens = (row[1], row[2:]) if schema == "long" else (row[0], row[1:])
-    if _parse_dates([date], {})[1] == 0:
+    if _parse_dates([date], {}) is None:
         return f"bad date {date!r}"
     for token in tokens:
         if schema == "long" or token.strip():
@@ -160,12 +139,33 @@ def _blocks(reader, size: int, start: int):
         del chunk                       # before more records are read
 
 
-def _parse_prices(tokens: list[str]) -> np.ndarray:
-    """float(token) of every token, NaN where float rejects it."""
+def _block_cells(body: list, schema: str, width: int, known: dict):
+    """Day and price of every price cell of a block of data records, with
+    its row and its market label (long: the name, wide: the column), or
+    None if a check fails for some row of the block."""
+    if any(map(width.__ne__, map(len, body))):
+        return None
+    if schema == "long":
+        names, dates, tokens = map(list, zip(*body))
+        labels = list(map(str.strip, names))
+        if "" in labels:
+            return None
+        cell_rows = np.arange(len(body))
+    else:
+        dates = [row[0] for row in body]
+        cells = [token for row in body for token in row[1:]]
+        filled = np.flatnonzero(np.fromiter(
+            map(bool, map(str.strip, cells)), bool, len(cells)))
+        tokens = [cells[i] for i in filled]
+        cell_rows, labels = np.divmod(filled, width - 1)
+    days = _parse_dates(dates, known)
     try:
-        return np.array(tokens, dtype=np.float64)
+        prices = np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
-        return np.fromiter(map(_price, tokens), np.float64, len(tokens))
+        return None
+    if days is None or not ((prices > 0) & (prices < math.inf)).all():
+        return None
+    return days[cell_rows], prices, cell_rows, labels
 
 
 def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
@@ -175,39 +175,36 @@ def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
     data records; raises on the block's first faulty row.  A long-format
     market seen for the first time gets the next code in `index`, and a
     new date token its day in `known`, each under a copy of the token."""
-    short = np.flatnonzero(np.fromiter(map(len, body), np.int64,
-                                       len(body)) != width)
-    n_ok = int(short[0]) if short.size else len(body)
-    rows = body[:n_ok]
-    # a cell is one price: its row, and its market label (row or column)
-    if schema == "long":
-        names, dates, tokens = map(list, zip(*rows)) if rows else ([],) * 3
-        labels = list(map(str.strip, names))
-        unnamed = [labels.index("")] if "" in labels else []
-        cell_rows = np.arange(n_ok)
-    else:
-        unnamed = []
-        dates = [row[0] for row in rows]
-        cells = [token for row in rows for token in row[1:]]
-        filled = np.flatnonzero(np.fromiter(
-            map(bool, map(str.strip, cells)), bool, len(cells)))
-        tokens = [cells[i] for i in filled]
-        cell_rows, cell_columns = np.divmod(filled, width - 1)
-    days, bad_date = _parse_dates(dates, known)
-    prices = _parse_prices(tokens)
-    bad_price = cell_rows[~(prices > 0) | ~np.isfinite(prices)]
-    first = min([n_ok, bad_date, *bad_price[:1], *unnamed])
-    if first < len(body):
-        raise ValueError(f"line {lines[first]}: "
-                         f"{_row_fault(body[first], schema, width)}")
+    cells = _block_cells(body, schema, width, known)
+    if cells is None:
+        for line, row in zip(lines, body):
+            if fault := _row_fault(row, schema, width):
+                raise ValueError(f"line {line}: {fault}")
+        raise RuntimeError(f"lines {lines[0]}-{lines[-1]} failed a block "
+                           "check that no single row fails")
+    days, prices, cell_rows, labels = cells
     if schema == "long":
         for name in dict.fromkeys(labels):
             if name not in index:
                 index[_copy(name)] = len(index)
-        codes = np.fromiter(map(index.__getitem__, labels), np.int64, n_ok)
+        codes = np.fromiter(map(index.__getitem__, labels), np.int64,
+                            len(labels))
     else:
-        codes = column_codes[cell_columns]
-    return days[cell_rows], prices, codes, lines[cell_rows]
+        codes = column_codes[labels]
+    return days, prices, codes, lines[cell_rows]
+
+
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A csv.reader over a UTF-8 file; a csv.Error (such as a field over
+    csv.field_size_limit()) becomes a ValueError naming the file and line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") \
+                from None
 
 
 def load_price_csv(path, schema: str = "long") -> PriceTable:
@@ -224,8 +221,7 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
     so the CSV's strings never all live at once.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         head = next(_blocks(reader, 1, 1), None)
         if head is None:
             raise ValueError(f"{path}: empty file")
@@ -329,8 +325,7 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     A row with fewer fields than the header is rejected by its line.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue

@@ -257,23 +257,10 @@ def _trend_panel(returns_all: list, cells: list[np.ndarray], n_days: int,
 
 
 def _moment_panels(x, y, mask: np.ndarray):
-    """The ten moment columns of stats._moment_columns, in column order,
-    as (markets, days) panels of a masked panel of pairs, zero off the
-    mask; each is computed as it is asked for, from the same products."""
-    x, y = np.where(mask, x, 0.0), np.where(mask, y, 0.0)
-    yield mask.astype(np.float64)
-    yield x
-    x2 = x * x
-    yield x2
-    x3 = x2 * x
-    yield x3
-    yield x2 * x2
-    del x2
-    yield x3 * x3
-    yield y
-    yield x * y
-    yield x3 * y
-    yield y * y
+    """The ten moments (stats._moments) of a masked panel of pairs as
+    (markets, days) panels, zero off the mask, one at a time."""
+    return stats._moments(np.where(mask, x, 0.0), np.where(mask, y, 0.0),
+                          mask.astype(np.float64))
 
 
 def analyze_price_table(table: io.PriceTable,

@@ -155,24 +155,34 @@ class BootstrapResult:
         return np.array([self.se_a, self.se_b, self.se_c])
 
 
-def _moment_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-observation cubic normal-equation statistics, column-major.
+def _moments(x, y, one):
+    """The ten cubic normal-equation moments of pairs (x, y) in column
+    order: one, x, x^2, x^3, x^4, x^6, y, x y, x^3 y and y^2, where `one`
+    counts the pairs (1.0, or a 0/1 mask).  Each is computed as it is
+    asked for, from the same products, so a caller that drops each before
+    asking for the next holds few at once."""
+    yield one
+    del one                 # the caller's reference is then the only one
+    yield x
+    x2 = x * x
+    yield x2
+    x3 = x2 * x
+    yield x3
+    yield x2 * x2
+    del x2
+    yield x3 * x3
+    yield y
+    yield x * y
+    yield x3 * y
+    yield y * y
 
-    The columns are 1, x, x^2, x^3, x^4, x^6, y, x y, x^3 y and y^2, each
-    written in place into one (n, 10) array.
-    """
+
+def _moment_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-observation moments (_moments) as the columns of one (n, 10)
+    array."""
     cols = np.empty((x.size, 10), order="F")
-    one, x1, x2, x3, x4, x6, y1, xy, x3y, y2 = cols.T
-    one.fill(1.0)
-    x1[:] = x
-    np.multiply(x, x, out=x2)
-    np.multiply(x2, x, out=x3)
-    np.multiply(x2, x2, out=x4)
-    np.multiply(x3, x3, out=x6)
-    y1[:] = y
-    np.multiply(x, y, out=xy)
-    np.multiply(x3, y, out=x3y)
-    np.multiply(y, y, out=y2)
+    for col, moment in zip(cols.T, _moments(x, y, 1.0)):
+        col[:] = moment
     return cols
 
 

@@ -198,8 +198,8 @@ class PropagatorModel:
     t_star: float | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError("kappa must lie in (0, 1]")
         if self.regime not in _REGIMES:
@@ -342,34 +342,37 @@ def _quad(f, model: PropagatorModel, omega: float,
     return fine
 
 
-def predicted_trend_return_correlation(model: PropagatorModel, omega: float,
-                                       method: str = "quadrature") -> float:
+def _quad_trend_return_correlation(model: PropagatorModel,
+                                   omega: float) -> float:
+    """<phi_w R> by double-exponential quadrature (_quad)."""
+    return -2.0 * omega ** 1.5 * _quad(
+        lambda z: z * np.exp(-omega * z) * _derivatives(model, z)[1],
+        model, omega)
+
+
+def predicted_trend_return_correlation(model: PropagatorModel,
+                                       omega: float) -> float:
     """<phi_w R> = -2 w^(3/2) Int_0^inf zeta e^(-w zeta) Delta''(zeta) dzeta.
 
-    The quadrature is double-exponential (_quad: steps h and 2h agree to
-    1e-10 relative, else QuadratureError) and splits at the regime knee
-    for matched models.  method="closed" uses the Laplace/Gamma closed
-    forms available for the pure regimes:
+    The pure regimes have Laplace/Gamma closed forms,
 
         scaling:      -2 w^(3/2) (kappa(1-kappa)/2) Gamma(kappa) w^(-kappa)
-        exponential:  -2 w^(3/2) (tau^(kappa-2)/2) / (w + 1/tau)^2
+        exponential:  -2 w^(3/2) (tau^(kappa-2)/2) / (w + 1/tau)^2;
+
+    the matched regime is integrated by double-exponential quadrature
+    split at its knee (_quad: steps h and 2h agree to 1e-10 relative,
+    else QuadratureError).
     """
     if omega <= 0:
         raise ValueError("omega must be > 0")
     k, tau = model.kappa, model.tau
-    if method == "closed":
-        if model.regime == "scaling":
-            return -2.0 * omega ** 1.5 * 0.5 * k * (1.0 - k) \
-                * math.gamma(k) * omega ** (-k)
-        if model.regime == "exponential":
-            return -2.0 * omega ** 1.5 * 0.5 * tau ** (k - 2.0) \
-                / (omega + 1.0 / tau) ** 2
-        raise DomainError("no closed form for the matched regime")
-    if method != "quadrature":
-        raise ValueError("method must be 'quadrature' or 'closed'")
-    val = _quad(lambda z: z * np.exp(-omega * z) * _derivatives(model, z)[1],
-                model, omega)
-    return -2.0 * omega ** 1.5 * val
+    if model.regime == "scaling":
+        return -2.0 * omega ** 1.5 * 0.5 * k * (1.0 - k) \
+            * math.gamma(k) * omega ** (-k)
+    if model.regime == "exponential":
+        return -2.0 * omega ** 1.5 * 0.5 * tau ** (k - 2.0) \
+            / (omega + 1.0 / tau) ** 2
+    return _quad_trend_return_correlation(model, omega)
 
 
 def _check_variance_domain(model: PropagatorModel, horizon: float,
@@ -385,9 +388,21 @@ def _check_variance_domain(model: PropagatorModel, horizon: float,
             raise DomainError("scaling regime requires 2T <= tau")
 
 
+def _quad_trend_variance(model: PropagatorModel, horizon: float,
+                         estimator: str) -> float:
+    """Trend variance by double-exponential quadrature (_quad)."""
+    omega = 2.0 / horizon
+    if estimator == "tilde":
+        # (2/T)(Delta(0) - Delta(T)) = -(2/T) Int_0^T Delta'(v) dv
+        return -2.0 / horizon * _quad(lambda v: _derivatives(model, v)[0],
+                                      model, omega, horizon)
+    return -2.0 * omega ** 2 * _quad(
+        lambda v: v * np.exp(-omega * v) * _derivatives(model, v)[0],
+        model, omega)
+
+
 def predicted_trend_variance(model: PropagatorModel, horizon: float,
-                             estimator: str = "phi",
-                             method: str = "auto") -> float:
+                             estimator: str = "phi") -> float:
     """Variance of the trend strength at horizon T (w = 2/T).
 
     estimator "tilde" is the step-window strength with the exact algebra
@@ -397,44 +412,30 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
         <phi_w^2> = -2 w^3 Int_0^inf du e^(-w u) Int_0^u dv v Delta'(v)
                   = -2 w^2 Int_0^inf dv v e^(-w v) Delta'(v),
 
-    a single Laplace integral (swap the order of integration) evaluated
-    by double-exponential quadrature (_quad; QuadratureError when it does
-    not converge).  method="closed" uses the regime closed
-    forms (scaling: T^(kappa-1) for tilde and kappa Gamma(kappa+1)
-    w^(1-kappa) for phi; exponential: (tau/T)(1 - e^(-T/tau))
-    tau^(kappa-1) and w^2/(w + 1/tau)^2 tau^(kappa-1)); method="auto"
-    picks the closed form for pure regimes and quadrature for matched
-    models.  In the scaling regime T <= tau/4 is enforced; beyond that
-    the power law is not a valid description and a DomainError is
-    raised.
+    a single Laplace integral (swap the order of integration).  The pure
+    regimes have closed forms (scaling: T^(kappa-1) for tilde and
+    kappa Gamma(kappa+1) w^(1-kappa) for phi; exponential:
+    (tau/T)(1 - e^(-T/tau)) tau^(kappa-1) and w^2/(w + 1/tau)^2
+    tau^(kappa-1)); the matched regime is integrated by double-exponential
+    quadrature (_quad; QuadratureError when it does not converge).  In the
+    scaling regime T <= tau/4 is enforced; beyond that the power law is
+    not a valid description and a DomainError is raised.
     """
     _check_variance_domain(model, horizon)
     if estimator not in ("phi", "tilde"):
         raise ValueError("estimator must be 'phi' or 'tilde'")
-    if method == "auto":
-        method = "quadrature" if model.regime == "matched" else "closed"
     k, tau = model.kappa, model.tau
     omega = 2.0 / horizon
-    if method == "closed":
-        if model.regime == "scaling":
-            if estimator == "tilde":
-                return horizon ** (k - 1.0)
-            return k * math.gamma(k + 1.0) * omega ** (1.0 - k)
-        if model.regime == "exponential":
-            if estimator == "tilde":
-                return (tau / horizon) * (1.0 - math.exp(-horizon / tau)) \
-                    * tau ** (k - 1.0)
-            return omega ** 2 / (omega + 1.0 / tau) ** 2 * tau ** (k - 1.0)
-        raise DomainError("no closed form for the matched regime")
-    if method != "quadrature":
-        raise ValueError("method must be 'auto', 'closed' or 'quadrature'")
-    if estimator == "tilde":
-        # (2/T)(Delta(0) - Delta(T)) = -(2/T) Int_0^T Delta'(v) dv
-        return -2.0 / horizon * _quad(lambda v: _derivatives(model, v)[0],
-                                      model, omega, horizon)
-    return -2.0 * omega ** 2 * _quad(
-        lambda v: v * np.exp(-omega * v) * _derivatives(model, v)[0],
-        model, omega)
+    if model.regime == "scaling":
+        if estimator == "tilde":
+            return horizon ** (k - 1.0)
+        return k * math.gamma(k + 1.0) * omega ** (1.0 - k)
+    if model.regime == "exponential":
+        if estimator == "tilde":
+            return (tau / horizon) * (1.0 - math.exp(-horizon / tau)) \
+                * tau ** (k - 1.0)
+        return omega ** 2 / (omega + 1.0 / tau) ** 2 * tau ** (k - 1.0)
+    return _quad_trend_variance(model, horizon, estimator)
 
 
 def predicted_adjacent_window_correlation(model: PropagatorModel,

@@ -68,18 +68,12 @@ def test_criterion_3_closed_vs_quadrature():
                         continue
                     omega = 2.0 / horizon
                     quantities = [
-                        (lm.predicted_trend_variance(model, horizon, "phi",
-                                                     method="quadrature"),
-                         lm.predicted_trend_variance(model, horizon, "phi",
-                                                     method="closed")),
-                        (lm.predicted_trend_variance(model, horizon, "tilde",
-                                                     method="quadrature"),
-                         lm.predicted_trend_variance(model, horizon, "tilde",
-                                                     method="closed")),
-                        (lm.predicted_trend_return_correlation(
-                            model, omega, method="quadrature"),
-                         lm.predicted_trend_return_correlation(
-                            model, omega, method="closed")),
+                        (theory._quad_trend_variance(model, horizon, "phi"),
+                         lm.predicted_trend_variance(model, horizon, "phi")),
+                        (theory._quad_trend_variance(model, horizon, "tilde"),
+                         lm.predicted_trend_variance(model, horizon, "tilde")),
+                        (theory._quad_trend_return_correlation(model, omega),
+                         lm.predicted_trend_return_correlation(model, omega)),
                     ]
                     for quad, closed in quantities:
                         if closed == 0.0:

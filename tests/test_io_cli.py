@@ -1,5 +1,6 @@
 """Price ingestion, provenance-stamped output and the CLI pipelines."""
 
+import dataclasses
 import datetime
 import json
 import math
@@ -161,6 +162,15 @@ class TestSimulateCommand:
                          "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_non_finite_temperature_exits_2_without_output(self, tmp_path,
+                                                           temperature):
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--side", "4", "--sweeps", "20",
+                         "--burn-in", "2", "--temperature", temperature,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_frozen_run_writes_no_file(self, tmp_path):
         out = tmp_path / "run"
         code = cli.main([
@@ -299,6 +309,28 @@ class TestPredictCommand:
                          "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("regime", ["scaling", "exponential",
+                                        "matched"])
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_non_finite_tau_exits_2_without_output(self, tmp_path, regime,
+                                                   tau):
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--tau", tau, "--regime", regime,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("regime", ["scaling", "exponential"])
+    def test_small_kappa_pure_regimes_use_closed_forms(self, tmp_path,
+                                                       regime):
+        # the quadrature cannot resolve kappa = 0.05 (matched case below);
+        # the pure regimes never call it
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--kappa", "0.05", "--regime", regime,
+                         "--out", str(out)]) == 0
+        _, rows = io.read_csv_rows(out / "predictions.csv")
+        assert len(rows) == 13
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
     def test_unresolved_quadrature_exits_2_without_output(self, tmp_path,
                                                           caplog):
         # at kappa = 0.05 the t^(kappa-1) end singularity outlasts the
@@ -426,6 +458,17 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", str(csv_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_oversized_field_exits_2_without_output(self, tmp_path, caplog):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text('market,date,price\nA,2020-01-01,1.0\n'
+                            'A,2020-01-02,"' + "1" * 200_000 + '"\n')
+        out = tmp_path / "analysis"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["analyze", str(csv_path),
+                             "--out", str(out)]) == 2
+        assert "big.csv: line 3: field larger than field limit" in caplog.text
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         csv_path = make_long_csv(tmp_path / "prices.csv", days=700,
                                  markets=("ES", "TY"))
@@ -497,6 +540,17 @@ class TestFitKappaCommand:
         assert any("line 3" in rec.message for rec in caplog.records)
         assert not out.exists()
 
+    def test_oversized_field_exits_2_without_output(self, tmp_path, caplog):
+        var_csv = tmp_path / "var.csv"
+        var_csv.write_text('k,variance\n1,0.9\n2,"' + "1" * 200_000
+                           + '"\n3,0.8\n')
+        out = tmp_path / "fit"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["fit-kappa", str(var_csv),
+                             "--out", str(out)]) == 2
+        assert "var.csv: line 3: field larger than field limit" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_variance_exits_2_without_output(self, tmp_path,
                                                         bad):
@@ -546,6 +600,13 @@ class TestConfigPrecedence:
                              "--out", str(out)]) == 2
         assert any(key in rec.message for rec in caplog.records)
         assert not out.exists()
+
+    def test_every_config_field_is_a_flag(self):
+        # the CLI takes its override keys from the config's fields
+        subs = cli.build_parser()._subparsers._group_actions[0].choices
+        dests = {a.dest for sub in subs.values() for a in sub._actions}
+        fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert fields <= dests
 
     def test_help_lists_protocol_defaults(self):
         parser = cli.build_parser()

@@ -245,14 +245,12 @@ class TestTrendReturnCorrelation:
         m = PropagatorModel(tau=4096.0, kappa=kappa, regime="scaling")
         for horizon in (4.0, 64.0):
             omega = 2.0 / horizon
-            quad = lm.predicted_trend_return_correlation(m, omega)
+            quad = theory._quad_trend_return_correlation(m, omega)
             closed = -2 * omega ** 1.5 * (kappa * (1 - kappa) / 2) \
                 * gamma_fn(kappa) * omega ** (-kappa)
             assert quad == pytest.approx(closed, rel=1e-6)
-            assert quad == pytest.approx(
-                lm.predicted_trend_return_correlation(m, omega,
-                                                      method="closed"),
-                rel=1e-6)
+            assert lm.predicted_trend_return_correlation(m, omega) == \
+                pytest.approx(closed, rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.6, 0.9, 1.0])
     def test_exponential_laplace_oracle(self, kappa):
@@ -260,18 +258,18 @@ class TestTrendReturnCorrelation:
         m = PropagatorModel(tau=tau, kappa=kappa, regime="exponential")
         for horizon in (4.0, 256.0):
             omega = 2.0 / horizon
-            quad = lm.predicted_trend_return_correlation(m, omega)
+            quad = theory._quad_trend_return_correlation(m, omega)
             closed = -2 * omega ** 1.5 * (tau ** (kappa - 2) / 2) \
                 / (omega + 1 / tau) ** 2
             assert quad == pytest.approx(closed, rel=1e-6)
+            assert lm.predicted_trend_return_correlation(m, omega) == \
+                pytest.approx(closed, rel=1e-12)
 
     def test_matched_regime_quadrature_runs(self):
         m = PropagatorModel(tau=256.0, kappa=0.9, regime="matched",
                             t_star=64.0)
         val = lm.predicted_trend_return_correlation(m, 2.0 / 16.0)
         assert val < 0.0
-        with pytest.raises(DomainError):
-            lm.predicted_trend_return_correlation(m, 0.125, method="closed")
 
     def test_invalid_omega(self):
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
@@ -294,8 +292,7 @@ class TestTrendVariance:
                 closed = kappa * gamma_fn(kappa + 1) * omega ** (1 - kappa)
                 assert lm.predicted_trend_variance(m, horizon, "phi") == \
                     pytest.approx(closed, rel=1e-12)
-                quad = lm.predicted_trend_variance(m, horizon, "phi",
-                                                   method="quadrature")
+                quad = theory._quad_trend_variance(m, horizon, "phi")
                 assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_phi_kappa_one_is_unity(self):
@@ -319,8 +316,7 @@ class TestTrendVariance:
                     assert lm.predicted_trend_variance(
                         m, horizon, estimator) == pytest.approx(
                         closed, rel=1e-12)
-                    quad = lm.predicted_trend_variance(
-                        m, horizon, estimator, method="quadrature")
+                    quad = theory._quad_trend_variance(m, horizon, estimator)
                     assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_scaling_domain_enforced(self):
@@ -336,8 +332,6 @@ class TestTrendVariance:
                                   t_star=64.0)
         val = lm.predicted_trend_variance(matched, 16.0, "phi")
         assert val > 0.0
-        with pytest.raises(DomainError):
-            lm.predicted_trend_variance(matched, 16.0, "phi", method="closed")
 
     def test_invalid_estimator(self):
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
@@ -374,9 +368,8 @@ class TestPhiVarianceNestedOracle:
 
     def test_exponential_single_integral_equals_nested(self):
         m = PropagatorModel(tau=64.0, kappa=0.6, regime="exponential")
-        assert lm.predicted_trend_variance(
-            m, 16.0, "phi", method="quadrature") == pytest.approx(
-            nested_phi_variance(m, 16.0), rel=1e-9)
+        assert theory._quad_trend_variance(m, 16.0, "phi") == \
+            pytest.approx(nested_phi_variance(m, 16.0), rel=1e-9)
 
 
 def reference_derivatives(model, t):
@@ -422,19 +415,17 @@ class TestQuadratureOracle:
             for k in range(1, 14):
                 horizon = 2.0 ** k
                 w = 2.0 / horizon
-                pairs = [(lm.predicted_trend_return_correlation(m, w),
+                pairs = [(theory._quad_trend_return_correlation(m, w),
                           quadpack(lambda z: -2.0 * w ** 1.5 * z
                                    * math.exp(-w * z)
                                    * reference_derivatives(m, z)[1], m))]
                 if regime != "scaling" or horizon <= tau / 4.0:
                     pairs += [
-                        (lm.predicted_trend_variance(
-                            m, horizon, "phi", method="quadrature"),
+                        (theory._quad_trend_variance(m, horizon, "phi"),
                          quadpack(lambda v: -2.0 * w ** 2 * v
                                   * math.exp(-w * v)
                                   * reference_derivatives(m, v)[0], m)),
-                        (lm.predicted_trend_variance(
-                            m, horizon, "tilde", method="quadrature"),
+                        (theory._quad_trend_variance(m, horizon, "tilde"),
                          quadpack(lambda v: -2.0 / horizon
                                   * reference_derivatives(m, v)[0],
                                   m, horizon)),
@@ -467,13 +458,12 @@ class TestMatchedScalingLimit:
             omega = 2.0 / horizon
             assert lm.predicted_trend_return_correlation(
                 matched, omega) == pytest.approx(
-                lm.predicted_trend_return_correlation(
-                    scaling, omega, method="closed"), rel=1e-9)
+                lm.predicted_trend_return_correlation(scaling, omega),
+                rel=1e-9)
             for estimator in ("phi", "tilde"):
                 assert lm.predicted_trend_variance(
                     matched, horizon, estimator) == pytest.approx(
-                    lm.predicted_trend_variance(
-                        scaling, horizon, estimator, method="closed"),
+                    lm.predicted_trend_variance(scaling, horizon, estimator),
                     rel=1e-9)
 
 
