@@ -12,16 +12,12 @@ from .dynamics import (
     CRITICAL_TEMPERATURE_2D,
     SimulationParams,
     MagnetizationSeries,
-    ZeroModeParams,
-    PriceDeviationSeries,
     glauber_flip_probability,
     sweep,
     run_simulation,
-    run_replicas,
     magnetization_to_returns,
     binder_cumulant,
     autocorrelation_time,
-    integrate_zero_mode,
 )
 from .trends import (
     ReturnSeries,
@@ -56,7 +52,6 @@ from .stats import (
     ScalingFit,
     fit_cubic_sums,
     fit_cubic_xy,
-    fit_langevin_xy,
     bootstrap_errors_sums,
     bootstrap_errors_xy,
     cross_validate_sums,

@@ -1,4 +1,4 @@
-"""Stochastic time evolution of the lattice and of the price zero mode.
+"""Stochastic time evolution of the lattice.
 
 The lattice relaxes by single-spin-flip Glauber heat-bath updates, the
 discrete realization of purely dissipative (non-conserved order
@@ -11,23 +11,15 @@ half-sweeps, N attempted flips in all.  Each half-sweep satisfies
 detailed balance, so the chain samples the Gibbs measure with model-A
 dynamics; an odd side is rejected.
 
-The spatially constant mode pi(t) (total magnetization, alias price
-deviation) additionally gets a direct Langevin integrator
-
-    dpi/dt = a - (r/2) pi - (g/12) pi^3 + noise,   Var(noise) = 1/dt
-
-integrated by Euler-Maruyama.
-
 Randomness: all entropy flows through numpy SeedSequence.  A master seed
-is split into named child streams (lattice init, dynamics, replicas), so
-replicas and bootstrap draws are independent and reproducible.
-Replicas run one after another, each on its own generator.
+is split into named child streams (lattice init, dynamics), so runs are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,24 +189,6 @@ def run_simulation(params: SimulationParams) -> MagnetizationSeries:
                                acceptance_rate=int(flips) / attempts)
 
 
-def replica_seeds(master_seed: int, n_replicas: int) -> list[int]:
-    """Deterministic per-replica 64-bit seeds derived from a master seed."""
-    state = np.random.SeedSequence(master_seed).generate_state(
-        n_replicas, dtype=np.uint64)
-    return [int(s) for s in state]
-
-
-def run_replicas(params: SimulationParams,
-                 n_replicas: int) -> list[MagnetizationSeries]:
-    """Run independent replicas, one after another, in replica order.
-
-    Each replica is a fully independent simulation (own lattice, own rng
-    stream) seeded from params.seed, so the output is deterministic.
-    """
-    return [run_simulation(replace(params, seed=s))
-            for s in replica_seeds(params.seed, n_replicas)]
-
-
 def magnetization_to_returns(series: MagnetizationSeries) -> trends.ReturnSeries:
     """First differences of M, normalized to unit sample variance.
 
@@ -275,64 +249,3 @@ def autocorrelation_time(series) -> AutocorrelationEstimate:
         if w >= 6.0 * tau:
             return AutocorrelationEstimate(tau=tau, window=w, reliable=True)
     return AutocorrelationEstimate(tau=tau, window=max_lag, reliable=False)
-
-
-@dataclass(frozen=True)
-class ZeroModeParams:
-    """Euler-Maruyama parameters for the price-deviation Langevin equation.
-
-    Stability requires dt <= 0.1 / max(1, |r|, g); the constructor
-    enforces this documented bound.
-    """
-    r: float
-    g: float
-    a: float
-    dt: float
-    steps: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValueError("g must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        bound = 0.1 / max(1.0, abs(self.r), self.g)
-        if self.dt > bound + 1e-15:
-            raise ValueError(
-                f"dt={self.dt} violates the stability bound dt <= {bound:.6g}")
-
-
-@dataclass(frozen=True)
-class PriceDeviationSeries:
-    """Sampled pi(t) path, values[0] = initial condition."""
-    values: np.ndarray
-    params: ZeroModeParams
-
-
-_DIVERGENCE_GUARD = 1e8
-
-
-def integrate_zero_mode(params: ZeroModeParams,
-                        initial: float = 0.0) -> PriceDeviationSeries:
-    """Integrate dpi = (a - (r/2) pi - (g/12) pi^3) dt + sqrt(dt) dW.
-
-    The noise has unit variance per unit time.  Paths exceeding the
-    overflow guard raise with the offending step named.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(params.seed))
-    noise = rng.standard_normal(params.steps) * math.sqrt(params.dt)
-    r_half = 0.5 * params.r
-    g_sixth2 = params.g / 12.0
-    dt = params.dt
-    a = params.a
-    pi = float(initial)
-    out = np.empty(params.steps + 1)
-    out[0] = pi
-    for i in range(params.steps):
-        pi = pi + (a - r_half * pi - g_sixth2 * pi ** 3) * dt + noise[i]
-        if not (-_DIVERGENCE_GUARD < pi < _DIVERGENCE_GUARD):
-            raise RuntimeError(f"zero-mode path diverged at step {i + 1}")
-        out[i + 1] = pi
-    return PriceDeviationSeries(values=out, params=params)

@@ -169,12 +169,12 @@ def _block_cells(body: list, schema: str, width: int, known: dict):
 
 
 def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
-                 index: dict, column_codes: np.ndarray,
-                 known: dict) -> tuple:
+                 index: dict, known: dict) -> tuple:
     """Day, price, market code and line of every price cell of a block of
     data records; raises on the block's first faulty row.  A long-format
     market seen for the first time gets the next code in `index`, and a
-    new date token its day in `known`, each under a copy of the token."""
+    new date token its day in `known`, each under a copy of the token; a
+    wide-format market's code is its price column."""
     cells = _block_cells(body, schema, width, known)
     if cells is None:
         for line, row in zip(lines, body):
@@ -190,7 +190,7 @@ def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
         codes = np.fromiter(map(index.__getitem__, labels), np.int64,
                             len(labels))
     else:
-        codes = column_codes[labels]
+        codes = labels
     return days, prices, codes, lines[cell_rows]
 
 
@@ -211,10 +211,11 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
     """Load a price CSV in long (market,date,price) or wide format.
 
     Wide format has a date column followed by one price column per
-    market; empty cells are allowed (ragged starts, gaps) and recorded
-    per market as missing calendar days.  Malformed rows, duplicate
-    dates and non-positive prices are rejected with their line numbers;
-    the first offending line, in file order, is the one reported.
+    market, each named once and not blank; empty cells are allowed
+    (ragged starts, gaps) and recorded per market as missing calendar
+    days.  Malformed rows, duplicate dates and non-positive prices are
+    rejected with their line numbers; the first offending line, in file
+    order, is the one reported.
 
     The records are parsed in blocks of about _BLOCK_FIELDS fields, each
     turned into day, price, code and line arrays before the next is read,
@@ -232,6 +233,7 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
         block = next(blocks, None)
         if block is None:
             raise ValueError(f"{path}: no data rows")
+        index: dict[str, int] = {}
         if schema == "long":
             if len(header) < 3:
                 raise ValueError(
@@ -239,16 +241,18 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
         elif schema == "wide":
             if len(header) < 2:
                 raise ValueError(f"line {header_no}: wide header needs markets")
+            for column, name in enumerate(map(str.strip, header[1:]), 2):
+                if not name or name in index:
+                    fault = (f"duplicate market {name!r}" if name
+                             else "empty market name")
+                    raise ValueError(
+                        f"line {header_no}: {fault} in column {column}")
+                index[_copy(name)] = len(index)
         else:
             raise ValueError("schema must be 'long' or 'wide'")
-        index: dict[str, int] = {}
-        column_codes = np.array(
-            [index.setdefault(_copy(h.strip()), len(index))
-             for h in header[1:]] if schema == "wide" else [], dtype=np.int64)
         parsed, known = [], {}
         while block is not None:
-            parsed.append(_parse_block(*block, schema, width, index,
-                                       column_codes, known))
+            parsed.append(_parse_block(*block, schema, width, index, known))
             del block                   # its records go before more are read
             block = next(blocks, None)
     days, prices, codes, lines = map(np.concatenate, zip(*parsed))

@@ -41,7 +41,7 @@ class RegressionReport:
     """Cubic-regression coefficients with errors and fit quality.
 
     r_squared_adj is the classical small-sample adjustment; the honest
-    out-of-sample figure comes from cross_validate_xy.  R-squared values
+    out-of-sample figure comes from cross_validate_sums.  R-squared values
     are fractions; multiply by 1e4 to read them in basis points.
     """
     a: float
@@ -119,23 +119,6 @@ def fit_cubic_sums(rows) -> RegressionReport:
 def fit_cubic_xy(x, y) -> RegressionReport:
     """OLS of y on (1, x, x^3) for pre-aligned pairs (fit_cubic_sums)."""
     return fit_cubic_sums(_moment_columns(*_pairs(x, y)))
-
-
-def fit_langevin_xy(x, y) -> tuple[float, float]:
-    """Solve the 2x2 moment system for the no-intercept pair (beta, gamma).
-
-        [ <x^2>  <x^4> ] [beta ]   [ <x y>   ]
-        [ <x^4>  <x^6> ] [gamma] = [ <x^3 y> ]
-
-    This equals no-intercept OLS on the regressors (x, x^3).
-    """
-    x, y = _pairs(x, y)
-    s = _moment_columns(x, y).mean(axis=0)
-    moments = s[[[2, 4], [4, 5]]]
-    if np.linalg.cond(moments) > _COND_LIMIT:
-        raise ValueError("singular moment matrix")
-    beta, gamma = np.linalg.solve(moments, s[[7, 8]])
-    return float(beta), float(gamma)
 
 
 # -- bootstrap ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Glauber dynamics, diagnostics and the zero-mode integrator."""
+"""Glauber dynamics and its diagnostics, against exact results."""
 
 import math
 from dataclasses import replace
@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate as sci_integrate
 from scipy.signal import lfilter
 from scipy.special import ellipk
 
@@ -95,6 +94,13 @@ class TestSweep:
         assert traces[0] == [-m for m in traces[1]]
 
 
+def replicas(p, n):
+    """n independent runs of p, seeded from p.seed."""
+    return [lm.run_simulation(replace(p, seed=int(s)))
+            for s in np.random.SeedSequence(p.seed).generate_state(
+                n, dtype=np.uint64)]
+
+
 def onsager_energy_per_site(temperature, coupling=1.0 / 8.0):
     """Onsager's internal energy per site, -J coth(2K)[1 + (2/pi)(2 tanh^2
     (2K) - 1) K(k)] with K = J/T and k = 2 sinh(2K) / cosh^2(2K); the spin
@@ -148,7 +154,7 @@ class TestCheckerboardKernel:
         p = lm.SimulationParams(dims=2, side=4, temperature=TC, sweeps=20000,
                                 burn_in=1000, seed=4)
         means, errors = zip(*(mean_and_error(r.values ** 2)
-                              for r in lm.run_replicas(p, 8)))
+                              for r in replicas(p, 8)))
         error = math.hypot(*errors) / len(errors)
         assert abs(np.mean(means) - exact) < 4.0 * error
 
@@ -234,20 +240,6 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             lm.SimulationParams(thin=0)
 
-    def test_replicas_deterministic_and_independent(self):
-        p = lm.SimulationParams(dims=2, side=8, init="random",
-                                temperature=0.4, sweeps=60, seed=3)
-        first = lm.run_replicas(p, 3)
-        second = lm.run_replicas(p, 3)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(first[0].values, first[1].values)
-        # replica i is run_simulation with the i-th replica seed, bit for bit
-        for series, seed in zip(first, dynamics.replica_seeds(3, 3)):
-            single = lm.run_simulation(replace(p, seed=seed))
-            assert np.array_equal(series.values, single.values)
-            assert series.acceptance_rate == single.acceptance_rate
-
 
 class TestMagnetizationToReturns:
     def test_deterministic_trend_rejected(self):
@@ -327,73 +319,35 @@ class TestAutocorrelationTime:
             p = lm.SimulationParams(dims=2, side=side, init="random",
                                     temperature=TC, sweeps=sweeps,
                                     burn_in=sweeps // 10, seed=seed)
-            replicas = lm.run_replicas(p, 3)
             taus[side] = np.mean([
                 dynamics.autocorrelation_time(r.values).tau
-                for r in replicas])
+                for r in replicas(p, 3)])
         assert taus[16] > 2.0 * taus[8]
 
 
-class TestZeroMode:
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            lm.ZeroModeParams(r=0.5, g=-1.0, a=0.0, dt=0.01, steps=10)
-        with pytest.raises(ValueError):
-            lm.ZeroModeParams(r=5.0, g=0.0, a=0.0, dt=0.05, steps=10)
-        with pytest.raises(ValueError):
-            lm.ZeroModeParams(r=0.5, g=0.0, a=0.0, dt=0.0, steps=10)
-
-    def test_ou_stationary_variance(self):
-        params = lm.ZeroModeParams(r=0.5, g=0.0, a=0.0, dt=0.05,
-                                   steps=2_000_000, seed=31)
-        path = lm.integrate_zero_mode(params).values[10000:]
-        assert path.var() == pytest.approx(1.0 / 0.5, rel=0.05)
-
-    def test_ou_autocovariance_closed_form(self):
-        params = lm.ZeroModeParams(r=0.5, g=0.0, a=0.0, dt=0.05,
-                                   steps=2_000_000, seed=31)
-        path = lm.integrate_zero_mode(params).values[10000:]
-        for t in (1.0, 2.0, 4.0):
-            lag = int(round(t / params.dt))
-            emp = np.mean(path[lag:] * path[:-lag])
-            assert emp == pytest.approx(2.0 * math.exp(-0.25 * t), rel=0.05)
-
-    def test_brownian_variance_grows_linearly(self):
-        ends = []
-        for i in range(400):
-            params = lm.ZeroModeParams(r=0.0, g=0.0, a=0.0, dt=0.1,
-                                       steps=200, seed=1000 + i)
-            ends.append(lm.integrate_zero_mode(params).values[-1])
-        t_final = 200 * 0.1
-        var = np.var(ends)
-        assert abs(var - t_final) < 3 * t_final * math.sqrt(2.0 / 400)
-
-    def test_bistable_matches_boltzmann_weight(self):
-        r, g = -1.0, 6.0
-        params = lm.ZeroModeParams(r=r, g=g, a=0.0, dt=0.01,
-                                   steps=2_000_000, seed=32)
-        path = lm.integrate_zero_mode(params).values[100000:]
-        # minima of the drift potential at +-sqrt(-6 r / g) = +-1
-        assert np.mean(np.abs(path)) == pytest.approx(1.0, abs=0.25)
-
-        def potential(x):
-            return 0.25 * r * x * x + (g / 48.0) * x ** 4
-
-        norm = sci_integrate.quad(
-            lambda x: math.exp(-2 * potential(x)), -10, 10)[0]
-        second = sci_integrate.quad(
-            lambda x: x * x * math.exp(-2 * potential(x)), -10, 10)[0] / norm
-        assert np.mean(path ** 2) == pytest.approx(second, rel=0.10)
-
-    def test_divergence_names_the_step(self):
-        params = lm.ZeroModeParams(r=-2.0, g=0.0, a=0.0, dt=0.05,
-                                   steps=3000, seed=2)
-        with pytest.raises(RuntimeError, match=r"step \d+"):
-            lm.integrate_zero_mode(params, initial=1.0)
-
-    def test_reproducible(self):
-        params = lm.ZeroModeParams(r=0.5, g=1.0, a=0.1, dt=0.05,
-                                   steps=500, seed=77)
-        a = lm.integrate_zero_mode(params)
-        b = lm.integrate_zero_mode(params)
-        assert np.array_equal(a.values, b.values)
+class TestExactChain1D:
+    @pytest.mark.parametrize("temperature,side", [(1.0, 64), (0.5, 128)])
+    def test_magnetization_autocorrelation_is_glauber(self, temperature,
+                                                      side):
+        # with J = 1/4 the heat bath gives E[sigma_i | nbrs] = (gamma/2)
+        # (sigma_i-1 + sigma_i+1), gamma = tanh(1/(2T)) (Glauber, J. Math.
+        # Phys. 4, 294, 1963); the even half then the odd half give
+        # E[M_even'] = gamma M_odd and E[M_odd'] = gamma^2 M_odd, so the
+        # M recorded per sweep has rho(tau) = (1 + gamma) gamma^(2 tau - 1)
+        # / 2 and tau_int = 1 / (2 (1 - gamma)).  Ten master seeds gave a
+        # spread of at most 0.0085 in rho(1..4) and 2.6% in tau_int, so
+        # the bounds are about 4 sd; a synchronous update (rho = gamma^tau)
+        # or gamma = tanh(1/T) misses by 0.14 or more at some lag
+        gamma = math.tanh(0.5 / temperature)
+        lags = np.arange(1, 5)
+        exact = (1.0 + gamma) * gamma ** (2 * lags - 1) / 2.0
+        p = lm.SimulationParams(dims=1, side=side, temperature=temperature,
+                                sweeps=10000, burn_in=100, seed=21)
+        runs = replicas(p, 4)
+        rho = []
+        for r in runs:
+            x = r.values - r.values.mean()
+            rho.append([x[:-k] @ x[k:] / (x @ x) for k in lags])
+        assert np.abs(np.mean(rho, axis=0) - exact).max() < 0.035
+        tau = np.mean([dynamics.autocorrelation_time(r).tau for r in runs])
+        assert tau == pytest.approx(0.5 / (1.0 - gamma), rel=0.10)

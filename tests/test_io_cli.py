@@ -458,6 +458,28 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", str(csv_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("names,fault", [
+        (",B", "empty market name in column 2"),
+        ("A,A", "duplicate market 'A' in column 3")], ids=["blank", "repeat"])
+    def test_bad_wide_header_exits_2_without_output(self, tmp_path, caplog,
+                                                    names, fault):
+        # under a valid header this panel analyzes; a blank name would
+        # load a market '' and a repeated one merge two columns
+        rng = np.random.default_rng(4)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, (600, 2)), 0))
+        days = np.datetime64("2020-01-01") + np.arange(600)
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text(f"date,{names}\n" + "".join(
+            f"{d},{a!r},{b!r}\n" for d, (a, b) in zip(days, prices.tolist())))
+        argv = ["analyze", str(csv_path), "--schema", "wide", "--estimator",
+                "step", "--horizons", "1,2", "--bootstrap-samples", "100",
+                "--cv-folds", "5"]
+        out = tmp_path / "analysis"
+        with caplog.at_level("ERROR"):
+            assert cli.main(argv + ["--out", str(out)]) == 2
+        assert f"line 1: {fault}" in caplog.text
+        assert not out.exists()
+
     def test_oversized_field_exits_2_without_output(self, tmp_path, caplog):
         csv_path = tmp_path / "big.csv"
         csv_path.write_text('market,date,price\nA,2020-01-01,1.0\n'

@@ -87,6 +87,13 @@ def reference_load(path, schema):
         names = [h.strip() for h in header[1:]]
         if not names:
             raise ValueError(f"line {header_no}: wide header needs markets")
+        for column, name in enumerate(names, 2):
+            if not name:
+                raise ValueError(f"line {header_no}: empty market name"
+                                 f" in column {column}")
+            if name in names[:column - 2]:
+                raise ValueError(f"line {header_no}: duplicate market"
+                                 f" {name!r} in column {column}")
         for line_no, row in body:
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)}"
@@ -295,6 +302,21 @@ class TestBulkParserOracle:
         assert outcome(bulk_load, text, "wide") == want
         if want[0] == "ok":
             assert want[1][0][1][1] == datetime.date(2020, 1, 5)
+
+    @pytest.mark.parametrize("header,want", [
+        ("date,,B", "line 1: empty market name in column 2"),
+        ("date,A, ", "line 1: empty market name in column 3"),
+        ("date,A,A", "line 1: duplicate market 'A' in column 3"),
+        ("date,A,B, A", "line 1: duplicate market 'A' in column 4")],
+        ids=["blank", "blank-last", "repeat", "repeat-padded"])
+    def test_wide_header_fault_names_the_column(self, header, want):
+        # a blank or repeated name would load a market named '' or merge
+        # two columns into one market, so it fails before any data row
+        width = header.count(",")
+        text = header + "\n" + "".join(
+            f"2020-01-0{d},{','.join(['1'] * width)}\n" for d in (1, 2))
+        assert outcome(reference_load, text, "wide") == ("error", want)
+        assert outcome(bulk_load, text, "wide") == ("error", want)
 
     def test_first_fault_in_file_order_wins(self):
         # a bad price on line 3 precedes a bad date on line 4 and the

@@ -131,39 +131,6 @@ class TestFitCubic:
         assert abs(rep.r_squared - r2) < 1e-14
 
 
-class TestFitLangevin:
-    def test_linear_signal_recovered(self):
-        rng = np.random.default_rng(101)
-        x = rng.standard_normal(20000)
-        y = 0.01 * x + rng.standard_normal(20000)
-        beta, gamma = lm.fit_langevin_xy(x, y)
-        se_beta = math.sqrt(2.5 / 20000)   # from the Gaussian moment matrix
-        se_gamma = math.sqrt(1.0 / 6.0 / 20000)
-        assert abs(beta - 0.01) < 3 * se_beta
-        assert abs(gamma) < 3 * se_gamma
-
-    def test_pure_cube_exact(self):
-        rng = np.random.default_rng(102)
-        x = rng.standard_normal(1000)
-        beta, gamma = lm.fit_langevin_xy(x, x ** 3)
-        assert beta == pytest.approx(0.0, abs=1e-12)
-        assert gamma == pytest.approx(1.0, rel=1e-12)
-
-    def test_equals_no_intercept_ols(self):
-        rng = np.random.default_rng(103)
-        x = rng.standard_normal(3000)
-        y = 0.01 * x - 0.002 * x ** 3 + rng.standard_normal(3000)
-        beta, gamma = lm.fit_langevin_xy(x, y)
-        design = np.column_stack([x, x ** 3])
-        ols = np.linalg.lstsq(design, y, rcond=None)[0]
-        assert beta == pytest.approx(ols[0], abs=1e-10)
-        assert gamma == pytest.approx(ols[1], abs=1e-10)
-
-    def test_singular_moment_matrix(self):
-        with pytest.raises(ValueError):
-            lm.fit_langevin_xy(np.zeros(200), np.ones(200))
-
-
 def loop_bootstrap(x, y, n_samples, seed, groups=None):
     """One gather, sum, cond and solve per resample: the reference loop."""
     cols = np.ascontiguousarray(stats._moment_columns(x, y))
