@@ -32,6 +32,11 @@ from . import trends
 CRITICAL_TEMPERATURE_2D = 0.25 / math.log(1.0 + math.sqrt(2.0))
 
 
+# Sites per block of sweeps: the kernel draws its uniforms, turns them
+# into flip levels and tallies flips and M once per block, not per sweep.
+_BLOCK_SITES = 1 << 14
+
+
 def _check_even_side(side: int) -> None:
     if side % 2:
         raise ValueError(f"side {side} is odd: the checkerboard update "
@@ -121,34 +126,97 @@ def _checkerboard(lattice: SpinLattice):
     return order, nbrs.reshape(2, n // 2, 2 * dims).transpose(0, 2, 1).copy()
 
 
+def _flip_thresholds(dims: int, ptab: np.ndarray) -> np.ndarray:
+    """Acceptance thresholds p(m) for m = -2D, -2D + 2, ..., 2D.
+
+    The kernel's level rule needs them non-increasing in m; a table that
+    is not is a ValueError, never a different chain.
+    """
+    thresholds = ptab[np.arange(-2 * dims, 2 * dims + 1, 2)]
+    rises = np.flatnonzero(np.diff(thresholds) > 0)
+    if rises.size:
+        m = 2 * int(rises[0]) - 2 * dims
+        raise ValueError(f"acceptance p(m) rises from m={m} to m={m + 2}: "
+                         "the flip-level rule needs p non-increasing in m")
+    return thresholds
+
+
+def _flip_levels(u: np.ndarray, thresholds: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Odd int8 flip levels h = 2 #{m : u < p(m)} - 2D - 1, into out.
+
+    With p non-increasing, {m : u < p(m)} is the run of m below h, so for
+    every even m in -2D..2D, m < h exactly where u < p(m); h - 1 is the
+    largest m that flips.
+    """
+    np.add.reduce(np.less(u, thresholds[:, None]), axis=0, dtype=np.int8,
+                  out=out)
+    out *= 2
+    out -= thresholds.size
+
+
 def _run_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray,
                 rng: np.random.Generator, sweeps: int,
                 record_every: int = 0, skip: int = 0):
     """Checkerboard Glauber sweeps over an (N,) sigma = +-1 int8 array.
 
     sigma is in the permuted order of `_checkerboard` and is mutated in
-    place.  Each sweep draws one uniform per site, the even half-sweep's
-    before the odd one's.  A site flips where u < p(sigma * sum
-    sigma_nbr), so a global flip of the start state mirrors the
-    trajectory.  Returns (M, flips): M = sum(sigma)/2 after each recorded
-    sweep, and the number of accepted flips after `skip` sweeps.
+    place.  Each sweep uses one uniform per site, the even half-sweep's
+    before the odd one's; the uniforms of a block of sweeps are drawn in
+    one call, the same stream as one draw per sweep.  A site flips where
+    u < p(m), m = sigma * sum sigma_nbr, so a global flip of the start
+    state mirrors the trajectory.  Each block turns its uniforms into
+    int8 flip levels h (`_flip_levels`), and a half-sweep sets
+    sigma' = sign(s - sigma h), s the neighbour sum: m is even and h
+    odd, so that is -sigma exactly where m < h, i.e. where u < p(m).
+    (|s - sigma h| <= 4D + 1 fits int8 for D <= 31, far past any
+    lattice that fits in memory.)
+
+    The state after each sweep of a block is one row of a (block + 1, N)
+    history.  Returns (M, flips): M = sum(sigma)/2 after each recorded
+    sweep, taken as row sums, and the accepted flips after `skip`
+    sweeps, counted as sites that differ between consecutive rows;
+    every site is updated once per sweep, so that count is exact.
     """
-    half = sigma.size // 2
-    coins = np.empty(sigma.size)
-    halves = ((sigma[:half], nbrs[0], coins[:half]),
-              (sigma[half:], nbrs[1], coins[half:]))
+    n = sigma.size
+    half = n // 2
+    thresholds = _flip_thresholds(nbrs.shape[1] // 2, ptab)
     values = np.empty((sweeps - skip) // record_every if record_every else 0)
+    block = max(1, min(sweeps, _BLOCK_SITES // n))
+    coins = np.empty(block * n)
+    levels = np.empty((block, 2, half), np.int8)
+    hist = np.empty((block + 1, n), np.int8)
+    hist[0] = sigma
+    scratch = np.empty(half, np.int8)
+    # per half-sweep: (state the fields read, neighbour table, spins
+    # before, spins after, levels); the odd half reads the even half's
+    # new spins
+    steps = [((hist[j], nbrs[0], hist[j, :half], hist[j + 1, :half],
+               levels[j, 0]),
+              (hist[j + 1], nbrs[1], hist[j, half:], hist[j + 1, half:],
+               levels[j, 1])) for j in range(block)]
     flips = 0
-    for done in range(1 - skip, sweeps - skip + 1):
-        rng.random(out=coins)
-        for spins, nbr, u in halves:
-            m = spins * sigma[nbr].sum(axis=0, dtype=np.int8)
-            flip = u < ptab.take(m)
-            np.negative(spins, out=spins, where=flip)
-            if done > 0:
-                flips += np.count_nonzero(flip)
-        if record_every and done > 0 and done % record_every == 0:
-            values[done // record_every - 1] = sigma.sum() / 2.0
+    for start in range(0, sweeps, block):
+        c = min(block, sweeps - start)
+        rng.random(out=coins[:c * n])
+        _flip_levels(coins[:c * n], thresholds, levels.reshape(-1)[:c * n])
+        for j in range(c):
+            for state, nbr, old, new, h in steps[j]:
+                np.add.reduce(state.take(nbr), axis=0, dtype=np.int8,
+                              out=new)
+                np.multiply(old, h, out=scratch)
+                np.subtract(new, scratch, out=new)
+                np.sign(new, out=new)
+        # row r holds the state after sweep start + r
+        first = max(0, skip - start)
+        if first < c:
+            flips += np.count_nonzero(hist[first + 1:c + 1] != hist[first:c])
+        if record_every:
+            i = max(1, -((skip - start - 1) // record_every))
+            rows = hist[skip + i * record_every - start:c + 1:record_every]
+            values[i - 1:i - 1 + len(rows)] = rows.sum(axis=1) / 2.0
+        hist[0] = hist[c]
+    sigma[:] = hist[0]
     return values, flips
 
 

@@ -115,6 +115,9 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
         dims=config.dims, side=config.side, init=config.init,
         temperature=config.temperature, sweeps=config.sweeps,
         burn_in=config.burn_in, thin=config.thin, seed=config.seed)
+    # the returns need two recorded values: fail before the first sweep
+    if (params.sweeps - params.burn_in) // params.thin < 2:
+        raise ValueError("need at least 2 recorded sweeps")
     series = dynamics.run_simulation(params)
     # a frozen run has no return variance: fail before writing any file
     returns = dynamics.magnetization_to_returns(series)

@@ -192,6 +192,103 @@ class TestCheckerboardKernel:
         assert abs(mean - yang) < 4.0 * error
 
 
+def reference_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray,
+                     rng: np.random.Generator, sweeps: int,
+                     record_every: int = 0, skip: int = 0):
+    """Checkerboard Glauber sweeps over an (N,) sigma = +-1 int8 array.
+
+    sigma is in the permuted order of `_checkerboard` and is mutated in
+    place.  Each sweep draws one uniform per site, the even half-sweep's
+    before the odd one's.  A site flips where u < p(sigma * sum
+    sigma_nbr), so a global flip of the start state mirrors the
+    trajectory.  Returns (M, flips): M = sum(sigma)/2 after each recorded
+    sweep, and the number of accepted flips after `skip` sweeps.
+    """
+    half = sigma.size // 2
+    coins = np.empty(sigma.size)
+    halves = ((sigma[:half], nbrs[0], coins[:half]),
+              (sigma[half:], nbrs[1], coins[half:]))
+    values = np.empty((sweeps - skip) // record_every if record_every else 0)
+    flips = 0
+    for done in range(1 - skip, sweeps - skip + 1):
+        rng.random(out=coins)
+        for spins, nbr, u in halves:
+            m = spins * sigma[nbr].sum(axis=0, dtype=np.int8)
+            flip = u < ptab.take(m)
+            np.negative(spins, out=spins, where=flip)
+            if done > 0:
+                flips += np.count_nonzero(flip)
+        if record_every and done > 0 and done % record_every == 0:
+            values[done // record_every - 1] = sigma.sum() / 2.0
+    return values, flips
+
+
+class TestBlockKernel:
+    """The block kernel against the one-sweep-at-a-time reference."""
+
+    @pytest.mark.parametrize("dims,side", [
+        (1, 64), (2, 16), (3, 8),              # many sweeps per block
+        (1, 1 << 15), (2, 192), (3, 32)])      # one sweep per block
+    @pytest.mark.parametrize("temperature", [1e-6, TC, 1.0, 1e12])
+    def test_matches_reference(self, dims, side, temperature):
+        lat = new_lattice(dims, side, "random", seed=dims)
+        order, nbrs = dynamics._checkerboard(lat)
+        start = 2 * lat.occupations[order] - 1
+        ptab = dynamics._acceptance_table(dims, temperature)
+        block = max(1, dynamics._BLOCK_SITES // lat.n_sites)
+        # burn-in ends one sweep before, at, and after a block boundary;
+        # records fall on both sides of later boundaries, and a thin of
+        # more than a block skips whole blocks
+        for sweeps, skip, thin in [(2 * block + 3, block - 1, 1),
+                                   (2 * block + 1, block, 3),
+                                   (3 * block + 2, block + 1, block + 1),
+                                   (2 * block, 0, 2)]:
+            runs = []
+            for kernel in (reference_sweeps, dynamics._run_sweeps):
+                sigma, rng = start.copy(), np.random.default_rng(side)
+                values, flips = kernel(sigma, nbrs, ptab, rng, sweeps,
+                                       record_every=thin, skip=skip)
+                runs.append((values, flips, sigma, rng.bit_generator.state))
+            (v_ref, f_ref, s_ref, r_ref), (v, f, s, r) = runs
+            assert v.size == (sweeps - skip) // thin
+            assert np.array_equal(v, v_ref)
+            assert f == f_ref
+            assert np.array_equal(s, s_ref)
+            assert r == r_ref
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_acceptance_table_non_increasing(self, dims):
+        m = np.arange(-2 * dims, 2 * dims + 1, 2)
+        for temperature in np.logspace(-6, 12, 181):
+            p = dynamics._acceptance_table(dims, temperature)[m]
+            assert np.all(np.diff(p) <= 0), temperature
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_level_rule_is_the_comparison(self, dims):
+        # m < h reproduces u < p(m) at u = 0, at each p(m) and just below
+        m = np.arange(-2 * dims, 2 * dims + 1, 2)
+        for temperature in np.logspace(-6, 12, 37):
+            p = dynamics._flip_thresholds(
+                dims, dynamics._acceptance_table(dims, temperature))
+            u = np.concatenate([[0.0], p, np.nextafter(p, 0.0)])
+            h = np.empty(u.size, np.int8)
+            dynamics._flip_levels(u, p, h)
+            assert np.array_equal(m < h[:, None], u[:, None] < p)
+
+    def test_rising_table_fails_before_any_draw(self):
+        lat = new_lattice(2, 4, "all_up")
+        order, nbrs = dynamics._checkerboard(lat)
+        sigma = 2 * lat.occupations[order] - 1
+        ptab = dynamics._acceptance_table(2, TC)
+        ptab[2] = 0.9  # p(2) above p(0) = 0.5
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="rises from m=0 to m=2"):
+            dynamics._run_sweeps(sigma, nbrs, ptab, rng, 10, 1)
+        assert rng.bit_generator.state == before
+        assert np.all(sigma == 1)
+
+
 class TestRunSimulation:
     def test_recorded_length(self):
         p = lm.SimulationParams(dims=2, side=8, init="random",

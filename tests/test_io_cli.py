@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import latticemarket as lm
-from latticemarket import cli, io
+from latticemarket import cli, io, pipeline
 from latticemarket.pipeline import PipelineConfig, analyze_price_table
 
 
@@ -169,6 +169,22 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--side", "4", "--sweeps", "20",
                          "--burn-in", "2", "--temperature", temperature,
                          "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_too_few_records_fail_before_any_sweep(self, tmp_path, caplog,
+                                                  monkeypatch):
+        # (20000 - 2000) // 15000 = 1 recorded sweep: no return to write
+        with pytest.raises(ValueError) as after_run:
+            lm.magnetization_to_returns(lm.MagnetizationSeries(
+                values=np.zeros(1), params=lm.SimulationParams()))
+        calls = []
+        monkeypatch.setattr(pipeline.dynamics, "run_simulation",
+                            lambda params: calls.append(params))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--side", "16", "--sweeps", "20000",
+                         "--thin", "15000", "--out", str(out)]) == 2
+        assert calls == []
+        assert f"ValueError: {after_run.value}" in caplog.text
         assert not out.exists()
 
     def test_frozen_run_writes_no_file(self, tmp_path):
