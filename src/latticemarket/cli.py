@@ -1,10 +1,10 @@
 """Command-line interface: simulate, predict, analyze, fit-kappa.
 
-Exit codes: 0 success, 2 validation error (bad inputs or config),
-1 runtime error.  Logs go to standard error; every subcommand accepts
---config PATH, --seed U64 and --out DIR, with CLI flags taking
-precedence over the config file, which takes precedence over the
-built-in defaults shown in --help.
+Exit codes: 0 success, 2 validation error (bad inputs or config) or a
+failed write, 1 runtime error.  Logs go to standard error; every
+subcommand accepts --config PATH, --seed U64 and --out DIR, with CLI
+flags taking precedence over the config file, which takes precedence
+over the built-in defaults shown in --help.
 """
 
 from __future__ import annotations
@@ -118,13 +118,13 @@ def main(argv=None) -> int:
             paths = cmd_analyze(config, args.prices, args.out,
                                 schema=args.schema)
         elif args.command == "fit-kappa":
-            paths = [cmd_fit_kappa(config, args.variances, args.out)]
+            paths = cmd_fit_kappa(config, args.variances, args.out)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
         for path in paths:
             print(path)
         return 0
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         logging.error("%s: %s", type(exc).__name__, exc)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

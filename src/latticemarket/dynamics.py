@@ -18,12 +18,13 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SpinLattice, new_lattice
+from .lattice import SpinLattice, _neighbor_tables, new_lattice
 from . import trends
 
 # Onsager critical temperature mapped to this energy normalization:
@@ -111,18 +112,20 @@ def _acceptance_table(dims: int, temperature: float) -> np.ndarray:
     return table
 
 
-def _checkerboard(lattice: SpinLattice):
+@functools.cache
+def _checkerboard(dims: int, side: int):
     """Site order with the even sublattice first, and its neighbour tables.
 
     A permuted state holds the sites order[:N/2] (even coordinate sum)
     first; nbrs[0] and nbrs[1], shape (2D, N/2), index the neighbours of
-    each half in permuted order.
+    each half in permuted order.  Cached per shape and shared, so never
+    written; left writeable, as `take` is slower with a read-only index.
     """
-    _check_even_side(lattice.side)
-    n, dims = lattice.n_sites, lattice.dims
-    coords = np.unravel_index(np.arange(n), (lattice.side,) * dims)
+    _check_even_side(side)
+    n = side ** dims
+    coords = np.unravel_index(np.arange(n), (side,) * dims)
     order = np.argsort(np.sum(coords, axis=0) % 2, kind="stable")
-    nbrs = np.argsort(order)[lattice.neighbor_table[order]]
+    nbrs = np.argsort(order)[_neighbor_tables(dims, side)[0][order]]
     return order, nbrs.reshape(2, n // 2, 2 * dims).transpose(0, 2, 1).copy()
 
 
@@ -228,7 +231,7 @@ def sweep(lattice: SpinLattice, temperature: float,
     uniforms; returns the lattice for chaining.  Raises ValueError for
     an odd side.
     """
-    order, nbrs = _checkerboard(lattice)
+    order, nbrs = _checkerboard(lattice.dims, lattice.side)
     sigma = 2 * lattice.occupations[order] - 1
     _run_sweeps(sigma, nbrs, _acceptance_table(lattice.dims, temperature),
                 rng, 1)
@@ -246,7 +249,7 @@ def run_simulation(params: SimulationParams) -> MagnetizationSeries:
     ss_init, ss_dyn = np.random.SeedSequence(params.seed).spawn(2)
     lattice = new_lattice(params.dims, params.side, params.init,
                           seed=ss_init if params.init == "random" else None)
-    order, nbrs = _checkerboard(lattice)
+    order, nbrs = _checkerboard(params.dims, params.side)
     values, flips = _run_sweeps(
         2 * lattice.occupations[order] - 1, nbrs,
         _acceptance_table(params.dims, params.temperature),

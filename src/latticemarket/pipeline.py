@@ -13,6 +13,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,6 +109,45 @@ def _propagator_from_config(config: PipelineConfig) -> theory.PropagatorModel:
                                   regime=config.regime, t_star=t_star)
 
 
+def _config_hash(config: PipelineConfig) -> str:
+    return io.sha256_of_text(json.dumps(config.as_dict(), sort_keys=True))
+
+
+def _table(records: list[dict], columns: list[str]) -> tuple:
+    """(columns, rows) of a CSV whose columns are keys of the records."""
+    return columns, [tuple(r[c] for c in columns) for r in records]
+
+
+def _publish(out_dir, provenance: dict, files: dict) -> list[Path]:
+    """Write every output file into out_dir, or none of them.
+
+    files maps a name to (columns, rows) for a .csv and to a payload for
+    a .json.  All are written into a staging directory beside out_dir
+    (missing parents are made first) and moved in only after the last
+    write, so a failed write leaves out_dir as it was, or absent; a crash
+    between two moves can still leave part of the set.
+    """
+    out = Path(out_dir)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=".latticemarket-"))
+    try:
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                io.write_csv(stage / name, *content, provenance)
+            else:
+                io.write_json(stage / name, content, provenance)
+        out.mkdir(exist_ok=True)
+        # a file cannot replace a directory: check every name first
+        for name in files:
+            if (out / name).is_dir():
+                raise IsADirectoryError(f"output {out / name} is a directory")
+        for name in files:
+            os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage)
+    return [out / name for name in files]
+
+
 # -- simulate -------------------------------------------------------------
 
 def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
@@ -121,30 +163,20 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
     series = dynamics.run_simulation(params)
     # a frozen run has no return variance: fail before writing any file
     returns = dynamics.magnetization_to_returns(series)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n_sites = config.side ** config.dims
-    prov = io.make_provenance(
-        config.seed,
-        inputs={"config": io.sha256_of_text(
-            json.dumps(config.as_dict(), sort_keys=True))})
-    mag_path = out / "magnetization.csv"
-    rows = []
-    for i, m in enumerate(series.values):
-        sweep_no = params.burn_in + (i + 1) * params.thin
-        rows.append((sweep_no, m, 1.0 + 2.0 * m / n_sites))
-    io.write_csv(mag_path, ["sweep", "M", "price"], rows, prov)
-    ret_path = out / "returns.csv"
-    io.write_csv(ret_path, ["t", "R"],
-                 list(enumerate(returns.values)), prov)
-    params_path = out / "params.json"
-    io.write_json(params_path, {"params": dataclasses.asdict(params),
-                                "n_sites": n_sites,
-                                "returns_mu": returns.mu,
-                                "returns_sigma": returns.sigma,
-                                "diagnostics": _mixing_diagnostics(series)},
-                  prov)
-    return [mag_path, ret_path, params_path]
+    prov = io.make_provenance(config.seed,
+                              inputs={"config": _config_hash(config)})
+    return _publish(out_dir, prov, {
+        "magnetization.csv": (["sweep", "M", "price"], [
+            (params.burn_in + (i + 1) * params.thin, m,
+             1.0 + 2.0 * m / n_sites) for i, m in enumerate(series.values)]),
+        "returns.csv": (["t", "R"], list(enumerate(returns.values))),
+        "params.json": {"params": dataclasses.asdict(params),
+                        "n_sites": n_sites,
+                        "returns_mu": returns.mu,
+                        "returns_sigma": returns.sigma,
+                        "diagnostics": _mixing_diagnostics(series)},
+    })
 
 
 def _mixing_diagnostics(series: dynamics.MagnetizationSeries) -> dict:
@@ -179,9 +211,7 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
     config.validate()
     model = _propagator_from_config(config)
     prov = io.make_provenance(
-        config.seed,
-        inputs={"config": io.sha256_of_text(
-            json.dumps(config.as_dict(), sort_keys=True))},
+        config.seed, inputs={"config": _config_hash(config)},
         extra={"kappa": model.kappa, "tau": model.tau,
                "regime": model.regime
                + (" (heuristic)" if model.regime == "matched" else "")})
@@ -202,27 +232,21 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
             ))
         except theory.DomainError as exc:
             log.warning("dropping k=%d: %s", k, exc)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pred_path = out / "predictions.csv"
-    io.write_csv(pred_path,
-                 ["k", "T", "return_autocorrelation",
-                  "trend_return_correlation", "variance_phi",
-                  "variance_tilde", "adjacent_window_correlation"],
-                 rows, prov)
     hurst = model.kappa / 2.0
     try:
         dim = theory.dimension_for_kappa(model.kappa)
     except ValueError:
         dim = None
-    hurst_path = out / "hurst.csv"
-    io.write_csv(hurst_path, ["dimension", "kappa", "hurst"],
-                 [(dim if dim is not None else "", model.kappa, hurst)], prov)
-    params_path = out / "params.json"
-    io.write_json(params_path, {"config": config.as_dict(),
-                                "kappa": model.kappa, "hurst": hurst,
-                                "dimension": dim}, prov)
-    return [pred_path, hurst_path, params_path]
+    return _publish(out_dir, prov, {
+        "predictions.csv": (["k", "T", "return_autocorrelation",
+                             "trend_return_correlation", "variance_phi",
+                             "variance_tilde", "adjacent_window_correlation"],
+                            rows),
+        "hurst.csv": (["dimension", "kappa", "hurst"],
+                      [(dim if dim is not None else "", model.kappa, hurst)]),
+        "params.json": {"config": config.as_dict(), "kappa": model.kappa,
+                        "hurst": hurst, "dimension": dim},
+    })
 
 
 # -- analyze ----------------------------------------------------------------
@@ -458,58 +482,33 @@ def cmd_analyze(config: PipelineConfig, price_path, out_dir,
     prov = io.make_provenance(
         config.seed,
         inputs={Path(price_path).name: io.sha256_of_file(price_path),
-                "config": io.sha256_of_text(
-                    json.dumps(config.as_dict(), sort_keys=True))})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    report_path = out / "report.json"
-    io.write_json(report_path, {"report": report,
-                                "config": config.as_dict()}, prov)
-    paths.append(report_path)
-
-    coeff_path = out / "coefficients_by_scale.csv"
-    io.write_csv(coeff_path, ["k", "T", "b", "se_b", "c", "se_c", "n_obs"],
-                 [(r["k"], r["T"], r["b"], r["se_b"], r["c"], r["se_c"],
-                   r["n_obs"]) for r in report["by_scale"]], prov)
-    paths.append(coeff_path)
-
-    auto_path = out / "trend_autocorrelation.csv"
-    io.write_csv(auto_path, ["k", "T", "trend_return_covariance"],
-                 [(r["k"], r["T"], r["trend_return_covariance"])
-                  for r in report["by_scale"]], prov)
-    paths.append(auto_path)
-
-    var_path = out / "variance_by_scale.csv"
-    io.write_csv(var_path,
-                 ["k", "T", "variance_tilde", "adjacent_correlation",
-                  "n_windows"],
-                 [(r["k"], r["T"], r["variance_tilde"],
-                   r["adjacent_correlation"], r["n_windows"])
-                  for r in report["variance_by_scale"]], prov)
-    paths.append(var_path)
-
-    mom_path = out / "moments.csv"
-    io.write_csv(mom_path, ["q", "k", "T", "M_q"],
-                 [(r["q"], r["k"], r["T"], r["M_q"])
-                  for r in report["moment_scaling"]["curves"]], prov)
-    paths.append(mom_path)
-
+                "config": _config_hash(config)})
     reg = report["regression"]
-    table_path = out / "coefficient_table.csv"
-    io.write_csv(table_path, ["Coefficient", "Value", "Error", "t-statistic"],
-                 [("a", reg["a"], reg["se_a"], reg["t_a"]),
-                  ("b", reg["b"], reg["se_b"], reg["t_b"]),
-                  ("c", reg["c"], reg["se_c"], reg["t_c"]),
-                  ("R2", reg["r_squared"], "", ""),
-                  ("R2_adj_cv", reg["r_squared_cv"], "", "")], prov)
-    paths.append(table_path)
-    return paths
+    return _publish(out_dir, prov, {
+        "report.json": {"report": report, "config": config.as_dict()},
+        "coefficients_by_scale.csv": _table(
+            report["by_scale"], ["k", "T", "b", "se_b", "c", "se_c", "n_obs"]),
+        "trend_autocorrelation.csv": _table(
+            report["by_scale"], ["k", "T", "trend_return_covariance"]),
+        "variance_by_scale.csv": _table(
+            report["variance_by_scale"],
+            ["k", "T", "variance_tilde", "adjacent_correlation", "n_windows"]),
+        "moments.csv": _table(report["moment_scaling"]["curves"],
+                              ["q", "k", "T", "M_q"]),
+        "coefficient_table.csv": (
+            ["Coefficient", "Value", "Error", "t-statistic"],
+            [("a", reg["a"], reg["se_a"], reg["t_a"]),
+             ("b", reg["b"], reg["se_b"], reg["t_b"]),
+             ("c", reg["c"], reg["se_c"], reg["t_c"]),
+             ("R2", reg["r_squared"], "", ""),
+             ("R2_adj_cv", reg["r_squared_cv"], "", "")]),
+    })
 
 
 # -- fit-kappa ----------------------------------------------------------------
 
-def cmd_fit_kappa(config: PipelineConfig, variance_csv, out_dir) -> Path:
+def cmd_fit_kappa(config: PipelineConfig, variance_csv,
+                  out_dir) -> list[Path]:
     """Fit kappa from a (k, variance) CSV and invert to the dimension."""
     config.validate()
     header, rows = io.read_csv_rows(variance_csv)
@@ -537,8 +536,4 @@ def cmd_fit_kappa(config: PipelineConfig, variance_csv, out_dir) -> Path:
     prov = io.make_provenance(
         config.seed,
         inputs={Path(variance_csv).name: io.sha256_of_file(variance_csv)})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "kappa_fit.json"
-    io.write_json(report_path, result, prov)
-    return report_path
+    return _publish(out_dir, prov, {"kappa_fit.json": result})

@@ -232,7 +232,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("temperature", [1e-6, TC, 1.0, 1e12])
     def test_matches_reference(self, dims, side, temperature):
         lat = new_lattice(dims, side, "random", seed=dims)
-        order, nbrs = dynamics._checkerboard(lat)
+        order, nbrs = dynamics._checkerboard(lat.dims, lat.side)
         start = 2 * lat.occupations[order] - 1
         ptab = dynamics._acceptance_table(dims, temperature)
         block = max(1, dynamics._BLOCK_SITES // lat.n_sites)
@@ -277,7 +277,7 @@ class TestBlockKernel:
 
     def test_rising_table_fails_before_any_draw(self):
         lat = new_lattice(2, 4, "all_up")
-        order, nbrs = dynamics._checkerboard(lat)
+        order, nbrs = dynamics._checkerboard(lat.dims, lat.side)
         sigma = 2 * lat.occupations[order] - 1
         ptab = dynamics._acceptance_table(2, TC)
         ptab[2] = 0.9  # p(2) above p(0) = 0.5
@@ -287,6 +287,20 @@ class TestBlockKernel:
             dynamics._run_sweeps(sigma, nbrs, ptab, rng, 10, 1)
         assert rng.bit_generator.state == before
         assert np.all(sigma == 1)
+
+    def test_checkerboard_tables_cached_and_left_unchanged(self):
+        order, nbrs = dynamics._checkerboard(2, 8)
+        saved = order.copy(), nbrs.copy()
+        lm.run_simulation(lm.SimulationParams(dims=2, side=8, sweeps=50,
+                                              burn_in=5, seed=1))
+        lm.sweep(new_lattice(2, 8, "random", seed=1), TC,
+                 np.random.default_rng(0))
+        again = dynamics._checkerboard(2, 8)
+        assert again[0] is order and again[1] is nbrs
+        assert np.array_equal(order, saved[0])
+        assert np.array_equal(nbrs, saved[1])
+        # a read-only index array makes `take` slower
+        assert nbrs.flags.writeable
 
 
 class TestRunSimulation:

@@ -599,6 +599,69 @@ class TestFitKappaCommand:
         assert not out.exists()
 
 
+class TestFailClosedOutput:
+    """A command writes all of its files into --out, or none of them."""
+
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file",
+                                      "name_is_directory"])
+    def test_write_failure_exits_2_naming_the_path(self, tmp_path, caplog,
+                                                   case):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("sentinel")
+        out, named = {
+            "out_is_file": (blocker, blocker),
+            "out_under_file": (blocker / "run", blocker),
+            "name_is_directory": (tmp_path / "blk",
+                                  tmp_path / "blk" / "hurst.csv"),
+        }[case]
+        if case == "name_is_directory":
+            named.mkdir(parents=True)
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        with caplog.at_level("ERROR"):
+            assert cli.main(["predict", "--out", str(out)]) == 2
+        assert str(named) in caplog.text
+        assert blocker.read_text() == "sentinel"
+        # no predictions.csv, no staging directory, nothing else new
+        assert sorted(p.relative_to(tmp_path)
+                      for p in tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_analyze_leaves_out_as_it_was(self, tmp_path, caplog,
+                                                 monkeypatch, existing):
+        csv_path = make_long_csv(tmp_path / "prices.csv", days=700,
+                                 markets=("ES", "TY"))
+        out = tmp_path / "analysis"
+        if existing:
+            out.mkdir()
+            (out / "sentinel.txt").write_bytes(b"keep me\n")
+            (out / "report.json").write_bytes(b'{"older": true}\n')
+        before = {p.name: p.read_bytes() for p in out.glob("*")}
+        written = []
+
+        def fail_on_second_file(write):
+            def patched(path, *args):
+                written.append(path)
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device", str(path))
+                return write(path, *args)
+            return patched
+
+        monkeypatch.setattr(io, "write_json",
+                            fail_on_second_file(io.write_json))
+        monkeypatch.setattr(io, "write_csv", fail_on_second_file(io.write_csv))
+        with caplog.at_level("ERROR"):
+            assert cli.main(["analyze", str(csv_path), "--horizons", "1,2,3",
+                             "--bootstrap-samples", "120", "--cv-folds", "5",
+                             "--out", str(out)]) == 2
+        assert [p.name for p in written] == ["report.json",
+                                             "coefficients_by_scale.csv"]
+        assert "No space left on device" in caplog.text
+        assert out.exists() == existing
+        assert {p.name: p.read_bytes() for p in out.glob("*")} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(["prices.csv"] + ["analysis"] * existing)
+
+
 class TestConfigPrecedence:
     def test_cli_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
