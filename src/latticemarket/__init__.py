@@ -50,12 +50,10 @@ from .stats import (
     CrossValidationResult,
     ParabolicFit,
     ScalingFit,
-    fit_cubic_sums,
-    fit_cubic_xy,
-    bootstrap_errors_sums,
-    bootstrap_errors_xy,
-    cross_validate_sums,
-    cross_validate_xy,
+    moment_sums,
+    fit_cubic,
+    bootstrap_errors,
+    cross_validate,
     fit_parabolic_b,
     moment_scaling,
     fit_kappa,

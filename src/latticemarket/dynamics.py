@@ -98,18 +98,14 @@ def glauber_flip_probability(delta_e: float, temperature: float) -> float:
     return 1.0 / (1.0 + e)
 
 
-def _acceptance_table(dims: int, temperature: float) -> np.ndarray:
-    """Acceptance probability indexed by m = sigma_site * sum sigma_nbr.
+def _flip_thresholds(dims: int, temperature: float) -> np.ndarray:
+    """Acceptance p(m) for m = -2D, -2D + 2, ..., 2D.
 
-    With sigma = 2s in {-1,+1}, the flip energy is dE = m / (2D).  m takes
-    the 2D + 1 even values -2D..2D, which are distinct modulo 2D + 1, so
-    the table has 2D + 1 entries and m indexes it directly (negative
-    values wrap).
+    m = sigma_site * sum sigma_nbr with sigma = 2s in {-1,+1}, and the
+    flip energy is dE = m / (2D).
     """
-    table = np.empty(2 * dims + 1)
-    for m in range(-2 * dims, 2 * dims + 1, 2):
-        table[m] = glauber_flip_probability(m / (2.0 * dims), temperature)
-    return table
+    return np.array([glauber_flip_probability(m / (2.0 * dims), temperature)
+                     for m in range(-2 * dims, 2 * dims + 1, 2)])
 
 
 @functools.cache
@@ -129,21 +125,6 @@ def _checkerboard(dims: int, side: int):
     return order, nbrs.reshape(2, n // 2, 2 * dims).transpose(0, 2, 1).copy()
 
 
-def _flip_thresholds(dims: int, ptab: np.ndarray) -> np.ndarray:
-    """Acceptance thresholds p(m) for m = -2D, -2D + 2, ..., 2D.
-
-    The kernel's level rule needs them non-increasing in m; a table that
-    is not is a ValueError, never a different chain.
-    """
-    thresholds = ptab[np.arange(-2 * dims, 2 * dims + 1, 2)]
-    rises = np.flatnonzero(np.diff(thresholds) > 0)
-    if rises.size:
-        m = 2 * int(rises[0]) - 2 * dims
-        raise ValueError(f"acceptance p(m) rises from m={m} to m={m + 2}: "
-                         "the flip-level rule needs p non-increasing in m")
-    return thresholds
-
-
 def _flip_levels(u: np.ndarray, thresholds: np.ndarray,
                  out: np.ndarray) -> None:
     """Odd int8 flip levels h = 2 #{m : u < p(m)} - 2D - 1, into out.
@@ -158,7 +139,7 @@ def _flip_levels(u: np.ndarray, thresholds: np.ndarray,
     out -= thresholds.size
 
 
-def _run_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray,
+def _run_sweeps(sigma: np.ndarray, nbrs, thresholds: np.ndarray,
                 rng: np.random.Generator, sweeps: int,
                 record_every: int = 0, skip: int = 0):
     """Checkerboard Glauber sweeps over an (N,) sigma = +-1 int8 array.
@@ -180,10 +161,18 @@ def _run_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray,
     sweep, taken as row sums, and the accepted flips after `skip`
     sweeps, counted as sites that differ between consecutive rows;
     every site is updated once per sweep, so that count is exact.
+
+    thresholds holds p(m) for m = -2D, ..., 2D (`_flip_thresholds`); the
+    level rule needs it non-increasing in m, and a table that is not is a
+    ValueError before any draw, never a different chain.
     """
+    rises = np.flatnonzero(np.diff(thresholds) > 0)
+    if rises.size:
+        m = 2 * int(rises[0]) - thresholds.size + 1
+        raise ValueError(f"acceptance p(m) rises from m={m} to m={m + 2}: "
+                         "the flip-level rule needs p non-increasing in m")
     n = sigma.size
     half = n // 2
-    thresholds = _flip_thresholds(nbrs.shape[1] // 2, ptab)
     values = np.empty((sweeps - skip) // record_every if record_every else 0)
     block = max(1, min(sweeps, _BLOCK_SITES // n))
     coins = np.empty(block * n)
@@ -233,7 +222,7 @@ def sweep(lattice: SpinLattice, temperature: float,
     """
     order, nbrs = _checkerboard(lattice.dims, lattice.side)
     sigma = 2 * lattice.occupations[order] - 1
-    _run_sweeps(sigma, nbrs, _acceptance_table(lattice.dims, temperature),
+    _run_sweeps(sigma, nbrs, _flip_thresholds(lattice.dims, temperature),
                 rng, 1)
     lattice.occupations[order] = (sigma + 1) // 2
     return lattice
@@ -252,7 +241,7 @@ def run_simulation(params: SimulationParams) -> MagnetizationSeries:
     order, nbrs = _checkerboard(params.dims, params.side)
     values, flips = _run_sweeps(
         2 * lattice.occupations[order] - 1, nbrs,
-        _acceptance_table(params.dims, params.temperature),
+        _flip_thresholds(params.dims, params.temperature),
         np.random.default_rng(ss_dyn), params.sweeps,
         record_every=params.thin, skip=params.burn_in)
     attempts = (params.sweeps - params.burn_in) * lattice.n_sites

@@ -122,21 +122,24 @@ def _publish(out_dir, provenance: dict, files: dict) -> list[Path]:
     """Write every output file into out_dir, or none of them.
 
     files maps a name to (columns, rows) for a .csv and to a payload for
-    a .json.  All are written into a staging directory beside out_dir
-    (missing parents are made first) and moved in only after the last
-    write, so a failed write leaves out_dir as it was, or absent; a crash
-    between two moves can still leave part of the set.
+    a .json.  All are written into a staging directory in the nearest
+    existing ancestor of out_dir, which with its missing parents is made
+    only after the last write, and then moved in; so a failed write leaves
+    out_dir and its parents as they were, or absent.  A crash between two
+    moves can still leave part of the set.
     """
     out = Path(out_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=".latticemarket-"))
+    base = out.parent
+    while not base.exists():
+        base = base.parent
+    stage = Path(tempfile.mkdtemp(dir=base, prefix=".latticemarket-"))
     try:
         for name, content in files.items():
             if name.endswith(".csv"):
                 io.write_csv(stage / name, *content, provenance)
             else:
                 io.write_json(stage / name, content, provenance)
-        out.mkdir(exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         # a file cannot replace a directory: check every name first
         for name in files:
             if (out / name).is_dir():
@@ -218,9 +221,6 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
     rows = []
     for k in config.predict_horizons:
         horizon = 2.0 ** k
-        if model.regime == "scaling" and 2.0 * horizon > model.tau:
-            log.warning("dropping k=%d: 2T exceeds tau in the scaling regime", k)
-            continue
         try:
             rows.append((
                 k, horizon,
@@ -321,7 +321,7 @@ def analyze_price_table(table: io.PriceTable,
             for market in range(n_markets):
                 stacked[i] += panel[market]
             del panel                   # before the next panel is made
-        fit = stats.fit_cubic_sums(sums[None])
+        fit = stats.fit_cubic(sums[None])
         by_scale.append({
             "k": k, "T": 2 ** k, "warmup": warmup, "n_obs": fit.n_obs,
             "a": fit.a, "b": fit.b, "c": fit.c,
@@ -342,10 +342,9 @@ def analyze_price_table(table: io.PriceTable,
 
     # stacked regression across markets and scales (the headline fit)
     days = stacked[:, stacked[0] > 0].T       # the days with data
-    fit = stats.fit_cubic_sums(days)
-    boot = stats.bootstrap_errors_sums(days, config.bootstrap_samples,
-                                       config.seed)
-    cv = stats.cross_validate_sums(days, config.cv_folds)
+    fit = stats.fit_cubic(days)
+    boot = stats.bootstrap_errors(days, config.bootstrap_samples, config.seed)
+    cv = stats.cross_validate(days, config.cv_folds)
     report["regression"] = {
         "a": fit.a, "b": fit.b, "c": fit.c,
         "se_a": boot.se_a, "se_b": boot.se_b, "se_c": boot.se_c,
@@ -368,8 +367,8 @@ def analyze_price_table(table: io.PriceTable,
         combined = np.array([panel.sum(axis=0) for panel in _moment_panels(
             x_sum / len(by_scale), y_panel, shared)])
         days = combined[:, combined[0] > 0].T
-        cfit = stats.fit_cubic_sums(days)
-        ccv = stats.cross_validate_sums(days, config.cv_folds)
+        cfit = stats.fit_cubic(days)
+        ccv = stats.cross_validate(days, config.cv_folds)
         report["aggregated_factor"] = {
             "a": cfit.a, "b": cfit.b, "c": cfit.c,
             "r_squared": cfit.r_squared,
@@ -416,18 +415,12 @@ def analyze_price_table(table: io.PriceTable,
 
     # kappa and network dimension from the variance curve
     if len(var_rows) >= 3:
-        kap_fit = stats.fit_kappa(
+        kappa_hat, kappa_se, (dim, low, high) = _kappa_fit(
             [(row["k"], row["variance_tilde"]) for row in var_rows],
             weights=np.asarray(counts, dtype=float))
-        kappa_hat = kap_fit.exponent
-        kappa_se = kap_fit.exponent_se
         report["kappa"] = {"estimate": kappa_hat, "se": kappa_se}
-        report["dimension"] = {
-            "estimate": _safe_dimension(kappa_hat),
-            "low": _safe_dimension(kappa_hat - kappa_se),
-            "high": _safe_dimension(kappa_hat + kappa_se),
-        }
-        if report["dimension"]["estimate"] is not None:
+        report["dimension"] = {"estimate": dim, "low": low, "high": high}
+        if dim is not None:
             report["hurst_predicted"] = kappa_hat / 2.0
 
     # moment scaling (generalized Hurst exponents), pooled per observation
@@ -435,11 +428,20 @@ def analyze_price_table(table: io.PriceTable,
     return report
 
 
-def _safe_dimension(kappa: float):
-    try:
-        return theory.dimension_for_kappa(min(kappa, 1.0))
-    except ValueError:
-        return None
+def _kappa_fit(points, weights=None) -> tuple:
+    """kappa and its standard error from (k, variance) points
+    (stats.fit_kappa), and [dimension, low, high]: the network dimensions
+    at kappa, kappa - se and kappa + se, each capped at kappa = 1, and
+    None where the table has no dimension."""
+    fit = stats.fit_kappa(points, weights=weights)
+    kappa, se = fit.exponent, fit.exponent_se
+    dims = []
+    for value in (kappa, kappa - se, kappa + se):
+        try:
+            dims.append(theory.dimension_for_kappa(min(value, 1.0)))
+        except ValueError:
+            dims.append(None)
+    return kappa, se, dims
 
 
 def _pooled_moments(returns_all, horizons: list[int],
@@ -523,16 +525,10 @@ def cmd_fit_kappa(config: PipelineConfig, variance_csv,
     points = []
     for row in rows:
         points.append((float(row[k_col]), float(row[v_col])))
-    fit = stats.fit_kappa(points)
-    kappa_hat, kappa_se = fit.exponent, fit.exponent_se
-    result = {
-        "kappa": kappa_hat,
-        "kappa_se": kappa_se,
-        "dimension": _safe_dimension(kappa_hat),
-        "dimension_low": _safe_dimension(kappa_hat - kappa_se),
-        "dimension_high": _safe_dimension(kappa_hat + kappa_se),
-        "n_points": len(points),
-    }
+    kappa_hat, kappa_se, (dim, low, high) = _kappa_fit(points)
+    result = {"kappa": kappa_hat, "kappa_se": kappa_se, "dimension": dim,
+              "dimension_low": low, "dimension_high": high,
+              "n_points": len(points)}
     prov = io.make_provenance(
         config.seed,
         inputs={Path(variance_csv).name: io.sha256_of_file(variance_csv)})

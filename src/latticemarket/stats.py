@@ -41,7 +41,7 @@ class RegressionReport:
     """Cubic-regression coefficients with errors and fit quality.
 
     r_squared_adj is the classical small-sample adjustment; the honest
-    out-of-sample figure comes from cross_validate_sums.  R-squared values
+    out-of-sample figure comes from cross_validate.  R-squared values
     are fractions; multiply by 1e4 to read them in basis points.
     """
     a: float
@@ -61,77 +61,6 @@ class RegressionReport:
     @property
     def coefficients(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
-
-    @property
-    def standard_errors(self) -> np.ndarray:
-        return np.array([self.se_a, self.se_b, self.se_c])
-
-
-def _pairs(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
-    return x, y
-
-
-def _ss_res(sums: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Residual sums of squares, sum y^2 - 2 coef.(sum y, sum x y, sum x^3 y)
-    + coef' G coef, of (k, 3) coefficients on (k, 10) moment sums."""
-    gram = sums[:, _GRAM].reshape(-1, 3, 3)
-    return (sums[:, 9] - 2.0 * np.einsum("ki,ki->k", coef, sums[:, 6:9])
-            + np.einsum("ki,kij,kj->k", coef, gram, coef))
-
-
-def fit_cubic_sums(rows) -> RegressionReport:
-    """OLS of y on (1, x, x^3) from (n, 10) rows of moment sums.
-
-    Only the column sums matter: rows per observation (_moment_columns)
-    or per group give the same fit.  A Gram that is non-finite or has a
-    condition number above 1e12 is rejected as rank-deficient.  SS_res and
-    SS_tot = sum y^2 - (sum y)^2 / n carry a few ulp of sum y^2 of rounding.
-    """
-    sums = np.asarray(rows, dtype=np.float64).sum(axis=0)
-    n = int(sums[0])
-    if n < _MIN_OBSERVATIONS:
-        raise ValueError(
-            f"need at least {_MIN_OBSERVATIONS} observations, got {n}")
-    coef, cond = _solve_from_sums(sums[None])
-    coef, cond = coef[0], float(cond[0])
-    if not cond <= _COND_LIMIT:
-        raise ValueError("rank-deficient design (constant trend strength?)")
-    ssr = max(float(_ss_res(sums[None], coef[None])[0]), 0.0)
-    sst = float(sums[9] - sums[6] ** 2 / n)
-    sigma2 = ssr / (n - 3)
-    cov = sigma2 * np.linalg.inv(sums[_GRAM].reshape(3, 3))
-    se = np.sqrt(np.diag(cov))
-    r2 = 1.0 - ssr / sst if sst > 0 else 0.0
-    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = np.where(se > 0, coef / se, np.inf * np.sign(coef))
-    return RegressionReport(
-        a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
-        se_a=float(se[0]), se_b=float(se[1]), se_c=float(se[2]),
-        t_a=float(tstats[0]), t_b=float(tstats[1]), t_c=float(tstats[2]),
-        r_squared=r2, r_squared_adj=r2_adj, n_obs=n, gram_condition=cond)
-
-
-def fit_cubic_xy(x, y) -> RegressionReport:
-    """OLS of y on (1, x, x^3) for pre-aligned pairs (fit_cubic_sums)."""
-    return fit_cubic_sums(_moment_columns(*_pairs(x, y)))
-
-
-# -- bootstrap ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    """Resampled coefficient spread for the cubic regression."""
-    se_a: float
-    se_b: float
-    se_c: float
-    percentiles: np.ndarray   # shape (3, 2): 2.5% / 97.5% per coefficient
-    samples: np.ndarray       # (n_kept, 3) resampled coefficients
-    n_skipped: int
 
     @property
     def standard_errors(self) -> np.ndarray:
@@ -160,23 +89,83 @@ def _moments(x, y, one):
     yield y * y
 
 
-def _moment_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-observation moments (_moments) as the columns of one (n, 10)
-    array."""
-    cols = np.empty((x.size, 10), order="F")
-    for col, moment in zip(cols.T, _moments(x, y, 1.0)):
-        col[:] = moment
-    return cols
-
-
-def _group_rows(cols: np.ndarray, labels) -> np.ndarray:
-    """(G, 10) moment sums of the G distinct labels, in ascending order;
-    np.bincount adds each group's rows in row order."""
-    labels = np.asarray(labels)
-    if labels.shape != cols.shape[:1]:
+def moment_sums(x, y, groups=None) -> np.ndarray:
+    """Rows of the ten moments (_moments) of pre-aligned pairs (x, y): one
+    row per pair, or with `groups` labels (e.g. dates shared by several
+    markets) one row of sums per distinct label, in ascending label order,
+    np.bincount adding each group's pairs in pair order.  These rows are
+    what fit_cubic, bootstrap_errors and cross_validate read."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    if groups is not None and np.shape(groups) != x.shape:
         raise ValueError("labels must mark every observation")
-    codes = np.unique(labels, return_inverse=True)[1]
-    return np.array([np.bincount(codes, weights=col) for col in cols.T]).T
+    rows = np.empty((x.size, 10), order="F")
+    for col, moment in zip(rows.T, _moments(x, y, 1.0)):
+        col[:] = moment
+    if groups is None:
+        return rows
+    codes = np.unique(groups, return_inverse=True)[1]
+    return np.array([np.bincount(codes, weights=col) for col in rows.T]).T
+
+
+def _ss_res(sums: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Residual sums of squares, sum y^2 - 2 coef.(sum y, sum x y, sum x^3 y)
+    + coef' G coef, of (k, 3) coefficients on (k, 10) moment sums."""
+    gram = sums[:, _GRAM].reshape(-1, 3, 3)
+    return (sums[:, 9] - 2.0 * np.einsum("ki,ki->k", coef, sums[:, 6:9])
+            + np.einsum("ki,kij,kj->k", coef, gram, coef))
+
+
+def fit_cubic(rows) -> RegressionReport:
+    """OLS of y on (1, x, x^3) from (n, 10) rows of moment sums.
+
+    Only the column sums matter: the per-pair or per-group rows of
+    moment_sums give the same fit.  A Gram that is non-finite or has a
+    condition number above 1e12 is rejected as rank-deficient.  SS_res and
+    SS_tot = sum y^2 - (sum y)^2 / n carry a few ulp of sum y^2 of rounding.
+    """
+    sums = np.asarray(rows, dtype=np.float64).sum(axis=0)
+    n = int(sums[0])
+    if n < _MIN_OBSERVATIONS:
+        raise ValueError(
+            f"need at least {_MIN_OBSERVATIONS} observations, got {n}")
+    coef, cond = _solve_from_sums(sums[None])
+    coef, cond = coef[0], float(cond[0])
+    if not cond <= _COND_LIMIT:
+        raise ValueError("rank-deficient design (constant trend strength?)")
+    ssr = max(float(_ss_res(sums[None], coef[None])[0]), 0.0)
+    sst = float(sums[9] - sums[6] ** 2 / n)
+    sigma2 = ssr / (n - 3)
+    cov = sigma2 * np.linalg.inv(sums[_GRAM].reshape(3, 3))
+    se = np.sqrt(np.diag(cov))
+    r2 = 1.0 - ssr / sst if sst > 0 else 0.0
+    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstats = np.where(se > 0, coef / se, np.inf * np.sign(coef))
+    return RegressionReport(
+        a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
+        se_a=float(se[0]), se_b=float(se[1]), se_c=float(se[2]),
+        t_a=float(tstats[0]), t_b=float(tstats[1]), t_c=float(tstats[2]),
+        r_squared=r2, r_squared_adj=r2_adj, n_obs=n, gram_condition=cond)
+
+
+# -- bootstrap ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BootstrapResult:
+    """Resampled coefficient spread for the cubic regression."""
+    se_a: float
+    se_b: float
+    se_c: float
+    percentiles: np.ndarray   # shape (3, 2): 2.5% / 97.5% per coefficient
+    samples: np.ndarray       # (n_kept, 3) resampled coefficients
+    n_skipped: int
+
+    @property
+    def standard_errors(self) -> np.ndarray:
+        return np.array([self.se_a, self.se_b, self.se_c])
 
 
 def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +186,7 @@ def _solve_from_sums(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coef, cond
 
 
-def bootstrap_errors_sums(rows, n_samples: int, seed) -> BootstrapResult:
+def bootstrap_errors(rows, n_samples: int, seed) -> BootstrapResult:
     """Group-resampled standard errors from (G, 10) rows of moment sums.
 
     The G rows (groups, e.g. days holding several markets) are resampled
@@ -244,18 +233,6 @@ def bootstrap_errors_sums(rows, n_samples: int, seed) -> BootstrapResult:
                            n_skipped=n_samples - samples.shape[0])
 
 
-def bootstrap_errors_xy(x, y, n_samples: int, seed,
-                        groups=None) -> BootstrapResult:
-    """bootstrap_errors_sums for pre-aligned pairs: each observation is a
-    group, or with `groups` labels (e.g. dates shared by several markets)
-    whole groups are resampled jointly, keeping within-group correlation.
-    """
-    cols = _moment_columns(*_pairs(x, y))
-    if groups is not None:
-        cols = _group_rows(cols, groups)
-    return bootstrap_errors_sums(cols, n_samples, seed)
-
-
 # -- cross-validation ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -266,9 +243,10 @@ class CrossValidationResult:
     fold_sizes: np.ndarray    # held-out observations per fold
 
 
-def cross_validate_sums(rows, folds: int) -> CrossValidationResult:
+def cross_validate(rows, folds: int) -> CrossValidationResult:
     """Contiguous-block CV of the cubic regression from (B, 10) rows of
-    moment sums, one row per block in block order.
+    moment sums, one row per block in block order (moment_sums with
+    labels, e.g. calendar day ordinals, that sort into the blocks).
 
     The B blocks are split into `folds` runs as by np.array_split, so no
     block is split across two folds; each fold holds at least 4
@@ -303,18 +281,6 @@ def cross_validate_sums(rows, folds: int) -> CrossValidationResult:
     return CrossValidationResult(r_squared_folds=scores,
                                  r_squared_adj=float(scores.mean()),
                                  fold_sizes=sizes.astype(np.int64))
-
-
-def cross_validate_xy(x, y, folds: int,
-                      blocks=None) -> CrossValidationResult:
-    """cross_validate_sums for pre-aligned pairs, whose `blocks` labels
-    (e.g. calendar day ordinals) sort into the blocks; with blocks=None
-    each observation is a block: np.array_split(np.arange(n), folds).
-    """
-    cols = _moment_columns(*_pairs(x, y))
-    if blocks is not None:
-        cols = _group_rows(cols, blocks)
-    return cross_validate_sums(cols, folds)
 
 
 # -- parabolic scale dependence ------------------------------------------------

@@ -185,13 +185,13 @@ def test_criterion_6_regression_recovery():
     x = rng.standard_normal(n)
     signal = coeffs[0] + coeffs[1] * x + coeffs[2] * x ** 3
 
-    clean = lm.fit_cubic_xy(x, signal)
+    clean = lm.fit_cubic(lm.moment_sums(x, signal))
     for got, want in zip(clean.coefficients, coeffs):
         assert abs(got - want) <= 1e-10
 
     y = signal + rng.standard_normal(n)
-    noisy = lm.fit_cubic_xy(x, y)
-    boot = lm.bootstrap_errors_xy(x, y, 400, seed=62)
+    noisy = lm.fit_cubic(lm.moment_sums(x, y))
+    boot = lm.bootstrap_errors(lm.moment_sums(x, y), 400, seed=62)
     for got, want, se in zip(noisy.coefficients, coeffs,
                              boot.standard_errors):
         assert abs(got - want) <= 3.0 * se
@@ -205,9 +205,9 @@ def test_criterion_6_regression_recovery():
         xt = rng_t.standard_normal(n_small)
         yt = (coeffs[0] + coeffs[1] * xt + coeffs[2] * xt ** 3
               + rng_t.standard_normal(n_small))
-        estimates[trial] = lm.fit_cubic_xy(xt, yt).coefficients
-        boot_ses[trial] = lm.bootstrap_errors_xy(
-            xt, yt, 150, seed=6300 + trial).standard_errors
+        estimates[trial] = lm.fit_cubic(lm.moment_sums(xt, yt)).coefficients
+        boot_ses[trial] = lm.bootstrap_errors(
+            lm.moment_sums(xt, yt), 150, seed=6300 + trial).standard_errors
     mc_se = estimates.std(axis=0, ddof=1)
     mean_boot = boot_ses.mean(axis=0)
     ratios = mean_boot / mc_se

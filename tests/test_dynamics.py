@@ -192,7 +192,7 @@ class TestCheckerboardKernel:
         assert abs(mean - yang) < 4.0 * error
 
 
-def reference_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray,
+def reference_sweeps(sigma: np.ndarray, nbrs, thresholds: np.ndarray,
                      rng: np.random.Generator, sweeps: int,
                      record_every: int = 0, skip: int = 0):
     """Checkerboard Glauber sweeps over an (N,) sigma = +-1 int8 array.
@@ -203,7 +203,14 @@ def reference_sweeps(sigma: np.ndarray, nbrs, ptab: np.ndarray,
     sigma_nbr), so a global flip of the start state mirrors the
     trajectory.  Returns (M, flips): M = sum(sigma)/2 after each recorded
     sweep, and the number of accepted flips after `skip` sweeps.
+
+    The thresholds p(-2D), ..., p(2D) go into a table that m indexes
+    directly: the 2D + 1 even m are distinct modulo 2D + 1, so negative
+    m wrap onto free entries.
     """
+    dims = thresholds.size // 2
+    ptab = np.empty(thresholds.size)
+    ptab[np.arange(-2 * dims, 2 * dims + 1, 2)] = thresholds
     half = sigma.size // 2
     coins = np.empty(sigma.size)
     halves = ((sigma[:half], nbrs[0], coins[:half]),
@@ -234,7 +241,7 @@ class TestBlockKernel:
         lat = new_lattice(dims, side, "random", seed=dims)
         order, nbrs = dynamics._checkerboard(lat.dims, lat.side)
         start = 2 * lat.occupations[order] - 1
-        ptab = dynamics._acceptance_table(dims, temperature)
+        thresholds = dynamics._flip_thresholds(dims, temperature)
         block = max(1, dynamics._BLOCK_SITES // lat.n_sites)
         # burn-in ends one sweep before, at, and after a block boundary;
         # records fall on both sides of later boundaries, and a thin of
@@ -246,7 +253,7 @@ class TestBlockKernel:
             runs = []
             for kernel in (reference_sweeps, dynamics._run_sweeps):
                 sigma, rng = start.copy(), np.random.default_rng(side)
-                values, flips = kernel(sigma, nbrs, ptab, rng, sweeps,
+                values, flips = kernel(sigma, nbrs, thresholds, rng, sweeps,
                                        record_every=thin, skip=skip)
                 runs.append((values, flips, sigma, rng.bit_generator.state))
             (v_ref, f_ref, s_ref, r_ref), (v, f, s, r) = runs
@@ -258,9 +265,8 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("dims", [1, 2, 3, 4])
     def test_acceptance_table_non_increasing(self, dims):
-        m = np.arange(-2 * dims, 2 * dims + 1, 2)
         for temperature in np.logspace(-6, 12, 181):
-            p = dynamics._acceptance_table(dims, temperature)[m]
+            p = dynamics._flip_thresholds(dims, temperature)
             assert np.all(np.diff(p) <= 0), temperature
 
     @pytest.mark.parametrize("dims", [1, 2, 3, 4])
@@ -268,8 +274,7 @@ class TestBlockKernel:
         # m < h reproduces u < p(m) at u = 0, at each p(m) and just below
         m = np.arange(-2 * dims, 2 * dims + 1, 2)
         for temperature in np.logspace(-6, 12, 37):
-            p = dynamics._flip_thresholds(
-                dims, dynamics._acceptance_table(dims, temperature))
+            p = dynamics._flip_thresholds(dims, temperature)
             u = np.concatenate([[0.0], p, np.nextafter(p, 0.0)])
             h = np.empty(u.size, np.int8)
             dynamics._flip_levels(u, p, h)
@@ -279,12 +284,12 @@ class TestBlockKernel:
         lat = new_lattice(2, 4, "all_up")
         order, nbrs = dynamics._checkerboard(lat.dims, lat.side)
         sigma = 2 * lat.occupations[order] - 1
-        ptab = dynamics._acceptance_table(2, TC)
-        ptab[2] = 0.9  # p(2) above p(0) = 0.5
+        thresholds = dynamics._flip_thresholds(2, TC)
+        thresholds[3] = 0.9  # p(2) above p(0) = 0.5
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="rises from m=0 to m=2"):
-            dynamics._run_sweeps(sigma, nbrs, ptab, rng, 10, 1)
+            dynamics._run_sweeps(sigma, nbrs, thresholds, rng, 10, 1)
         assert rng.bit_generator.state == before
         assert np.all(sigma == 1)
 

@@ -625,6 +625,15 @@ class TestFailClosedOutput:
         assert sorted(p.relative_to(tmp_path)
                       for p in tmp_path.rglob("*")) == before
 
+    def test_failed_write_leaves_no_parents_of_out(self, tmp_path,
+                                                   monkeypatch):
+        def full_disk(path, *args):
+            raise OSError(28, "No space left on device", str(path))
+        monkeypatch.setattr(io, "write_csv", full_disk)
+        out = tmp_path / "new" / "a" / "b" / "run"
+        assert cli.main(["predict", "--out", str(out)]) == 2
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("existing", [True, False])
     def test_failed_analyze_leaves_out_as_it_was(self, tmp_path, caplog,
                                                  monkeypatch, existing):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from latticemarket.dynamics import _acceptance_table, glauber_flip_probability
+from latticemarket.dynamics import _flip_thresholds, glauber_flip_probability
 from latticemarket.lattice import SpinLattice, new_lattice
 
 
@@ -125,7 +125,7 @@ def flip_acceptance(lattice, temperature):
     the heat-bath probability of the brute-force spin_energy change of
     flipping that site, and that change."""
     sigma = 2 * lattice.occupations.astype(np.int64) - 1
-    table = _acceptance_table(lattice.dims, temperature)
+    table = _flip_thresholds(lattice.dims, temperature)
     rows = []
     for site in range(lattice.n_sites):
         m = sigma[site] * sigma[lattice.neighbor_table[site]].sum()
@@ -133,7 +133,8 @@ def flip_acceptance(lattice, temperature):
         flipped[site] ^= 1
         d_e = (SpinLattice(lattice.dims, lattice.side, flipped).spin_energy()
                - lattice.spin_energy())
-        rows.append((table[m], glauber_flip_probability(d_e, temperature),
+        rows.append((table[(m + 2 * lattice.dims) // 2],
+                     glauber_flip_probability(d_e, temperature),
                      d_e))
     return rows
 

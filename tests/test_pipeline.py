@@ -2,7 +2,8 @@
 
 The row path is the assembly analyze used before it reduced a dense
 panel: per scale, every market's (phi(t), R(t+1), day of R(t+1)) pairs
-concatenated and sent through the `_xy` forms of the fits.
+concatenated, turned into rows by `stats.moment_sums` (per pair, or per
+day for the bootstrap and the CV) and sent through the fits.
 """
 
 import datetime
@@ -97,7 +98,7 @@ def reference_report(table, config):
                                      config.estimator)
     by_scale = []
     for s in scales:
-        fit = stats.fit_cubic_xy(s["x"], s["y"])
+        fit = stats.fit_cubic(stats.moment_sums(s["x"], s["y"]))
         by_scale.append({
             "k": s["k"], "T": 2 ** s["k"], "warmup": s["warmup"],
             "n_obs": fit.n_obs, "a": fit.a, "b": fit.b, "c": fit.c,
@@ -105,10 +106,10 @@ def reference_report(table, config):
             "trend_return_covariance": float(np.mean(s["x"] * s["y"])),
             "r_squared": fit.r_squared})
     x, y, days = _stacked(scales)
-    fit = stats.fit_cubic_xy(x, y)
-    boot = stats.bootstrap_errors_xy(x, y, config.bootstrap_samples,
-                                     config.seed, groups=days)
-    cv = stats.cross_validate_xy(x, y, config.cv_folds, blocks=days)
+    fit = stats.fit_cubic(stats.moment_sums(x, y))
+    boot = stats.bootstrap_errors(stats.moment_sums(x, y, days),
+                                  config.bootstrap_samples, config.seed)
+    cv = stats.cross_validate(stats.moment_sums(x, y, days), config.cv_folds)
     report = {
         "horizons_used": [s["k"] for s in scales],
         "horizons_dropped": dropped, "by_scale": by_scale,
@@ -124,8 +125,8 @@ def reference_report(table, config):
             "bootstrap_skipped": boot.n_skipped,
             "cv_folds": config.cv_folds}}
     xc, yc, dc, _ = reference_combined(scales)
-    cfit = stats.fit_cubic_xy(xc, yc)
-    ccv = stats.cross_validate_xy(xc, yc, config.cv_folds, blocks=dc)
+    cfit = stats.fit_cubic(stats.moment_sums(xc, yc))
+    ccv = stats.cross_validate(stats.moment_sums(xc, yc, dc), config.cv_folds)
     report["aggregated_factor"] = {
         "a": cfit.a, "b": cfit.b, "c": cfit.c, "r_squared": cfit.r_squared,
         "r_squared_cv": ccv.r_squared_adj,
@@ -164,12 +165,12 @@ class TestRowPath:
         table = ragged_table(gapped)
         config = PipelineConfig(horizons=HORIZONS + [10], estimator=estimator,
                                 bootstrap_samples=200, cv_folds=15, seed=5)
-        original, boots = stats.bootstrap_errors_sums, []
+        original, boots = stats.bootstrap_errors, []
 
         def recording(*args):
             boots.append(original(*args))
             return boots[-1]
-        monkeypatch.setattr(stats, "bootstrap_errors_sums", recording)
+        monkeypatch.setattr(stats, "bootstrap_errors", recording)
         report = analyze_price_table(table, config)
         want, samples = reference_report(table, config)
         assert [row["k"] for row in report["horizons_dropped"]] == [10]
@@ -190,7 +191,7 @@ class TestRowPath:
         config = PipelineConfig(horizons=HORIZONS, estimator=estimator,
                                 bootstrap_samples=100, cv_folds=5)
         seen = {}
-        for name in ("fit_cubic_sums", "bootstrap_errors_sums"):
+        for name in ("fit_cubic", "bootstrap_errors"):
             original = getattr(stats, name)
 
             def recording(rows, *args, _original=original, _name=name):
@@ -203,8 +204,8 @@ class TestRowPath:
             [d.toordinal() for d in m.dates[1:].tolist()]
             for m in table.markets]))
         for s, row, got in zip(scales, report["by_scale"],
-                               seen["fit_cubic_sums"]):
-            cols = stats._moment_columns(s["x"], s["y"])
+                               seen["fit_cubic"]):
+            cols = stats.moment_sums(s["x"], s["y"])
             layout = np.zeros((10, len(table.markets), calendar.size))
             layout[:, s["market"], np.searchsorted(calendar, s["days"])] = \
                 cols.T
@@ -214,8 +215,7 @@ class TestRowPath:
             assert row["trend_return_covariance"] == want[7] / s["x"].size
         x, y, days = _stacked(scales)
         np.testing.assert_array_equal(
-            seen["bootstrap_errors_sums"][0],
-            stats._group_rows(stats._moment_columns(x, y), days))
+            seen["bootstrap_errors"][0], stats.moment_sums(x, y, days))
 
     def test_warmup_excluded(self):
         # one market of 400 returns: the step window 2^k starts at
@@ -251,7 +251,7 @@ def reference_cv(x, y, days, folds):
 
 
 def assert_matches_reference(x, y, days, folds):
-    cv = stats.cross_validate_xy(x, y, folds, blocks=days)
+    cv = stats.cross_validate(stats.moment_sums(x, y, days), folds)
     expected = reference_cv(x, y, days, folds)
     np.testing.assert_allclose(cv.r_squared_folds, expected, rtol=1e-10)
     assert cv.r_squared_adj == pytest.approx(expected.mean(), rel=1e-10)
@@ -269,7 +269,7 @@ class TestDateBlockCv:
 
     def test_folds_are_whole_date_blocks(self, panel):
         x, y, days = _stacked(panel)
-        cv = stats.cross_validate_xy(x, y, 15, blocks=days)
+        cv = stats.cross_validate(stats.moment_sums(x, y, days), 15)
         blocks = np.array_split(np.unique(days), 15)
         np.testing.assert_array_equal(
             cv.fold_sizes, [np.isin(days, block).sum() for block in blocks])
@@ -277,14 +277,15 @@ class TestDateBlockCv:
     def test_constant_trend_rejected(self, panel):
         x, y, days = _stacked(panel)
         with pytest.raises(ValueError, match="rank"):
-            stats.cross_validate_xy(np.full_like(x, 0.5), y, 5, blocks=days)
+            stats.cross_validate(
+                stats.moment_sums(np.full_like(x, 0.5), y, days), 5)
 
     def test_fold_too_small_rejected(self, panel):
         x, y, days = _stacked(panel)
         keep = days <= np.unique(days)[40]
         with pytest.raises(ValueError, match="too small"):
-            stats.cross_validate_xy(x[keep], y[keep], 20,
-                                    blocks=days[keep])
+            stats.cross_validate(
+                stats.moment_sums(x[keep], y[keep], days[keep]), 20)
 
 
 class TestCombinedFactor:
@@ -315,8 +316,8 @@ class TestCombinedFactor:
         x, y, days = _stacked(panel)
         iso = np.array([datetime.date.fromordinal(int(d)).isoformat()
                         for d in days])
-        by_iso = stats.bootstrap_errors_xy(x, y, 200, 7, groups=iso)
-        by_day = stats.bootstrap_errors_xy(x, y, 200, 7, groups=days)
+        by_iso = stats.bootstrap_errors(stats.moment_sums(x, y, iso), 200, 7)
+        by_day = stats.bootstrap_errors(stats.moment_sums(x, y, days), 200, 7)
         np.testing.assert_array_equal(by_iso.samples, by_day.samples)
 
 

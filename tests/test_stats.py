@@ -23,7 +23,7 @@ def synthetic_xy(n, seed, noise=1.0, coeffs=TABLE_COEFFS):
 
 
 def lstsq_fit(x, y):
-    """The lstsq fit with an explicit inverse: the reference for fit_cubic_xy.
+    """The lstsq fit with an explicit inverse: the reference for fit_cubic.
 
     Returns (coef, se, r2, r2_adj, gram condition).
     """
@@ -44,7 +44,7 @@ class TestFitCubic:
     def test_matches_lstsq_reference(self, shift):
         # shift 3 puts the Gram condition near 8e4
         x, y = synthetic_xy(5000, 26)
-        rep = lm.fit_cubic_xy(x + shift, y)
+        rep = lm.fit_cubic(lm.moment_sums(x + shift, y))
         coef, se, r2, r2_adj, cond = lstsq_fit(x + shift, y)
         np.testing.assert_allclose(rep.coefficients, coef, rtol=1e-9)
         np.testing.assert_allclose(rep.standard_errors, se, rtol=1e-9)
@@ -59,7 +59,7 @@ class TestFitCubic:
         assert np.linalg.matrix_rank(
             np.column_stack([np.ones_like(x), x + 30, (x + 30) ** 3])) == 3
         with pytest.raises(ValueError, match="rank"):
-            lm.fit_cubic_xy(x + 30, y)
+            lm.fit_cubic(lm.moment_sums(x + 30, y))
 
     def test_moment_columns_match_stacked_reference(self):
         x, y = synthetic_xy(1001, 27)
@@ -67,13 +67,24 @@ class TestFitCubic:
         x3 = x2 * x
         stacked = np.array([np.ones_like(x), x, x2, x3, x2 * x2, x3 * x3,
                             y, x * y, x3 * y, y * y]).T
-        cols = stats._moment_columns(x, y)
+        cols = lm.moment_sums(x, y)
         assert cols.flags.f_contiguous
         np.testing.assert_array_equal(cols, stacked)
 
+    @pytest.mark.parametrize("x,y,groups,message", [
+        (np.arange(200.0), np.arange(200.0), np.arange(199),
+         "mark every observation"),
+        (np.ones((100, 2)), np.ones((100, 2)), None, "equal length"),
+        (np.arange(200.0), np.arange(199.0), None, "equal length"),
+    ], ids=["short-labels", "2d-x", "unequal-lengths"])
+    def test_moment_sums_rejects_misaligned_input(self, x, y, groups,
+                                                  message):
+        with pytest.raises(ValueError, match=message):
+            lm.moment_sums(x, y, groups)
+
     def test_noiseless_exact_recovery(self):
         x, y = synthetic_xy(5000, 0, noise=0.0)
-        rep = lm.fit_cubic_xy(x, y)
+        rep = lm.fit_cubic(lm.moment_sums(x, y))
         assert rep.a == pytest.approx(0.0133, abs=1e-10)
         assert rep.b == pytest.approx(0.0129, abs=1e-10)
         assert rep.c == pytest.approx(-0.0062, abs=1e-10)
@@ -81,40 +92,39 @@ class TestFitCubic:
 
     def test_null_model_no_significance(self):
         rng = np.random.default_rng(100)
-        rep = lm.fit_cubic_xy(rng.standard_normal(2000),
-                              rng.standard_normal(2000))
+        rep = lm.fit_cubic(lm.moment_sums(rng.standard_normal(2000),
+                                          rng.standard_normal(2000)))
         for t in (rep.t_a, rep.t_b, rep.t_c):
             assert abs(t) < 3.0
 
     def test_noisy_recovery_within_errors(self):
         x, y = synthetic_xy(20000, 1)
-        rep = lm.fit_cubic_xy(x, y)
+        rep = lm.fit_cubic(lm.moment_sums(x, y))
         for got, want, se in zip(rep.coefficients, TABLE_COEFFS,
                                  rep.standard_errors):
             assert abs(got - want) < 3 * se
 
     def test_tstats_are_coefficient_over_se(self):
         x, y = synthetic_xy(5000, 2)
-        rep = lm.fit_cubic_xy(x, y)
+        rep = lm.fit_cubic(lm.moment_sums(x, y))
         assert rep.t_b == pytest.approx(rep.b / rep.se_b, rel=1e-9)
         assert rep.t_c == pytest.approx(rep.c / rep.se_c, rel=1e-9)
 
     def test_rank_deficiency_reported(self):
         with pytest.raises(ValueError, match="rank"):
-            lm.fit_cubic_xy(np.ones(500), np.arange(500.0))
+            lm.fit_cubic(lm.moment_sums(np.ones(500), np.arange(500.0)))
 
     def test_minimum_observations(self):
         with pytest.raises(ValueError):
-            lm.fit_cubic_xy(np.arange(50.0), np.arange(50.0))
+            lm.fit_cubic(lm.moment_sums(np.arange(50.0), np.arange(50.0)))
 
     def test_group_sums_give_the_pair_fit(self):
         # only the column sums of the rows matter: 400 pairs summed in
         # 37 groups fit as the pairs do, up to the sums' rounding
         x, y = synthetic_xy(400, 3)
         groups = np.random.default_rng(3).integers(0, 37, x.size)
-        by_pair = lm.fit_cubic_xy(x, y)
-        by_group = lm.fit_cubic_sums(
-            stats._group_rows(stats._moment_columns(x, y), groups))
+        by_pair = lm.fit_cubic(lm.moment_sums(x, y))
+        by_group = lm.fit_cubic(lm.moment_sums(x, y, groups))
         assert by_group.n_obs == by_pair.n_obs == 400
         for name in ("a", "b", "c", "se_a", "se_b", "se_c", "r_squared",
                      "gram_condition"):
@@ -125,7 +135,7 @@ class TestFitCubic:
         # SS_res = sum y^2 - 2 b.(sum y, sum xy, sum x^3 y) + b' G b cancels
         # at a few ulp of sum y^2: the R^2 error is near 1e-16 absolute
         x, y = synthetic_xy(20000, 28)
-        rep = lm.fit_cubic_xy(x, y)
+        rep = lm.fit_cubic(lm.moment_sums(x, y))
         resid = y - (rep.a + rep.b * x + rep.c * x ** 3)
         r2 = 1.0 - (resid @ resid) / np.sum((y - y.mean()) ** 2)
         assert abs(rep.r_squared - r2) < 1e-14
@@ -133,7 +143,7 @@ class TestFitCubic:
 
 def loop_bootstrap(x, y, n_samples, seed, groups=None):
     """One gather, sum, cond and solve per resample: the reference loop."""
-    cols = np.ascontiguousarray(stats._moment_columns(x, y))
+    cols = np.ascontiguousarray(lm.moment_sums(x, y))
     if groups is None:
         group_sums = cols
     else:
@@ -183,8 +193,8 @@ class TestBootstrap:
             assert n_samples % (stats._CHUNK_COUNTS // x.size) != 0
         else:
             x, y, groups = degenerate_panel()
-        boot = lm.bootstrap_errors_xy(x, y, n_samples, seed=31,
-                                      groups=groups)
+        boot = lm.bootstrap_errors(lm.moment_sums(x, y, groups), n_samples,
+                                   seed=31)
         samples, skipped = loop_bootstrap(x, y, n_samples, 31, groups)
         assert boot.n_skipped == skipped
         if case == "degenerate":
@@ -199,7 +209,7 @@ class TestBootstrap:
     def test_mismatched_inputs_rejected(self):
         x, y = synthetic_xy(500, 24)
         with pytest.raises(ValueError, match="equal length"):
-            lm.bootstrap_errors_xy(x, y[:-1], 150, seed=1)
+            lm.bootstrap_errors(lm.moment_sums(x, y[:-1]), 150, seed=1)
 
     def test_non_finite_inputs_rejected(self):
         # counts @ group_sums would spread a non-finite row into every
@@ -207,59 +217,66 @@ class TestBootstrap:
         x, y = synthetic_xy(500, 25)
         x[7] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            lm.bootstrap_errors_xy(x, y, 150, seed=1)
+            lm.bootstrap_errors(lm.moment_sums(x, y), 150, seed=1)
         x[7] = 1e60   # finite, but x^6 overflows
         with pytest.raises(ValueError, match="finite"), \
                 np.errstate(over="ignore"):
-            lm.bootstrap_errors_xy(x, y, 150, seed=1)
+            lm.bootstrap_errors(lm.moment_sums(x, y), 150, seed=1)
 
     def test_noiseless_relation_zero_se(self):
         x, y = synthetic_xy(2000, 5, noise=0.0)
-        boot = lm.bootstrap_errors_xy(x, y, 150, seed=8)
+        boot = lm.bootstrap_errors(lm.moment_sums(x, y), 150, seed=8)
         assert np.all(boot.standard_errors < 1e-10)
         assert boot.n_skipped == 0
 
     def test_deterministic_given_seed(self):
         x, y = synthetic_xy(2000, 6)
-        a = lm.bootstrap_errors_xy(x, y, 200, seed=9)
-        b = lm.bootstrap_errors_xy(x, y, 200, seed=9)
+        a = lm.bootstrap_errors(lm.moment_sums(x, y), 200, seed=9)
+        b = lm.bootstrap_errors(lm.moment_sums(x, y), 200, seed=9)
         assert np.array_equal(a.samples, b.samples)
-        c = lm.bootstrap_errors_xy(x, y, 200, seed=10)
+        c = lm.bootstrap_errors(lm.moment_sums(x, y), 200, seed=10)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_matches_classical_se_on_iid_data(self):
         x, y = synthetic_xy(5000, 7)
-        classical = lm.fit_cubic_xy(x, y).standard_errors
-        boot = lm.bootstrap_errors_xy(x, y, 400, seed=7)
+        classical = lm.fit_cubic(lm.moment_sums(x, y)).standard_errors
+        boot = lm.bootstrap_errors(lm.moment_sums(x, y), 400, seed=7)
         ratio = boot.standard_errors / classical
         assert np.all(ratio > 0.85) and np.all(ratio < 1.15)
 
     def test_percentiles_bracket_coefficients(self):
         x, y = synthetic_xy(5000, 8)
-        rep = lm.fit_cubic_xy(x, y)
-        boot = lm.bootstrap_errors_xy(x, y, 400, seed=11)
+        rep = lm.fit_cubic(lm.moment_sums(x, y))
+        boot = lm.bootstrap_errors(lm.moment_sums(x, y), 400, seed=11)
         for coef, (lo, hi) in zip(rep.coefficients, boot.percentiles):
             assert lo < coef < hi
 
     def test_group_resampling(self):
         x, y = synthetic_xy(3000, 9)
         groups = np.repeat(np.arange(1000), 3)
-        boot = lm.bootstrap_errors_xy(x, y, 200, seed=12, groups=groups)
+        rows = lm.moment_sums(x, y, groups)
+        boot = lm.bootstrap_errors(rows, 200, seed=12)
         assert np.all(boot.standard_errors > 0)
-        again = lm.bootstrap_errors_xy(x, y, 200, seed=12, groups=groups)
+        again = lm.bootstrap_errors(rows, 200, seed=12)
         assert np.array_equal(boot.samples, again.samples)
 
     def test_minimum_samples(self):
         x, y = synthetic_xy(1000, 10)
         with pytest.raises(ValueError):
-            lm.bootstrap_errors_xy(x, y, 50, seed=1)
+            lm.bootstrap_errors(lm.moment_sums(x, y), 50, seed=1)
 
     def test_sums_form_is_the_pair_form(self):
+        # a group's row is its pairs' rows added in pair order
         x, y = synthetic_xy(500, 11)
-        groups = np.repeat(np.arange(250), 2)
-        by_pair = lm.bootstrap_errors_xy(x, y, 150, seed=2, groups=groups)
-        by_rows = lm.bootstrap_errors_sums(
-            stats._group_rows(stats._moment_columns(x, y), groups), 150, 2)
+        groups = np.random.default_rng(11).permutation(
+            np.repeat(np.arange(250), 2))
+        summed = np.zeros((250, 10))
+        for label, row in zip(groups, lm.moment_sums(x, y)):
+            summed[label] += row
+        rows = lm.moment_sums(x, y, groups)
+        np.testing.assert_array_equal(rows, summed)
+        by_pair = lm.bootstrap_errors(summed, 150, seed=2)
+        by_rows = lm.bootstrap_errors(rows, 150, 2)
         np.testing.assert_array_equal(by_rows.samples, by_pair.samples)
         assert by_rows.samples.shape == (150, 3)
 
@@ -267,7 +284,7 @@ class TestBootstrap:
 class TestCrossValidate:
     def test_noiseless_cubic_perfect_score(self):
         x, y = synthetic_xy(3000, 12, noise=0.0)
-        cv = lm.cross_validate_xy(x, y, 15)
+        cv = lm.cross_validate(lm.moment_sums(x, y), 15)
         assert cv.r_squared_adj == pytest.approx(1.0, abs=1e-10)
 
     def test_pure_noise_non_positive(self):
@@ -275,19 +292,19 @@ class TestCrossValidate:
         x = rng.standard_normal(3000)
         _ = rng.standard_normal(3000)  # keep stream aligned with pilot
         y = rng.standard_normal(3000)
-        cv = lm.cross_validate_xy(x, y, 15)
+        cv = lm.cross_validate(lm.moment_sums(x, y), 15)
         assert cv.r_squared_adj <= 0.005
 
     def test_single_fold_rejected(self):
         x, y = synthetic_xy(3000, 13)
         with pytest.raises(ValueError):
-            lm.cross_validate_xy(x, y, 1)
+            lm.cross_validate(lm.moment_sums(x, y), 1)
 
     def test_fold_size_precondition(self):
         # 15 folds of 50 observations hold 3 or 4 each, under the 4 needed
         x, y = synthetic_xy(50, 14)
         with pytest.raises(ValueError, match="too small"):
-            lm.cross_validate_xy(x, y, 15)
+            lm.cross_validate(lm.moment_sums(x, y), 15)
 
     @pytest.mark.parametrize("folds", [2, 7])
     def test_unblocked_folds_match_lstsq_reference(self, folds):
@@ -302,7 +319,7 @@ class TestCrossValidate:
             pred = coef[0] + coef[1] * x[val] + coef[2] * x[val] ** 3
             ss_tot = np.sum((y[val] - y[train].mean()) ** 2)
             scores.append(1.0 - np.sum((y[val] - pred) ** 2) / ss_tot)
-        cv = lm.cross_validate_xy(x, y, folds)
+        cv = lm.cross_validate(lm.moment_sums(x, y), folds)
         np.testing.assert_allclose(cv.r_squared_folds, scores, rtol=1e-10)
 
 
@@ -330,14 +347,14 @@ class TestBlockProperties:
            folds=st.integers(2, 12))
     def test_cv_relabel_and_row_order(self, seed, n_blocks, folds):
         x, y, blocks, rng = self._panel(seed, n_blocks)
-        base = lm.cross_validate_xy(x, y, folds, blocks=blocks)
-        relabelled = lm.cross_validate_xy(
-            x, y, folds, blocks=_increasing_map(blocks, rng))
+        base = lm.cross_validate(lm.moment_sums(x, y, blocks), folds)
+        relabelled = lm.cross_validate(
+            lm.moment_sums(x, y, _increasing_map(blocks, rng)), folds)
         np.testing.assert_array_equal(relabelled.r_squared_folds,
                                       base.r_squared_folds)
         perm = rng.permutation(x.size)
-        permuted = lm.cross_validate_xy(x[perm], y[perm], folds,
-                                        blocks=blocks[perm])
+        permuted = lm.cross_validate(
+            lm.moment_sums(x[perm], y[perm], blocks[perm]), folds)
         # a score is 1 - SS_res / SS_tot, so its scale is that of 1
         np.testing.assert_allclose(permuted.r_squared_folds,
                                    base.r_squared_folds, rtol=0, atol=1e-12)
@@ -346,13 +363,13 @@ class TestBlockProperties:
     @given(seed=st.integers(0, 2 ** 32 - 1), n_blocks=st.integers(3, 300))
     def test_bootstrap_relabel_and_row_order(self, seed, n_blocks):
         x, y, groups, rng = self._panel(seed, n_blocks)
-        base = lm.bootstrap_errors_xy(x, y, 100, seed, groups=groups)
-        relabelled = lm.bootstrap_errors_xy(
-            x, y, 100, seed, groups=_increasing_map(groups, rng))
+        base = lm.bootstrap_errors(lm.moment_sums(x, y, groups), 100, seed)
+        relabelled = lm.bootstrap_errors(
+            lm.moment_sums(x, y, _increasing_map(groups, rng)), 100, seed)
         np.testing.assert_array_equal(relabelled.samples, base.samples)
         perm = rng.permutation(x.size)
-        permuted = lm.bootstrap_errors_xy(x[perm], y[perm], 100, seed,
-                                          groups=groups[perm])
+        permuted = lm.bootstrap_errors(
+            lm.moment_sums(x[perm], y[perm], groups[perm]), 100, seed)
         assert permuted.n_skipped == base.n_skipped
         scale = np.abs(base.samples).max(axis=0)
         np.testing.assert_allclose(permuted.samples / scale,
