@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SpinLattice, _neighbor_tables, new_lattice
+from .lattice import SpinLattice, _neighbor_table, new_lattice
 from . import trends
 
 # Onsager critical temperature mapped to this energy normalization:
@@ -121,7 +121,7 @@ def _checkerboard(dims: int, side: int):
     n = side ** dims
     coords = np.unravel_index(np.arange(n), (side,) * dims)
     order = np.argsort(np.sum(coords, axis=0) % 2, kind="stable")
-    nbrs = np.argsort(order)[_neighbor_tables(dims, side)[0][order]]
+    nbrs = np.argsort(order)[_neighbor_table(dims, side)[order]]
     return order, nbrs.reshape(2, n // 2, 2 * dims).transpose(0, 2, 1).copy()
 
 

@@ -323,8 +323,9 @@ def write_json(path, payload: dict, provenance: dict) -> None:
         encoding="utf-8")
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV written by write_csv, skipping provenance comments.
+def _numbered_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """(line, fields) of each row of a CSV written by write_csv, header
+    first, skipping blank lines and provenance comments.
 
     A row with fewer fields than the header is rejected by its line.
     """
@@ -333,10 +334,16 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if rows and len(row) < len(rows[0]):
+            if rows and len(row) < len(rows[0][1]):
                 raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"{len(rows[0])} fields, got {len(row)}")
-            rows.append(row)
+                                 f"{len(rows[0][1])} fields, got {len(row)}")
+            rows.append((reader.line_num, row))
     if not rows:
         raise ValueError(f"{path}: empty file")
-    return rows[0], rows[1:]
+    return rows
+
+
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV written by write_csv."""
+    header, *rows = [row for _, row in _numbered_csv_rows(path)]
+    return header, rows

@@ -52,6 +52,8 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if not self.horizons or any(k < 1 for k in self.horizons):
             raise ValueError("horizons must be positive k values")
+        if len(set(self.horizons)) < len(self.horizons):
+            raise ValueError("horizons must not repeat")
         if self.estimator not in ("phi", "psi", "step"):
             raise ValueError("estimator must be phi, psi or step")
         if self.bootstrap_samples < 100:
@@ -255,7 +257,12 @@ def _union_panel(table: io.PriceTable) -> tuple:
     """Normalized returns per market, the cell of each return's day in
     the union calendar (the sorted dates of every market's returns; return
     i carries the date of price i + 1), and the (markets, days) returns."""
-    returns_all = [trends.normalize_returns(m.prices) for m in table.markets]
+    returns_all = []
+    for m in table.markets:
+        try:
+            returns_all.append(trends.normalize_returns(m.prices))
+        except ValueError as exc:
+            raise ValueError(f"market {m.name!r}: {exc}") from None
     days = [np.asarray(m.dates, dtype="datetime64[D]")[1:]
             for m in table.markets]
     calendar, cells = np.unique(np.concatenate(days), return_inverse=True)
@@ -300,6 +307,7 @@ def analyze_price_table(table: io.PriceTable,
     per-day sums added in the pooled row order (scale, then market), so
     the day groups and their sums are the rows'.
     """
+    config.validate()
     returns_all, cells, y_panel = _union_panel(table)
     n_markets, n_days = y_panel.shape
     stacked = np.zeros((10, n_days))
@@ -513,7 +521,7 @@ def cmd_fit_kappa(config: PipelineConfig, variance_csv,
                   out_dir) -> list[Path]:
     """Fit kappa from a (k, variance) CSV and invert to the dimension."""
     config.validate()
-    header, rows = io.read_csv_rows(variance_csv)
+    (_, header), *rows = io._numbered_csv_rows(variance_csv)
     cols = {name.strip().lower(): i for i, name in enumerate(header)}
     if "k" not in cols:
         raise ValueError(f"{variance_csv}: header lacks a 'k' column")
@@ -523,8 +531,11 @@ def cmd_fit_kappa(config: PipelineConfig, variance_csv,
                          "'variance_tilde' column")
     k_col, v_col = cols["k"], cols[v_name]
     points = []
-    for row in rows:
-        points.append((float(row[k_col]), float(row[v_col])))
+    for line, row in rows:
+        try:
+            points.append((float(row[k_col]), float(row[v_col])))
+        except ValueError as exc:
+            raise ValueError(f"{variance_csv}: line {line}: {exc}") from None
     kappa_hat, kappa_se, (dim, low, high) = _kappa_fit(points)
     result = {"kappa": kappa_hat, "kappa_se": kappa_se, "dimension": dim,
               "dimension_low": low, "dimension_high": high,

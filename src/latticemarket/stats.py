@@ -398,8 +398,8 @@ def moment_scaling(path, qs, horizons) -> dict[float, ScalingFit]:
     """
     x = np.asarray(path, dtype=np.float64)
     horizons = np.asarray(sorted(int(t) for t in horizons))
-    if horizons.size < 3:
-        raise ValueError("need at least 3 horizons")
+    if np.unique(horizons).size < 3:
+        raise ValueError("need at least 3 distinct horizons")
     if np.any(horizons < 1):
         raise ValueError("horizons must be >= 1")
     if x.size < 10 * horizons.max():
@@ -431,8 +431,8 @@ def fit_kappa(variances_by_scale, weights=None) -> ScalingFit:
     finite, and variances positive.
     """
     pts = np.asarray(list(variances_by_scale), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-        raise ValueError("need at least 3 (k, variance) points")
+    if pts.ndim != 2 or pts.shape[1] != 2 or np.unique(pts[:, 0]).size < 3:
+        raise ValueError("need (k, variance) points at 3 or more distinct k")
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
     if not (np.isfinite(pts).all() and (w is None or np.isfinite(w).all())):
         raise ValueError("k, variances and weights must be finite")

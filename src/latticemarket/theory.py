@@ -375,17 +375,12 @@ def predicted_trend_return_correlation(model: PropagatorModel,
     return _quad_trend_return_correlation(model, omega)
 
 
-def _check_variance_domain(model: PropagatorModel, horizon: float,
-                           needs_2t: bool = False) -> None:
+def _check_variance_domain(model: PropagatorModel, horizon: float) -> None:
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    if model.regime == "scaling":
-        if horizon > model.tau / 4.0:
-            raise DomainError(
-                "scaling-regime variances require T <= tau/4 "
-                f"(T={horizon}, tau={model.tau})")
-        if needs_2t and 2.0 * horizon > model.tau:
-            raise DomainError("scaling regime requires 2T <= tau")
+    if model.regime == "scaling" and horizon > model.tau / 4.0:
+        raise DomainError("scaling-regime variances require T <= tau/4 "
+                          f"(T={horizon}, tau={model.tau})")
 
 
 def _quad_trend_variance(model: PropagatorModel, horizon: float,
@@ -446,7 +441,7 @@ def predicted_adjacent_window_correlation(model: PropagatorModel,
     this reduces to (T^(kappa-1)/2)(2^kappa - 2), which is negative for
     kappa < 1 and vanishes at kappa = 1.
     """
-    _check_variance_domain(model, horizon, needs_2t=True)
+    _check_variance_domain(model, horizon)
     d0 = propagator(model, 0.0)
     d1 = propagator(model, horizon)
     d2 = propagator(model, 2.0 * horizon)

@@ -141,8 +141,11 @@ class TestSimulateCommand:
         header, rows = io.read_csv_rows(out / "magnetization.csv")
         assert header == ["sweep", "M", "price"]
         n_sites = 64
-        for row in rows[:20]:
+        assert len(rows) == 250
+        for row in rows:
+            # M = n - N/2 for n shares, and P = n / (N/2) = 1 + 2M/N
             m, price = float(row[1]), float(row[2])
+            assert m.is_integer() and abs(m) <= n_sites / 2
             assert price == pytest.approx(1.0 + 2.0 * m / n_sites)
         params = json.loads((out / "params.json").read_text())
         assert params["params"]["seed"] == 5
@@ -507,6 +510,35 @@ class TestAnalyzeCommand:
         assert "big.csv: line 3: field larger than field limit" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizons", ["3,3,3", "2,2,2,3,4,5"])
+    def test_repeated_horizons_exit_2_without_output(self, tmp_path, caplog,
+                                                     horizons):
+        # a repeated k would count its pairs and its variance point again
+        csv_path = make_long_csv(tmp_path / "prices.csv", days=300)
+        out = tmp_path / "analysis"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["analyze", str(csv_path), "--horizons", horizons,
+                             "--bootstrap-samples", "100", "--cv-folds", "5",
+                             "--out", str(out)]) == 2
+        assert "horizons must not repeat" in caplog.text
+        assert not out.exists()
+
+    def test_flat_market_named_without_output(self, tmp_path, caplog):
+        csv_path = make_long_csv(tmp_path / "prices.csv", days=300,
+                                 markets=("ES", "TY"))
+        start = datetime.date(2001, 1, 1).toordinal()
+        with open(csv_path, "a", encoding="utf-8") as fh:
+            for i in range(300):
+                day = datetime.date.fromordinal(start + i).isoformat()
+                fh.write(f"FLAT,{day},100.0\n")
+        out = tmp_path / "analysis"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["analyze", str(csv_path), "--horizons", "1,2,3",
+                             "--bootstrap-samples", "100", "--cv-folds", "5",
+                             "--out", str(out)]) == 2
+        assert "market 'FLAT': zero-variance returns" in caplog.text
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         csv_path = make_long_csv(tmp_path / "prices.csv", days=700,
                                  markets=("ES", "TY"))
@@ -587,6 +619,27 @@ class TestFitKappaCommand:
             assert cli.main(["fit-kappa", str(var_csv),
                              "--out", str(out)]) == 2
         assert "var.csv: line 3: field larger than field limit" in caplog.text
+        assert not out.exists()
+
+    def test_bad_cell_names_file_and_line(self, tmp_path, caplog):
+        var_csv = tmp_path / "var.csv"
+        var_csv.write_text("# note\nk,variance\n1,0.9\n\n2,abc\n3,0.8\n")
+        out = tmp_path / "fit"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["fit-kappa", str(var_csv),
+                             "--out", str(out)]) == 2
+        assert "var.csv: line 5: could not convert string to float: 'abc'" \
+            in caplog.text
+        assert not out.exists()
+
+    def test_one_distinct_k_exits_2_without_output(self, tmp_path, caplog):
+        var_csv = tmp_path / "var.csv"
+        var_csv.write_text("k,variance\n3,0.9\n3,0.8\n3,0.85\n")
+        out = tmp_path / "fit"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["fit-kappa", str(var_csv),
+                             "--out", str(out)]) == 2
+        assert "distinct k" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])

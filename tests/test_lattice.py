@@ -1,4 +1,4 @@
-"""Lattice construction, energies, flip acceptance and magnetization."""
+"""Lattice construction, neighbour table, energies and flip acceptance."""
 
 import itertools
 
@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from latticemarket.dynamics import _flip_thresholds, glauber_flip_probability
-from latticemarket.lattice import SpinLattice, new_lattice
+from latticemarket.lattice import SpinLattice, _neighbor_table, new_lattice
+
+
+def coordinate_neighbor(site, axis, step, dims, side):
+    """The site one step along an axis, from coordinates taken mod side."""
+    coords = list(np.unravel_index(site, (side,) * dims))
+    coords[axis] = (coords[axis] + step) % side
+    return int(np.ravel_multi_index(coords, (side,) * dims))
 
 
 def brute_force_spin_energy(lattice):
     """Link-by-link oracle for the spin energy, each link once."""
-    s = lattice.spins
+    s = lattice.occupations - 0.5
     total = 0.0
     for site in range(lattice.n_sites):
         for axis in range(lattice.dims):
-            j = lattice.neighbor_table[site, 2 * axis]  # +axis link
+            j = coordinate_neighbor(site, axis, +1, lattice.dims, lattice.side)
             total += s[site] * s[j]
     return -total / lattice.dims
 
@@ -24,18 +31,18 @@ class TestConstruction:
     def test_all_up_2d(self):
         lat = new_lattice(2, 4, "all_up")
         assert lat.n_sites == 16
-        assert np.all(lat.spins == 0.5)
-        assert lat.magnetization() == 8.0
+        assert np.all(lat.occupations == 1)
 
     def test_all_down_1d(self):
         lat = new_lattice(1, 8, "all_down")
-        assert lat.magnetization() == -4.0
+        assert lat.n_sites == 8
+        assert np.all(lat.occupations == 0)
 
     def test_random_seeded_reproducible(self):
         a = new_lattice(3, 8, "random", seed=7)
         b = new_lattice(3, 8, "random", seed=7)
         assert np.array_equal(a.occupations, b.occupations)
-        assert abs(a.magnetization()) <= a.n_sites / 2
+        assert set(np.unique(a.occupations)) == {0, 1}
         c = new_lattice(3, 8, "random", seed=8)
         assert not np.array_equal(a.occupations, c.occupations)
 
@@ -56,10 +63,23 @@ class TestConstruction:
             new_lattice(64, 3, "all_up")
 
     def test_neighbor_counts(self):
-        lat = new_lattice(3, 4, "all_up")
-        assert lat.neighbor_table.shape == (lat.n_sites, 2 * lat.dims)
-        # D*N links when each +axis link is counted once
-        assert lat.dims * lat.n_sites == lat.neighbor_table[:, 0::2].size
+        table = _neighbor_table(3, 4)
+        assert table.shape == (64, 6) and table.dtype == np.int64
+        # every site is the +axis neighbour of exactly one site per axis,
+        # so the even columns hold D*N distinct links
+        for axis in range(3):
+            assert np.array_equal(np.sort(table[:, 2 * axis]), np.arange(64))
+
+    @pytest.mark.parametrize("dims,side", [
+        (1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_neighbor_table_matches_coordinates(self, dims, side):
+        table = _neighbor_table(dims, side)
+        expected = [[coordinate_neighbor(site, axis, step, dims, side)
+                     for axis in range(dims) for step in (+1, -1)]
+                    for site in range(side ** dims)]
+        assert np.array_equal(table, expected)
+        assert _neighbor_table(dims, side) is table
+        assert not table.flags.writeable
 
 
 def fig_cluster_lattice():
@@ -126,9 +146,10 @@ def flip_acceptance(lattice, temperature):
     flipping that site, and that change."""
     sigma = 2 * lattice.occupations.astype(np.int64) - 1
     table = _flip_thresholds(lattice.dims, temperature)
+    nbrs = _neighbor_table(lattice.dims, lattice.side)
     rows = []
     for site in range(lattice.n_sites):
-        m = sigma[site] * sigma[lattice.neighbor_table[site]].sum()
+        m = sigma[site] * sigma[nbrs[site]].sum()
         flipped = lattice.occupations.copy()
         flipped[site] ^= 1
         d_e = (SpinLattice(lattice.dims, lattice.side, flipped).spin_energy()
@@ -162,31 +183,3 @@ class TestFlipDelta:
             for temperature in (0.1, 0.2836, 2.0):
                 for kernel, brute, _ in flip_acceptance(lat, temperature):
                     assert kernel == pytest.approx(brute, rel=1e-12)
-
-
-class TestMagnetizationPrice:
-    def test_balanced_market_price_one(self):
-        occ = np.array([1, 0] * 8, dtype=np.int8)
-        lat = SpinLattice(2, 4, occ)
-        assert lat.magnetization() == 0.0
-        assert lat.implied_price() == pytest.approx(1.0)
-
-    def test_seventyfive_of_hundred(self):
-        occ = np.zeros(100, dtype=np.int8)
-        occ[:75] = 1
-        lat = SpinLattice(1, 100, occ)
-        assert lat.magnetization() == 25.0
-        assert lat.implied_price() == pytest.approx(1.5)
-
-    def test_all_down_price_zero(self):
-        lat = new_lattice(2, 4, "all_down")
-        assert lat.implied_price() == 0.0
-
-    def test_price_magnetization_relation(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            occ = rng.integers(0, 2, 64, dtype=np.int8)
-            lat = SpinLattice(2, 8, occ)
-            lhs = lat.implied_price() - 1.0
-            rhs = 2.0 * lat.magnetization() / lat.n_sites
-            assert lhs == pytest.approx(rhs, abs=1e-14)

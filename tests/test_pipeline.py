@@ -230,6 +230,13 @@ class TestRowPath:
         assert [(r["warmup"], r["n_obs"]) for r in rows] == \
             [(1, 398), (127, 272)]
 
+    def test_repeated_horizons_rejected(self):
+        # a repeated k would pool its pairs again into the stacked fit
+        config = PipelineConfig(horizons=[1, 1, 2, 3], bootstrap_samples=100,
+                                cv_folds=5)
+        with pytest.raises(ValueError, match="horizons must not repeat"):
+            analyze_price_table(ragged_table(False), config)
+
 
 def reference_cv(x, y, days, folds):
     """Per-fold scores from one boolean mask per date block and one lstsq

@@ -438,6 +438,13 @@ class TestMomentScaling:
         with pytest.raises(ValueError):
             lm.moment_scaling(np.arange(100.0), [2.0], [16, 32, 64])
 
+    def test_needs_three_distinct_horizons(self):
+        path = np.cumsum(np.random.default_rng(3).standard_normal(3000))
+        with pytest.raises(ValueError, match="3 distinct horizons"):
+            lm.moment_scaling(path, [2.0], [8, 8, 16, 16])
+        assert lm.moment_scaling(path, [2.0], [4, 8, 8, 16])[2.0].horizons \
+            .size == 4
+
     def test_residuals_attached(self):
         path = np.cumsum(np.random.default_rng(2).standard_normal(30000))
         fit = lm.moment_scaling(path, [2.0], self.HORIZONS)[2.0]
@@ -466,6 +473,14 @@ class TestFitKappa:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             lm.fit_kappa([(1, 1.0), (2, 0.9)])
+
+    def test_needs_three_distinct_k(self):
+        # repeated k add rows, not scales: one or two k fix no slope error
+        for ks in ([3, 3, 3], [2, 3, 3, 2]):
+            with pytest.raises(ValueError, match="3 or more distinct k"):
+                lm.fit_kappa([(k, 0.9 + 0.01 * i) for i, k in enumerate(ks)])
+        fit = lm.fit_kappa([(1, 0.9), (2, 0.8), (2, 0.82), (3, 0.7)])
+        assert fit.statistics.size == 4
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
