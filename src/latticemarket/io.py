@@ -1,4 +1,4 @@
-"""Price-table ingestion and provenance-stamped file output.
+"""Price and variance table ingestion and provenance-stamped file output.
 
 CSV conventions: UTF-8, comma separated, '.' decimal, floats rendered by
 shortest round-trip repr.  Output files start with '# provenance: {...}'
@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from operator import methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -120,23 +120,22 @@ def _group_markets(names: list[str], codes: np.ndarray, days: np.ndarray,
             for c, lo, hi, gap in zip(by_first, bounds[:-1], bounds[1:], gaps)]
 
 
-def _blocks(reader, size: int, start: int):
-    """(line numbers, rows) of the data records in each run of `size`
-    records of a csv.reader, the first of them record `start`; blank and
-    comment records are left out."""
-    comment = methodcaller("startswith", "#")
-    while chunk := list(islice(reader, size)):
-        lines = np.arange(start, start + len(chunk))
-        start += len(chunk)
+def _blocks(reader, size: int):
+    """(line numbers, rows) of the data records, blank and comment ones
+    left out, in each run of `size` records of a csv.reader.  A record's
+    line is the one it ends on (reader.line_num once it is read)."""
+    comment, lines = methodcaller("startswith", "#"), []
+    # zip reads a record, then appends reader.line_num to lines, all in C
+    records = map(itemgetter(0), zip(reader, map(lines.append, map(
+        attrgetter("line_num"), repeat(reader)))))
+    while chunk := list(islice(records, size)):
         # a blank record has no first field; "#" stands in for it
         firsts = map(next, map(iter, chunk), repeat("#"))
-        skip = np.fromiter(map(comment, map(str.lstrip, firsts)), bool,
-                           len(chunk))
-        if skip.any():
-            chunk, lines = list(compress(chunk, ~skip)), lines[~skip]
-        if chunk:
-            yield lines, chunk
-        del chunk                       # before more records are read
+        keep = ~np.fromiter(map(comment, map(str.lstrip, firsts)), bool,
+                            len(chunk))
+        if chunk := list(compress(chunk, keep)):
+            yield np.array(lines)[keep], chunk
+        del chunk, lines[:]             # before more records are read
 
 
 def _block_cells(body: list, schema: str, width: int, known: dict):
@@ -196,8 +195,8 @@ def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
 
 @contextlib.contextmanager
 def _csv_reader(path):
-    """A csv.reader over a UTF-8 file; a csv.Error (such as a field over
-    csv.field_size_limit()) becomes a ValueError naming the file and line."""
+    """A csv.reader over a UTF-8 file; a ValueError raised while it is
+    open, or a csv.Error at reader.line_num, is re-raised naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -205,6 +204,8 @@ def _csv_reader(path):
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") \
                 from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_price_csv(path, schema: str = "long") -> PriceTable:
@@ -214,31 +215,25 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
     market, each named once and not blank; empty cells are allowed
     (ragged starts, gaps) and recorded per market as missing calendar
     days.  Malformed rows, duplicate dates and non-positive prices are
-    rejected with their line numbers; the first offending line, in file
-    order, is the one reported.
+    rejected as '<file>: line <n>: <fault>'; the first offending line, in
+    file order, is the one reported.
 
     The records are parsed in blocks of about _BLOCK_FIELDS fields, each
     turned into day, price, code and line arrays before the next is read,
     so the CSV's strings never all live at once.
     """
-    path = Path(path)
+    if schema not in ("long", "wide"):
+        raise ValueError("schema must be 'long' or 'wide'")
     with _csv_reader(path) as reader:
-        head = next(_blocks(reader, 1, 1), None)
+        head = next(_blocks(reader, 1), None)
         if head is None:
-            raise ValueError(f"{path}: empty file")
+            raise ValueError("empty file")
         (header_no,), (header,) = head
         width = 3 if schema == "long" else len(header)
-        blocks = _blocks(reader, max(1, _BLOCK_FIELDS // width),
-                         header_no + 1)
-        block = next(blocks, None)
-        if block is None:
-            raise ValueError(f"{path}: no data rows")
         index: dict[str, int] = {}
-        if schema == "long":
-            if len(header) < 3:
-                raise ValueError(
-                    f"line {header_no}: need market,date,price header")
-        elif schema == "wide":
+        if schema == "long" and len(header) < 3:
+            raise ValueError(f"line {header_no}: need market,date,price header")
+        if schema == "wide":
             if len(header) < 2:
                 raise ValueError(f"line {header_no}: wide header needs markets")
             for column, name in enumerate(map(str.strip, header[1:]), 2):
@@ -248,21 +243,51 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
                     raise ValueError(
                         f"line {header_no}: {fault} in column {column}")
                 index[_copy(name)] = len(index)
-        else:
-            raise ValueError("schema must be 'long' or 'wide'")
         parsed, known = [], {}
-        while block is not None:
+        for block in _blocks(reader, max(1, _BLOCK_FIELDS // width)):
             parsed.append(_parse_block(*block, schema, width, index, known))
             del block                   # its records go before more are read
-            block = next(blocks, None)
-    days, prices, codes, lines = map(np.concatenate, zip(*parsed))
-    del parsed
-    names = list(index)
-    for name, count in zip(names, np.bincount(codes, minlength=len(names))):
-        if not count:
-            raise ValueError(f"market {name!r} has no prices")
-    return PriceTable(markets=_group_markets(names, codes, days, prices,
-                                             lines))
+        if not parsed:
+            raise ValueError("no data rows")
+        days, prices, codes, lines = map(np.concatenate, zip(*parsed))
+        del parsed
+        counts, names = np.bincount(codes, minlength=len(index)), list(index)
+        if not counts.all():
+            raise ValueError(f"line {header_no}: market "
+                             f"{names[counts.argmin()]!r} has no prices")
+        return PriceTable(markets=_group_markets(names, codes, days, prices,
+                                                 lines))
+
+
+def load_variance_csv(path) -> list[tuple[float, float]]:
+    """(k, variance) of each data row of a CSV with a 'k' and a 'variance'
+    (else 'variance_tilde') column, such as analyze's variance_by_scale.csv;
+    a row shorter than the header or a cell that is not a number is
+    rejected as '<file>: line <n>: <fault>'."""
+    with _csv_reader(path) as reader:
+        records = [record for block in _blocks(reader, _BLOCK_FIELDS)
+                   for record in zip(*block)]
+        if not records:
+            raise ValueError("empty file")
+        (_, header), *rows = records
+        cols = {name.strip().lower(): i for i, name in enumerate(header)}
+        if "k" not in cols:
+            raise ValueError("header lacks a 'k' column")
+        v_name = "variance" if "variance" in cols else "variance_tilde"
+        if v_name not in cols:
+            raise ValueError("header lacks a 'variance' or 'variance_tilde' "
+                             "column")
+        k_col, v_col = cols["k"], cols[v_name]
+        points = []
+        for line, row in rows:
+            if len(row) < len(header):
+                raise ValueError(f"line {line}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
+            try:
+                points.append((float(row[k_col]), float(row[v_col])))
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+    return points
 
 
 # -- provenance-stamped output ------------------------------------------------
@@ -321,29 +346,3 @@ def write_json(path, payload: dict, provenance: dict) -> None:
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n",
         encoding="utf-8")
-
-
-def _numbered_csv_rows(path) -> list[tuple[int, list[str]]]:
-    """(line, fields) of each row of a CSV written by write_csv, header
-    first, skipping blank lines and provenance comments.
-
-    A row with fewer fields than the header is rejected by its line.
-    """
-    rows = []
-    with _csv_reader(path) as reader:
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if rows and len(row) < len(rows[0][1]):
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"{len(rows[0][1])} fields, got {len(row)}")
-            rows.append((reader.line_num, row))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    return rows
-
-
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV written by write_csv."""
-    header, *rows = [row for _, row in _numbered_csv_rows(path)]
-    return header, rows

@@ -50,10 +50,12 @@ class PipelineConfig:
     predict_horizons: list[int] = field(default_factory=lambda: list(range(1, 14)))
 
     def validate(self) -> "PipelineConfig":
-        if not self.horizons or any(k < 1 for k in self.horizons):
-            raise ValueError("horizons must be positive k values")
-        if len(set(self.horizons)) < len(self.horizons):
-            raise ValueError("horizons must not repeat")
+        for name in ("horizons", "predict_horizons"):
+            ks = getattr(self, name)
+            if not ks or min(ks) < 1:
+                raise ValueError(f"{name} must be positive k values")
+            if len(set(ks)) < len(ks):
+                raise ValueError(f"{name} must not repeat")
         if self.estimator not in ("phi", "psi", "step"):
             raise ValueError("estimator must be phi, psi or step")
         if self.bootstrap_samples < 100:
@@ -458,7 +460,8 @@ def _pooled_moments(returns_all, horizons: list[int],
     rows: dict[float, dict[int, list[float]]] = {q: {} for q in qs}
     for rets in returns_all:
         path = np.cumsum(rets.excess())
-        usable = [k for k in horizons if 2 ** k * 10 <= path.size]
+        # moment_scaling returns its statistics in increasing T
+        usable = sorted(k for k in horizons if 2 ** k * 10 <= path.size)
         if len(usable) < 3:
             continue
         fits = stats.moment_scaling(path, qs, [2 ** k for k in usable])
@@ -521,21 +524,7 @@ def cmd_fit_kappa(config: PipelineConfig, variance_csv,
                   out_dir) -> list[Path]:
     """Fit kappa from a (k, variance) CSV and invert to the dimension."""
     config.validate()
-    (_, header), *rows = io._numbered_csv_rows(variance_csv)
-    cols = {name.strip().lower(): i for i, name in enumerate(header)}
-    if "k" not in cols:
-        raise ValueError(f"{variance_csv}: header lacks a 'k' column")
-    v_name = "variance" if "variance" in cols else "variance_tilde"
-    if v_name not in cols:
-        raise ValueError(f"{variance_csv}: header lacks a 'variance' or "
-                         "'variance_tilde' column")
-    k_col, v_col = cols["k"], cols[v_name]
-    points = []
-    for line, row in rows:
-        try:
-            points.append((float(row[k_col]), float(row[v_col])))
-        except ValueError as exc:
-            raise ValueError(f"{variance_csv}: line {line}: {exc}") from None
+    points = io.load_variance_csv(variance_csv)
     kappa_hat, kappa_se, (dim, low, high) = _kappa_fit(points)
     result = {"kappa": kappa_hat, "kappa_se": kappa_se, "dimension": dim,
               "dimension_low": low, "dimension_high": high,

@@ -1,5 +1,6 @@
 """Price ingestion, provenance-stamped output and the CLI pipelines."""
 
+import csv
 import dataclasses
 import datetime
 import json
@@ -22,6 +23,14 @@ def strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
     return json.loads(text, parse_constant=reject)
+
+
+def read_output_csv(path):
+    """Header and data rows of a CSV written by io.write_csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh)
+                         if not row[0].startswith("#")]
+    return header, rows
 
 
 def make_long_csv(path, markets=("ES", "TY", "CL"), days=900, seed=0):
@@ -119,7 +128,7 @@ class TestProvenanceOutput:
         path = tmp_path / "out.csv"
         value = 0.1 + 0.2
         io.write_csv(path, ["v"], [(value,)], io.make_provenance(0))
-        _, rows = io.read_csv_rows(path)
+        _, rows = read_output_csv(path)
         assert float(rows[0][0]) == value
 
     def test_json_writes_non_finite_floats_as_null(self, tmp_path):
@@ -138,7 +147,7 @@ class TestSimulateCommand:
             "simulate", "--side", "8", "--sweeps", "300", "--burn-in", "50",
             "--temperature", "0.4", "--seed", "5", "--out", str(out)])
         assert code == 0
-        header, rows = io.read_csv_rows(out / "magnetization.csv")
+        header, rows = read_output_csv(out / "magnetization.csv")
         assert header == ["sweep", "M", "price"]
         n_sites = 64
         assert len(rows) == 250
@@ -218,7 +227,7 @@ class TestSimulateCommand:
         assert diag["effective_samples"] == pytest.approx(
             398 / (2.0 * diag["tau_int"]))
         series = np.array([float(r[1]) for r in
-                           io.read_csv_rows(out / "magnetization.csv")[1]])
+                           read_output_csv(out / "magnetization.csv")[1]])
         assert diag["binder_cumulant"] == pytest.approx(
             lm.binder_cumulant(series), rel=1e-12)
         assert "below 20 tau_int" in caplog.text
@@ -287,7 +296,7 @@ class TestPredictCommand:
         code = cli.main(["predict", "--kappa", "1.0", "--tau", "32768",
                          "--out", str(out)])
         assert code == 0
-        header, rows = io.read_csv_rows(out / "predictions.csv")
+        header, rows = read_output_csv(out / "predictions.csv")
         col_ac = header.index("return_autocorrelation")
         col_tr = header.index("trend_return_correlation")
         assert len(rows) == 13
@@ -309,7 +318,7 @@ class TestPredictCommand:
         out = tmp_path / "pred_dec"
         assert cli.main(["predict", "--kappa", "0.9", "--tau", "32768",
                          "--out", str(out)]) == 0
-        header, rows = io.read_csv_rows(out / "predictions.csv")
+        header, rows = read_output_csv(out / "predictions.csv")
         for col in ("variance_phi", "variance_tilde"):
             vals = [float(r[header.index(col)]) for r in rows]
             assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -318,9 +327,27 @@ class TestPredictCommand:
         out = tmp_path / "pred_drop"
         assert cli.main(["predict", "--kappa", "0.9", "--tau", "1024",
                          "--out", str(out)]) == 0
-        _, rows = io.read_csv_rows(out / "predictions.csv")
+        _, rows = read_output_csv(out / "predictions.csv")
         # scaling regime keeps T <= tau/4 = 256, i.e. k <= 8
         assert max(int(r[0]) for r in rows) == 8
+
+    @pytest.mark.parametrize("ks,fault", [
+        ("3,3,4", "predict_horizons must not repeat"),
+        (",", "predict_horizons must be positive"),
+        ("-40", "predict_horizons must be positive"),
+        ("0,1", "predict_horizons must be positive")],
+        ids=["repeat", "empty", "negative", "zero"])
+    def test_bad_predict_horizons_exit_2_without_output(self, tmp_path,
+                                                        caplog, ks, fault):
+        # a repeat writes a row twice, an empty list an empty table, and
+        # k = -40 a T of 9.1e-13 with a variance of 0.0
+        out = tmp_path / "pred"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["predict", "--regime", "exponential", "--kappa",
+                             "0.5", f"--predict-horizons={ks}",
+                             "--out", str(out)]) == 2
+        assert fault in caplog.text
+        assert not out.exists()
 
     def test_invalid_dimension_writes_no_directory(self, tmp_path):
         out = tmp_path / "pred_bad"
@@ -346,7 +373,7 @@ class TestPredictCommand:
         out = tmp_path / "pred"
         assert cli.main(["predict", "--kappa", "0.05", "--regime", regime,
                          "--out", str(out)]) == 0
-        _, rows = io.read_csv_rows(out / "predictions.csv")
+        _, rows = read_output_csv(out / "predictions.csv")
         assert len(rows) == 13
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
@@ -538,6 +565,25 @@ class TestAnalyzeCommand:
                              "--out", str(out)]) == 2
         assert "market 'FLAT': zero-variance returns" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("permuted", ["6,5,4,3,2,1", "4,2,6,1,5,3"])
+    def test_horizon_order_leaves_moments_unchanged(self, tmp_path,
+                                                    permuted):
+        # moment_scaling sorts its horizons; the pooled curves must be
+        # keyed by the same sorted k, or M_q(T) and H_q come out reversed
+        csv_path = make_long_csv(tmp_path / "prices.csv", days=700,
+                                 markets=("ES", "TY"))
+        runs = []
+        for horizons in ("1,2,3,4,5,6", permuted):
+            out = tmp_path / horizons.replace(",", "")
+            assert cli.main(["analyze", str(csv_path), "--horizons", horizons,
+                             "--bootstrap-samples", "100", "--cv-folds", "5",
+                             "--out", str(out)]) == 0
+            report = strict_json((out / "report.json").read_text())["report"]
+            runs.append((read_output_csv(out / "moments.csv"),
+                         report["moment_scaling"]["hurst"]))
+        assert runs[1] == runs[0]
+        assert all(fit["H"] > 0 for fit in runs[0][1].values())
 
     def test_rerun_byte_identical(self, tmp_path):
         csv_path = make_long_csv(tmp_path / "prices.csv", days=700,

@@ -5,11 +5,14 @@
 `io.load_price_csv` must give the same markets, dates, prices and gap
 counts on every valid file, and the same message, line number included,
 on every invalid one, whether a file is read in one block or in blocks
-of a few rows.
+of a few rows.  A fault is named by file and by the physical line on
+which its record ends, as `csv.reader.line_num` counts it, so a quoted
+field that spans lines moves every later line number.
 """
 
 import csv
 import datetime
+import io as textio
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -59,20 +62,29 @@ def _build_market(name, rows):
 
 
 def reference_load(path, schema):
-    """(name, dates, prices, gap_days) per market, in io's market order."""
+    """(name, dates, prices, gap_days) per market, in io's market order;
+    a fault is raised as '<path>: <message>'."""
+    try:
+        return _reference_load(path, schema)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _reference_load(path, schema):
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader
                 if row and not row[0].lstrip().startswith("#")]
     if not rows:
-        raise ValueError(f"{path}: empty file")
+        raise ValueError("empty file")
     header_no, header = rows[0]
     body = rows[1:]
-    if not body:
-        raise ValueError(f"{path}: no data rows")
     per_market = {}
     if schema == "long":
         if len(header) < 3:
             raise ValueError(f"line {header_no}: need market,date,price header")
+        if not body:
+            raise ValueError("no data rows")
         for line_no, row in body:
             if len(row) != 3:
                 raise ValueError(f"line {line_no}: expected 3 fields, "
@@ -94,6 +106,8 @@ def reference_load(path, schema):
             if name in names[:column - 2]:
                 raise ValueError(f"line {header_no}: duplicate market"
                                  f" {name!r} in column {column}")
+        if not body:
+            raise ValueError("no data rows")
         for line_no, row in body:
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)}"
@@ -106,7 +120,8 @@ def reference_load(path, schema):
                 per_market.setdefault(name, []).append((date, price, line_no))
         for name in names:
             if name not in per_market:
-                raise ValueError(f"market {name!r} has no prices")
+                raise ValueError(f"line {header_no}: market {name!r}"
+                                 " has no prices")
     return [_build_market(name, r) for name, r in per_market.items()]
 
 
@@ -138,6 +153,8 @@ BAD_DATES = ["NaT", "nat", "2020-01", "2020", "today", "20200105",
              "2020-1-5", "", "2020-W01-1", "abc"]
 BAD_PRICES = ["abc", "0", "-3", "0.0", "-0", "inf", "-inf", "nan", "1e999",
               "", "1,5"]
+# market names that csv.writer must quote, some over two or three lines
+NAMES = st.sampled_from(["M", "M", "a,b", 'say "x"', "two\nlines", "x\n\ny"])
 
 
 @st.composite
@@ -152,7 +169,7 @@ def panels(draw):
                           max_size=n_days - 1))
     calendar = [datetime.date.fromordinal(d)
                 for d in start + np.cumsum([0] + steps)]
-    names = [f"M{m}" for m in range(n_markets)]
+    names = [draw(NAMES) + str(m) for m in range(n_markets)]
     cells = [[None] * n_markets for _ in range(n_days)]
     for m in range(n_markets):
         first = draw(st.integers(0, n_days - 1))
@@ -183,13 +200,15 @@ def panels(draw):
 
 
 def render(rows, draw):
-    """CSV text with comment and blank lines scattered between rows."""
-    lines = []
+    """CSV text written by csv.writer, with comment and blank lines
+    scattered between rows."""
+    text = textio.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     for i, row in enumerate(rows):
         if i and draw(st.integers(0, 9)) == 0:
-            lines.append(draw(st.sampled_from(["# note", "", "  # x,y"])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            text.write(draw(st.sampled_from(["# note", "", "  # x,y"])) + "\n")
+        writer.writerow(row)
+    return text.getvalue()
 
 
 def inject(schema, rows, draw):
@@ -281,7 +300,7 @@ class TestBulkParserOracle:
         # on line 7, blocks later, is the reported fault
         text = ("market,date,price\nA,2020-01-02,1\nA,2020-01-01,2\n"
                 "# note\nB,2020-01-01,3\nB,2020-01-02,4\nB,2020-01-03,x\n")
-        want = ("error", "line 7: bad price 'x'")
+        want = ("error", "<path>: line 7: bad price 'x'")
         assert outcome(reference_load, text, "long") == want
         with mock.patch.object(io, "_BLOCK_FIELDS", fields):
             assert outcome(bulk_load, text, "long") == want
@@ -292,7 +311,7 @@ class TestBulkParserOracle:
                       "0000-01-01", "10000-01-01"]:
             text = f"market,date,price\nA,2020-01-01,1\nA,{token},2\n"
             assert outcome(bulk_load, text, "long") == \
-                ("error", f"line 3: bad date {token!r}")
+                ("error", f"<path>: line 3: bad date {token!r}")
 
     def test_basic_iso_date_is_the_date_not_a_year(self):
         # numpy would read 20200105 as the year 20200105; fromisoformat
@@ -304,10 +323,10 @@ class TestBulkParserOracle:
             assert want[1][0][1][1] == datetime.date(2020, 1, 5)
 
     @pytest.mark.parametrize("header,want", [
-        ("date,,B", "line 1: empty market name in column 2"),
-        ("date,A, ", "line 1: empty market name in column 3"),
-        ("date,A,A", "line 1: duplicate market 'A' in column 3"),
-        ("date,A,B, A", "line 1: duplicate market 'A' in column 4")],
+        ("date,,B", "<path>: line 1: empty market name in column 2"),
+        ("date,A, ", "<path>: line 1: empty market name in column 3"),
+        ("date,A,A", "<path>: line 1: duplicate market 'A' in column 3"),
+        ("date,A,B, A", "<path>: line 1: duplicate market 'A' in column 4")],
         ids=["blank", "blank-last", "repeat", "repeat-padded"])
     def test_wide_header_fault_names_the_column(self, header, want):
         # a blank or repeated name would load a market named '' or merge
@@ -324,4 +343,34 @@ class TestBulkParserOracle:
         text = ("date,A,B\n2020-01-01,1,2\n2020-01-02,1,-2\n"
                 "2020-13-01,1,2\n2020-01-04,1\n")
         assert outcome(bulk_load, text, "wide") == \
-            ("error", "line 3: non-positive price '-2'")
+            ("error", "<path>: line 3: non-positive price '-2'")
+
+    @pytest.mark.parametrize("last,want", [
+        ('2020-01-03,abc', "line 7: bad price 'abc'"),
+        ('2020-13-01,3', "line 7: bad date '2020-13-01'"),
+        ('2020-01-03', "line 7: expected 3 fields, got 2"),
+        ('2020-01-02,3', "line 7: duplicate date 2020-01-02 for market "
+                         "'B\\nInc'")],
+        ids=["price", "date", "fields", "duplicate"])
+    @pytest.mark.parametrize("fields", [3, io._BLOCK_FIELDS])
+    def test_two_line_name_counts_both_lines(self, last, want, fields):
+        # each record's quoted name spans two lines, so the third record
+        # ends on line 7, not on line 4
+        text = ('market,date,price\n"B\nInc",2020-01-01,1\n'
+                '"B\nInc",2020-01-02,2\n"B\nInc",' + last + "\n")
+        want = ("error", "<path>: " + want)
+        assert outcome(reference_load, text, "long") == want
+        with mock.patch.object(io, "_BLOCK_FIELDS", fields):
+            assert outcome(bulk_load, text, "long") == want
+
+    @pytest.mark.parametrize("header,want", [
+        ('date,"A\nB",C', "line 4: bad price 'x'"),
+        ('date,"A\nB","A\nB"',
+         "line 3: duplicate market 'A\\nB' in column 3")],
+        ids=["data-line", "header-line"])
+    def test_two_line_wide_header_name_counts_both_lines(self, header, want):
+        # the header ends on the line of its last name's closing quote
+        text = header + "\n2020-01-01,1,2\n2020-01-02,1,x\n"
+        assert outcome(reference_load, text, "wide") == ("error",
+                                                         "<path>: " + want)
+        assert outcome(bulk_load, text, "wide") == ("error", "<path>: " + want)
