@@ -1,9 +1,10 @@
 """Price and variance table ingestion and provenance-stamped file output.
 
-CSV conventions: UTF-8, comma separated, '.' decimal, floats rendered by
-shortest round-trip repr.  Output files start with '# provenance: {...}'
-carrying input hashes, the master seed and the package version, so a
-rerun with identical inputs is byte-identical (no timestamps anywhere).
+CSV conventions: UTF-8 (a leading byte-order mark is skipped), comma
+separated, '.' decimal, floats rendered by shortest round-trip repr.
+Output files start with '# provenance: {...}' carrying input hashes, the
+master seed and the package version, so a rerun with identical inputs is
+byte-identical (no timestamps anywhere).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-_BLOCK_FIELDS = 2 ** 14      # CSV fields parsed per block
+_BLOCK_FIELDS = 2 ** 12      # CSV fields parsed per block
+_MAX_LINE = np.iinfo(np.int32).max   # per-cell line numbers are int32
 _EPOCH = datetime.date(1970, 1, 1).toordinal()
 
 
@@ -92,16 +94,21 @@ def _row_fault(row: list[str], schema: str, width: int) -> str | None:
     return None
 
 
-def _group_markets(names: list[str], codes: np.ndarray, days: np.ndarray,
-                   prices: np.ndarray, lines: np.ndarray) -> list:
+def _group_markets(names: list[str], cells: list) -> list:
     """Cells grouped by market in order of first price, file order within,
-    with each market's dates checked at its first duplicate or decrease."""
+    with each market's dates checked at its first duplicate or decrease.
+    `cells` holds the day, price, code and line arrays of every cell; it
+    is emptied, so each unsorted array is freed as its sorted copy is made."""
+    days, prices, codes, lines = cells
+    cells.clear()
     first = np.unique(codes, return_index=True)[1]     # per market code
     by_first = np.argsort(first)
     order = np.argsort(first[codes], kind="stable")
-    days, prices, lines = days[order], prices[order], lines[order]
     bounds = np.append(0, np.cumsum(np.bincount(codes)[by_first]))
-    ordinals = days.astype(np.int64)
+    days = days[order]
+    prices = prices[order]
+    lines = lines[order]
+    ordinals = days.view(np.int64)
     step = np.diff(ordinals)
     step[bounds[1:-1] - 1] = 1          # no check across two markets
     bad = np.flatnonzero(step <= 0)
@@ -123,7 +130,8 @@ def _group_markets(names: list[str], codes: np.ndarray, days: np.ndarray,
 def _blocks(reader, size: int):
     """(line numbers, rows) of the data records, blank and comment ones
     left out, in each run of `size` records of a csv.reader.  A record's
-    line is the one it ends on (reader.line_num once it is read)."""
+    line is the one it ends on (reader.line_num once it is read); the
+    numbers are int32, and a line past 2**31 - 1 is a ValueError."""
     comment, lines = methodcaller("startswith", "#"), []
     # zip reads a record, then appends reader.line_num to lines, all in C
     records = map(itemgetter(0), zip(reader, map(lines.append, map(
@@ -133,8 +141,10 @@ def _blocks(reader, size: int):
         firsts = map(next, map(iter, chunk), repeat("#"))
         keep = ~np.fromiter(map(comment, map(str.lstrip, firsts)), bool,
                             len(chunk))
+        if lines[-1] > _MAX_LINE:
+            raise ValueError(f"line {lines[-1]}: more than {_MAX_LINE} lines")
         if chunk := list(compress(chunk, keep)):
-            yield np.array(lines)[keep], chunk
+            yield np.array(lines, np.int32)[keep], chunk
         del chunk, lines[:]             # before more records are read
 
 
@@ -186,18 +196,19 @@ def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
         for name in dict.fromkeys(labels):
             if name not in index:
                 index[_copy(name)] = len(index)
-        codes = np.fromiter(map(index.__getitem__, labels), np.int64,
+        codes = np.fromiter(map(index.__getitem__, labels), np.int32,
                             len(labels))
     else:
-        codes = labels
+        codes = labels.astype(np.int32)
     return days, prices, codes, lines[cell_rows]
 
 
 @contextlib.contextmanager
 def _csv_reader(path):
-    """A csv.reader over a UTF-8 file; a ValueError raised while it is
-    open, or a csv.Error at reader.line_num, is re-raised naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """A csv.reader over a UTF-8 file, past its byte-order mark if it has
+    one; a ValueError raised while it is open, or a csv.Error at
+    reader.line_num, is re-raised naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
@@ -249,14 +260,14 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
             del block                   # its records go before more are read
         if not parsed:
             raise ValueError("no data rows")
-        days, prices, codes, lines = map(np.concatenate, zip(*parsed))
+        cells = list(map(np.concatenate, zip(*parsed)))
         del parsed
-        counts, names = np.bincount(codes, minlength=len(index)), list(index)
+        counts = np.bincount(cells[2], minlength=len(index))   # codes
+        names = list(index)
         if not counts.all():
             raise ValueError(f"line {header_no}: market "
                              f"{names[counts.argmin()]!r} has no prices")
-        return PriceTable(markets=_group_markets(names, codes, days, prices,
-                                                 lines))
+        return PriceTable(markets=_group_markets(names, cells))
 
 
 def load_variance_csv(path) -> list[tuple[float, float]]:

@@ -70,7 +70,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -214,7 +214,9 @@ def _mixing_diagnostics(series: dynamics.MagnetizationSeries) -> dict:
 # -- predict --------------------------------------------------------------
 
 def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
-    """Emit the theory curves over the prediction horizons."""
+    """Emit the theory curves over the prediction horizons; a horizon
+    outside the model's domain is left out and listed with its reason
+    under params.json's horizons_dropped."""
     config.validate()
     model = _propagator_from_config(config)
     prov = io.make_provenance(
@@ -222,7 +224,7 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
         extra={"kappa": model.kappa, "tau": model.tau,
                "regime": model.regime
                + (" (heuristic)" if model.regime == "matched" else "")})
-    rows = []
+    rows, dropped = [], []
     for k in config.predict_horizons:
         horizon = 2.0 ** k
         try:
@@ -236,6 +238,7 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
             ))
         except theory.DomainError as exc:
             log.warning("dropping k=%d: %s", k, exc)
+            dropped.append({"k": k, "reason": str(exc)})
     hurst = model.kappa / 2.0
     try:
         dim = theory.dimension_for_kappa(model.kappa)
@@ -249,7 +252,8 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
         "hurst.csv": (["dimension", "kappa", "hurst"],
                       [(dim if dim is not None else "", model.kappa, hurst)]),
         "params.json": {"config": config.as_dict(), "kappa": model.kappa,
-                        "hurst": hurst, "dimension": dim},
+                        "hurst": hurst, "dimension": dim,
+                        "horizons_dropped": dropped},
     })
 
 

@@ -30,6 +30,7 @@ from .theory import PropagatorModel
 _MIN_OBSERVATIONS = 100
 _COND_LIMIT = 1e12
 _CHUNK_COUNTS = 2 ** 18     # bootstrap count-matrix cells per chunk
+_DRAW_CELLS = 2 ** 15       # bootstrap group draws per generator call
 # (1, x, x^3) Gram entries, row-major, as indices into the moment sums
 _GRAM = [0, 1, 3, 1, 2, 4, 3, 4, 5]
 
@@ -195,10 +196,15 @@ def bootstrap_errors(rows, n_samples: int, seed) -> BootstrapResult:
     are reported.  Deterministic for a fixed seed; degenerate resamples
     (Gram non-finite or condition above 1e12) are skipped and counted.
 
-    The groups are resampled in chunks of c = max(1, 2**18 // G):
-    rng.integers(0, G, (c, G)) draws the same integers as c per-resample
-    draws, and a chunk's moment sums are counts @ rows; the sums of all
-    resamples are solved at once.
+    The groups are resampled in chunks of c = max(1, 2**18 // G): a
+    chunk's moment sums are counts @ rows, with counts the (c, G) matrix of
+    how often each group was drawn, and the sums of all resamples are
+    solved at once.  The chunk boundaries fix the rows of each product, and
+    with them its floating-point rounding.  Within a chunk the draws are
+    taken r = max(1, 2**15 // G) resamples at a time,
+    rng.integers(0, G, (r, G)), the same integers as one (c, G) draw, and
+    each resample's counts are tallied into one float block reused by
+    every chunk.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 bootstrap samples")
@@ -212,15 +218,17 @@ def bootstrap_errors(rows, n_samples: int, seed) -> BootstrapResult:
         raise ValueError("x and y must give finite moment sums up to x^6")
     n_groups = group_sums.shape[0]
     chunk = max(1, _CHUNK_COUNTS // n_groups)
+    step = max(1, _DRAW_CELLS // n_groups)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = np.empty((min(chunk, n_samples), n_groups))
     sums = np.empty((n_samples, 9))
     for start in range(0, n_samples, chunk):
         c = min(chunk, n_samples - start)
-        draws = rng.integers(0, n_groups, (c, n_groups))
-        draws += np.arange(0, c * n_groups, n_groups)[:, None]
-        counts = np.bincount(draws.ravel(), minlength=c * n_groups)
-        sums[start:start + c] = (
-            counts.reshape(c, n_groups).astype(np.float64) @ group_sums)
+        for row in range(0, c, step):
+            draws = rng.integers(0, n_groups, (min(step, c - row), n_groups))
+            for i, drawn in enumerate(draws, row):
+                counts[i] = np.bincount(drawn, minlength=n_groups)
+        sums[start:start + c] = counts[:c] @ group_sums
     coef, cond = _solve_from_sums(sums)
     samples = coef[cond <= _COND_LIMIT]
     if samples.size == 0:

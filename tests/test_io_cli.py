@@ -112,6 +112,36 @@ class TestLoadPriceCsv:
         with pytest.raises(ValueError, match="'B'"):
             io.load_price_csv(path, schema="wide")
 
+    def test_byte_order_mark_before_comment(self, tmp_path):
+        # a spreadsheet export's BOM must not hide the comment mark
+        text = ("# exported\nmarket,date,price\n"
+                "ES,2020-01-01,100\nES,2020-01-02,abc\n")
+        path = tmp_path / "p.csv"
+        path.write_text("\ufeff" + text.replace("abc", "110"),
+                        encoding="utf-8")
+        assert list(io.load_price_csv(path)["ES"].prices) == [100.0, 110.0]
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        with pytest.raises(ValueError, match="line 4: bad price 'abc'"):
+            io.load_price_csv(path)
+
+    def test_line_numbers_past_int32_rejected(self):
+        class Reader:                   # a csv.reader near line 2**31
+            line_num = 2 ** 31 - 3
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                self.line_num += 1
+                return ["ES", "2020-01-01", "100"]
+
+        reader = Reader()
+        lines, rows = next(io._blocks(reader, 2))
+        assert lines.dtype == np.int32
+        assert lines.tolist() == [2 ** 31 - 2, 2 ** 31 - 1]
+        with pytest.raises(ValueError, match="line 2147483649: more than"):
+            next(io._blocks(reader, 2))
+
 
 class TestProvenanceOutput:
     def test_csv_header_carries_provenance(self, tmp_path):
@@ -330,6 +360,22 @@ class TestPredictCommand:
         _, rows = read_output_csv(out / "predictions.csv")
         # scaling regime keeps T <= tau/4 = 256, i.e. k <= 8
         assert max(int(r[0]) for r in rows) == 8
+
+    def test_dropped_horizons_recorded_in_params(self, tmp_path):
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--tau", "64", "--predict-horizons",
+                         "1,2,3,4,5,6,7,8", "--out", str(out)]) == 0
+        _, rows = read_output_csv(out / "predictions.csv")
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4]
+        dropped = json.loads((out / "params.json").read_text())[
+            "horizons_dropped"]
+        assert [row["k"] for row in dropped] == [5, 6, 7, 8]
+        # T <= tau/4 bounds the variances, t <= tau the correlations
+        assert [row["reason"] for row in dropped] == [
+            "scaling-regime variances require T <= tau/4 (T=32.0, tau=64.0)",
+            "scaling-regime variances require T <= tau/4 (T=64.0, tau=64.0)",
+            "scaling regime requires t <= tau = 64.0",
+            "scaling regime requires t <= tau = 64.0"]
 
     @pytest.mark.parametrize("ks,fault", [
         ("3,3,4", "predict_horizons must not repeat"),
@@ -609,6 +655,15 @@ class TestFitKappaCommand:
         assert result["kappa"] == pytest.approx(0.96, abs=1e-10)
         assert abs(result["dimension"] - 2.9) <= 0.1
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        rows = "".join(f"{k},{(2.0 ** k) ** -0.04!r}\n" for k in range(1, 6))
+        var_csv = tmp_path / "var.csv"
+        var_csv.write_text("\ufeffk,variance\n" + rows, encoding="utf-8")
+        out = tmp_path / "fit"
+        assert cli.main(["fit-kappa", str(var_csv), "--out", str(out)]) == 0
+        result = json.loads((out / "kappa_fit.json").read_text())
+        assert result["kappa"] == pytest.approx(0.96, abs=1e-10)
+
     def test_synthetic_path_recovers_dimension(self, tmp_path):
         from latticemarket.theory import PropagatorModel
         model = PropagatorModel(tau=2 ** 12, kappa=0.9, regime="scaling")
@@ -781,6 +836,16 @@ class TestConfigPrecedence:
         params = json.loads((out / "params.json").read_text())
         assert params["params"]["side"] == 4          # CLI wins
         assert params["params"]["sweeps"] == 120      # file beats default
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("\ufeff" + json.dumps({"kappa": 0.9}),
+                       encoding="utf-8")
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        params = json.loads((out / "params.json").read_text())
+        assert params["kappa"] == 0.9
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,0 +1,78 @@
+"""Bounds on the memory the analyze path allocates while it runs.
+
+tracemalloc counts every Python and numpy allocation, so a traced peak is
+deterministic for fixed inputs, unlike the resident set.  Each bound is
+the peak measured on Python 3.11 / numpy 2.4 plus the margin stated
+beside it; the formulations these bounds replaced peaked far above them
+(bootstrap 6.58 MB, long load 4.53 MB, wide load 7.37 MB).
+"""
+
+import datetime
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import latticemarket as lm
+from latticemarket import io
+
+MB = 2 ** 20
+
+
+def traced_peak_mb(fn, *args):
+    """The peak traced allocation while fn(*args) runs, above what was
+    traced when it started, in MB."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / MB
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def price_columns(markets, days, seed):
+    """ISO dates of `days` calendar days and one random-walk price column
+    per market, as shortest round-trip strings."""
+    rng = np.random.default_rng(seed)
+    start = datetime.date(2000, 1, 3).toordinal()
+    dates = [datetime.date.fromordinal(start + i).isoformat()
+             for i in range(days)]
+    prices = 100.0 * np.exp(np.cumsum(
+        rng.normal(0.0, 0.01, (markets, days)), axis=1))
+    return dates, [list(map(repr, column.tolist())) for column in prices]
+
+
+def test_bootstrap_counts_a_few_resamples_at_a_time():
+    # the analyze workload's shape: 3 999 day groups, 5 000 resamples;
+    # measured 4.23 MB, of which the (65, 3999) float count block is 2 MB
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, 40_000))
+    rows = lm.moment_sums(x, y, rng.integers(0, 3999, x.size))
+    assert len(rows) == 3999
+    assert traced_peak_mb(lm.bootstrap_errors, rows, 5000, 7) < 5.0  # +18 %
+
+
+@pytest.mark.parametrize("schema, markets, days, bound", [
+    ("long", 10, 4000, 2.8),            # measured 2.35 MB, +19 %
+    ("wide", 20, 5000, 5.4)],           # measured 4.62 MB, +17 %
+    ids=["long", "wide"])
+def test_load_price_csv_peak(tmp_path, schema, markets, days, bound):
+    dates, columns = price_columns(markets, days, 11)
+    if schema == "long":
+        lines = ["market,date,price"] + [
+            f"M{m:02d},{date},{price}" for m, column in enumerate(columns)
+            for date, price in zip(dates, column)]
+    else:
+        # ragged starts: market m is empty before day m * days / 80
+        for m, column in enumerate(columns):
+            column[:m * days // 80] = [""] * (m * days // 80)
+        lines = ["date," + ",".join(f"W{m:02d}" for m in range(markets))]
+        lines += [",".join(row) for row in zip(dates, *columns)]
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert traced_peak_mb(io.load_price_csv, path, schema) < bound

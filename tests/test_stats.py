@@ -281,6 +281,66 @@ class TestBootstrap:
         assert by_rows.samples.shape == (150, 3)
 
 
+def offset_bootstrap(rows, n_samples, seed):
+    """The bootstrap with one (c, G) draw per chunk, counted by one
+    bincount of the draws offset by row and converted to float: the
+    formulation the sub-draws replaced.  Returns samples, standard errors,
+    percentiles and the skipped count."""
+    group_sums = np.ascontiguousarray(np.asarray(rows, np.float64)[:, :9])
+    n_groups = group_sums.shape[0]
+    chunk = max(1, stats._CHUNK_COUNTS // n_groups)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sums = np.empty((n_samples, 9))
+    for start in range(0, n_samples, chunk):
+        c = min(chunk, n_samples - start)
+        draws = rng.integers(0, n_groups, (c, n_groups))
+        draws += np.arange(0, c * n_groups, n_groups)[:, None]
+        counts = np.bincount(draws.ravel(), minlength=c * n_groups)
+        sums[start:start + c] = (
+            counts.reshape(c, n_groups).astype(np.float64) @ group_sums)
+    coef, cond = stats._solve_from_sums(sums)
+    samples = coef[cond <= stats._COND_LIMIT]
+    return (samples, samples.std(axis=0, ddof=1),
+            np.percentile(samples, [2.5, 97.5], axis=0).T,
+            n_samples - len(samples))
+
+
+def grouped_rows(n_groups, seed):
+    """(G, 10) moment sums of 3 noisy cubic pairs per group."""
+    x, y = synthetic_xy(3 * n_groups, seed)
+    return lm.moment_sums(x, y, np.repeat(np.arange(n_groups), 3))
+
+
+class TestBootstrapSubDraws:
+    # G = 137: chunks of 1913 resamples drawn 239 at a time; G = 3999:
+    # chunks of 65 drawn 8 at a time; G = 2**18 + 3: one resample a chunk
+    @pytest.mark.parametrize("n_groups, n_samples, seed", [
+        (g, n, seed) for g in (137, 3999) for n in (100, 131, 5000)
+        for seed in (5, 6)] + [(2 ** 18 + 3, 100, 5), (2 ** 18 + 3, 131, 6)])
+    def test_bit_equal_to_one_draw_per_chunk(self, n_groups, n_samples,
+                                             seed):
+        rows = grouped_rows(n_groups, 40 + seed)
+        boot = lm.bootstrap_errors(rows, n_samples, seed)
+        samples, se, pct, skipped = offset_bootstrap(rows, n_samples, seed)
+        assert np.array_equal(boot.samples, samples)
+        assert np.array_equal(boot.standard_errors, se)
+        assert np.array_equal(boot.percentiles, pct)
+        assert boot.n_skipped == skipped
+
+    @pytest.mark.parametrize("n_groups", [137, 3999, 70001])
+    def test_row_draws_are_the_chunk_draw(self, n_groups):
+        chunk = stats._CHUNK_COUNTS // n_groups
+        step = max(1, stats._DRAW_CELLS // n_groups)
+        whole = np.random.default_rng(9)
+        parts = np.random.default_rng(9)
+        for _ in range(2):              # the stream goes on equal after it
+            expect = whole.integers(0, n_groups, (chunk, n_groups))
+            got = np.concatenate([
+                parts.integers(0, n_groups, (min(step, chunk - r), n_groups))
+                for r in range(0, chunk, step)])
+            assert np.array_equal(got, expect)
+
+
 class TestCrossValidate:
     def test_noiseless_cubic_perfect_score(self):
         x, y = synthetic_xy(3000, 12, noise=0.0)
