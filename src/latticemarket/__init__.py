@@ -13,7 +13,6 @@ from .dynamics import (
     SimulationParams,
     MagnetizationSeries,
     glauber_flip_probability,
-    sweep,
     run_simulation,
     magnetization_to_returns,
     binder_cumulant,

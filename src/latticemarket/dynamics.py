@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SpinLattice, _neighbor_table, new_lattice
+from .lattice import _neighbor_table, new_lattice
 from . import trends
 
 # Onsager critical temperature mapped to this energy normalization:
@@ -140,8 +140,8 @@ def _flip_levels(u: np.ndarray, thresholds: np.ndarray,
 
 
 def _run_sweeps(sigma: np.ndarray, nbrs, thresholds: np.ndarray,
-                rng: np.random.Generator, sweeps: int,
-                record_every: int = 0, skip: int = 0):
+                rng: np.random.Generator, sweeps: int, record_every: int,
+                skip: int = 0):
     """Checkerboard Glauber sweeps over an (N,) sigma = +-1 int8 array.
 
     sigma is in the permuted order of `_checkerboard` and is mutated in
@@ -157,10 +157,11 @@ def _run_sweeps(sigma: np.ndarray, nbrs, thresholds: np.ndarray,
     lattice that fits in memory.)
 
     The state after each sweep of a block is one row of a (block + 1, N)
-    history.  Returns (M, flips): M = sum(sigma)/2 after each recorded
-    sweep, taken as row sums, and the accepted flips after `skip`
-    sweeps, counted as sites that differ between consecutive rows;
-    every site is updated once per sweep, so that count is exact.
+    history.  Returns (M, flips): M = sum(sigma)/2 after every
+    record_every-th sweep past `skip`, taken as row sums, and the
+    accepted flips after `skip` sweeps, counted as sites that differ
+    between consecutive rows; every site is updated once per sweep, so
+    that count is exact.
 
     thresholds holds p(m) for m = -2D, ..., 2D (`_flip_thresholds`); the
     level rule needs it non-increasing in m, and a table that is not is a
@@ -173,7 +174,7 @@ def _run_sweeps(sigma: np.ndarray, nbrs, thresholds: np.ndarray,
                          "the flip-level rule needs p non-increasing in m")
     n = sigma.size
     half = n // 2
-    values = np.empty((sweeps - skip) // record_every if record_every else 0)
+    values = np.empty((sweeps - skip) // record_every)
     block = max(1, min(sweeps, _BLOCK_SITES // n))
     coins = np.empty(block * n)
     levels = np.empty((block, 2, half), np.int8)
@@ -203,29 +204,12 @@ def _run_sweeps(sigma: np.ndarray, nbrs, thresholds: np.ndarray,
         first = max(0, skip - start)
         if first < c:
             flips += np.count_nonzero(hist[first + 1:c + 1] != hist[first:c])
-        if record_every:
-            i = max(1, -((skip - start - 1) // record_every))
-            rows = hist[skip + i * record_every - start:c + 1:record_every]
-            values[i - 1:i - 1 + len(rows)] = rows.sum(axis=1) / 2.0
+        i = max(1, -((skip - start - 1) // record_every))
+        rows = hist[skip + i * record_every - start:c + 1:record_every]
+        values[i - 1:i - 1 + len(rows)] = rows.sum(axis=1) / 2.0
         hist[0] = hist[c]
     sigma[:] = hist[0]
     return values, flips
-
-
-def sweep(lattice: SpinLattice, temperature: float,
-          rng: np.random.Generator) -> SpinLattice:
-    """One Monte Carlo sweep: both checkerboard half-sweeps, N attempts.
-
-    Mutates the lattice in place and advances the generator by N
-    uniforms; returns the lattice for chaining.  Raises ValueError for
-    an odd side.
-    """
-    order, nbrs = _checkerboard(lattice.dims, lattice.side)
-    sigma = 2 * lattice.occupations[order] - 1
-    _run_sweeps(sigma, nbrs, _flip_thresholds(lattice.dims, temperature),
-                rng, 1)
-    lattice.occupations[order] = (sigma + 1) // 2
-    return lattice
 
 
 def run_simulation(params: SimulationParams) -> MagnetizationSeries:

@@ -53,11 +53,6 @@ class PriceTable:
         raise KeyError(name)
 
 
-def _copy(text: str) -> str:
-    """An equal str of its own, which keeps no CSV record's memory alive."""
-    return text.encode().decode()
-
-
 def _parse_dates(tokens: list[str], known: dict) -> np.ndarray | None:
     """Days of the stripped tokens, or None if date.fromisoformat rejects
     one.  `known` maps tokens parsed before to their day numbers and gains
@@ -66,8 +61,8 @@ def _parse_dates(tokens: list[str], known: dict) -> np.ndarray | None:
     try:
         for token in dict.fromkeys(stripped):
             if token not in known:
-                known[_copy(token)] = (datetime.date.fromisoformat(token)
-                                       .toordinal() - _EPOCH)
+                known[token] = (datetime.date.fromisoformat(token)
+                                .toordinal() - _EPOCH)
     except ValueError:
         return None
     return np.fromiter(map(known.__getitem__, stripped), np.int64,
@@ -195,7 +190,7 @@ def _parse_block(lines: np.ndarray, body: list, schema: str, width: int,
     if schema == "long":
         for name in dict.fromkeys(labels):
             if name not in index:
-                index[_copy(name)] = len(index)
+                index[name] = len(index)
         codes = np.fromiter(map(index.__getitem__, labels), np.int32,
                             len(labels))
     else:
@@ -253,7 +248,7 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
                              else "empty market name")
                     raise ValueError(
                         f"line {header_no}: {fault} in column {column}")
-                index[_copy(name)] = len(index)
+                index[name] = len(index)
         parsed, known = [], {}
         for block in _blocks(reader, max(1, _BLOCK_FIELDS // width)):
             parsed.append(_parse_block(*block, schema, width, index, known))

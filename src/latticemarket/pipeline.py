@@ -403,35 +403,26 @@ def analyze_price_table(table: io.PriceTable,
         }
 
     # step-trend variance over non-overlapping windows, pooled per scale
-    var_rows, counts = [], []
-    for row in by_scale:
-        horizon = row["T"]
-        sq_sum, n_win, pair_prod, n_pair = 0.0, 0, 0.0, 0
-        for rets in returns_all:
-            if len(rets.values) < 2 * horizon:
-                continue
-            adj = trends.adjacent_window_trends(rets, horizon)
-            sq_sum += float(np.sum(adj.values ** 2))
-            n_win += adj.values.size
-            pair_prod += float(np.sum(adj.pairs[:, 0] * adj.pairs[:, 1]))
-            n_pair += adj.pairs.shape[0]
+    pooled = _window_sums(returns_all, [row["k"] for row in by_scale])
+    var_rows = []
+    for row, (sq_sum, n_win, pair_prod, n_pair) in zip(
+            by_scale, pooled.sum(axis=0).tolist()):
         if n_win < 4:
             continue
         variance = sq_sum / n_win
         var_rows.append({
-            "k": row["k"], "T": horizon, "variance_tilde": variance,
-            "n_windows": n_win,
+            "k": row["k"], "T": row["T"], "variance_tilde": variance,
+            "n_windows": int(n_win),
             "adjacent_correlation":
                 (pair_prod / n_pair / variance) if n_pair else 0.0,
         })
-        counts.append(n_win)
     report["variance_by_scale"] = var_rows
 
     # kappa and network dimension from the variance curve
     if len(var_rows) >= 3:
         kappa_hat, kappa_se, (dim, low, high) = _kappa_fit(
             [(row["k"], row["variance_tilde"]) for row in var_rows],
-            weights=np.asarray(counts, dtype=float))
+            weights=np.array([row["n_windows"] for row in var_rows], float))
         report["kappa"] = {"estimate": kappa_hat, "se": kappa_se}
         report["dimension"] = {"estimate": dim, "low": low, "high": high}
         if dim is not None:
@@ -458,35 +449,38 @@ def _kappa_fit(points, weights=None) -> tuple:
     return kappa, se, dims
 
 
+def _window_sums(returns_all, ks: list[int]) -> np.ndarray:
+    """(markets, scales, 4) step-window sums at T = 2^k: the sum of squared
+    window trends (trends.adjacent_window_trends), their count, the sum of
+    adjacent-window products and their count.  A market shorter than 2T
+    has a zero row."""
+    table = np.zeros((len(returns_all), len(ks), 4))
+    for m, rets in enumerate(returns_all):
+        for s, t in enumerate(2 ** k for k in ks):
+            if len(rets.values) >= 2 * t:
+                w = trends.adjacent_window_trends(rets, t)
+                table[m, s] = (np.sum(w ** 2), w.size,
+                               np.sum(w[1:] * w[:-1]), w.size - 1)
+    return table
+
+
 def _pooled_moments(returns_all, horizons: list[int],
                     qs=(1.0, 2.0, 3.0, 4.0)) -> dict:
-    """Per-observation pooled M_q(T) across markets, with H_q fits."""
-    rows: dict[float, dict[int, list[float]]] = {q: {} for q in qs}
-    for rets in returns_all:
-        path = np.cumsum(rets.excess())
-        # moment_scaling returns its statistics in increasing T
-        usable = sorted(k for k in horizons if 2 ** k * 10 <= path.size)
-        if len(usable) < 3:
-            continue
-        fits = stats.moment_scaling(path, qs, [2 ** k for k in usable])
-        for q in qs:
-            for k, stat in zip(usable, fits[q].statistics):
-                n_win = path.size - 2 ** k
-                rows[q].setdefault(k, []).append((stat, n_win))
+    """M_q(T) pooled across markets with H_q fits (stats.moment_scaling);
+    no curve and no fit when no market covers 10 T at 3 horizons."""
     out = {"qs": list(qs), "curves": [], "hurst": {}}
-    for q in qs:
-        curve = []
-        for k in sorted(rows[q]):
-            pairs = rows[q][k]
-            total = sum(n for _, n in pairs)
-            pooled = sum(s * n for s, n in pairs) / total
-            curve.append({"q": q, "k": k, "T": 2 ** k, "M_q": pooled})
-        out["curves"].extend(curve)
-        if len(curve) >= 3:
-            log_t = np.log([row["T"] for row in curve])
-            log_m = np.log([row["M_q"] for row in curve])
-            slope, _, slope_se, _ = stats._line_fit(log_t, log_m, None)
-            out["hurst"][str(q)] = {"H": slope / q, "se": slope_se / q}
+    ks = {2 ** k: k for k in horizons}
+    try:
+        fits = stats.moment_scaling(
+            (np.cumsum(rets.excess()) for rets in returns_all), qs, list(ks))
+    except ValueError:
+        return out
+    for q, fit in fits.items():
+        out["curves"].extend(
+            {"q": q, "k": ks[t], "T": t, "M_q": m}
+            for t, m in zip(fit.horizons.astype(int).tolist(),
+                            fit.statistics.tolist()))
+        out["hurst"][str(q)] = {"H": fit.exponent, "se": fit.exponent_se}
     return out
 
 

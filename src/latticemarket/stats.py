@@ -397,35 +397,47 @@ def _line_fit(x: np.ndarray, y: np.ndarray,
     return float(beta[0]), float(beta[1]), float(math.sqrt(cov[0, 0])), resid
 
 
-def moment_scaling(path, qs, horizons) -> dict[float, ScalingFit]:
-    """Generalized Hurst exponents from moment curves M_q(T) of a path.
+def moment_scaling(paths, qs, horizons) -> dict[float, ScalingFit]:
+    """Generalized Hurst exponents from moment curves M_q(T) pooled over
+    paths; a single path is passed as [path].
 
-    M_q(T) = mean over sliding windows (step 1) of |pi(t+T) - pi(t)|^q;
-    H_q is slope(log M_q vs log T) / q.  The path must cover at least 10
-    times the largest horizon.
+    A path's M_q(T) is the mean over its len - T sliding windows (step 1)
+    of |pi(t+T) - pi(t)|^q.  A path enters at every T with 10 T <= len,
+    provided it has 3 distinct such T, and adds M_q(T) (len - T), one path
+    at a time; the pooled M_q(T) is that sum over the summed len - T.  H_q
+    is slope(log M_q vs log T) / q over the T that some path entered.
     """
-    x = np.asarray(path, dtype=np.float64)
     horizons = np.asarray(sorted(int(t) for t in horizons))
     if np.unique(horizons).size < 3:
         raise ValueError("need at least 3 distinct horizons")
     if np.any(horizons < 1):
         raise ValueError("horizons must be >= 1")
-    if x.size < 10 * horizons.max():
-        raise ValueError(
-            f"series of length {x.size} is too short for T={horizons.max()}"
-            " (need 10x)")
+    if any(q <= 0 for q in qs):
+        raise ValueError("moment orders must be positive")
+    sums = np.zeros((len(qs), horizons.size))
+    windows = np.zeros(horizons.size, dtype=np.int64)
+    for path in paths:
+        x = np.asarray(path, dtype=np.float64)
+        usable = horizons[10 * horizons <= x.size]
+        if np.unique(usable).size < 3:
+            continue
+        for j, t in enumerate(usable.tolist()):
+            diff = np.abs(x[t:] - x[:-t])
+            for i, q in enumerate(qs):
+                sums[i, j] += np.mean(diff ** q) * (x.size - t)
+            windows[j] += x.size - t
+    entered = windows > 0
+    if not entered.any():
+        raise ValueError("no path covers 10 T at 3 distinct horizons")
+    log_t = np.log(horizons[entered].astype(float))
     out: dict[float, ScalingFit] = {}
-    diffs = {int(t): np.abs(x[t:] - x[:-t]) for t in horizons}
-    log_t = np.log(horizons.astype(float))
-    for q in qs:
-        if q <= 0:
-            raise ValueError("moment orders must be positive")
-        mq = np.array([np.mean(diffs[int(t)] ** q) for t in horizons])
+    for q, row in zip(qs, sums):
+        mq = row[entered] / windows[entered]
         slope, intercept, slope_se, resid = _line_fit(log_t, np.log(mq), None)
         out[float(q)] = ScalingFit(
-            horizons=horizons.astype(float), statistics=mq, slope=slope,
-            intercept=intercept, slope_se=slope_se, exponent=slope / q,
-            exponent_se=slope_se / q, residuals=resid)
+            horizons=horizons[entered].astype(float), statistics=mq,
+            slope=slope, intercept=intercept, slope_se=slope_se,
+            exponent=slope / q, exponent_se=slope_se / q, residuals=resid)
     return out
 
 

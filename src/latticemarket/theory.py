@@ -410,7 +410,7 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
     a single Laplace integral (swap the order of integration).  The pure
     regimes have closed forms (scaling: T^(kappa-1) for tilde and
     kappa Gamma(kappa+1) w^(1-kappa) for phi; exponential:
-    (tau/T)(1 - e^(-T/tau)) tau^(kappa-1) and w^2/(w + 1/tau)^2
+    -(tau/T) expm1(-T/tau) tau^(kappa-1) and w^2/(w + 1/tau)^2
     tau^(kappa-1)); the matched regime is integrated by double-exponential
     quadrature (_quad; QuadratureError when it does not converge).  In the
     scaling regime T <= tau/4 is enforced; beyond that the power law is
@@ -427,7 +427,7 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
         return k * math.gamma(k + 1.0) * omega ** (1.0 - k)
     if model.regime == "exponential":
         if estimator == "tilde":
-            return (tau / horizon) * (1.0 - math.exp(-horizon / tau)) \
+            return (tau / horizon) * -math.expm1(-horizon / tau) \
                 * tau ** (k - 1.0)
         return omega ** 2 / (omega + 1.0 / tau) ** 2 * tau ** (k - 1.0)
     return _quad_trend_variance(model, horizon, estimator)
@@ -437,11 +437,21 @@ def predicted_adjacent_window_correlation(model: PropagatorModel,
                                           horizon: float) -> float:
     """Correlation of phitilde over adjacent windows of length T.
 
-    -(1/T) [Delta(0) - 2 Delta(T) + Delta(2T)]; in the scaling regime
-    this reduces to (T^(kappa-1)/2)(2^kappa - 2), which is negative for
-    kappa < 1 and vanishes at kappa = 1.
+    -(1/T) [Delta(0) - 2 Delta(T) + Delta(2T)], evaluated without the
+    cancellation of three values near tau^kappa/2: where the power law
+    holds up to 2T (scaling, and matched with 2T <= t_star) as
+    (T^(kappa-1)/2)(2^kappa - 2), negative for kappa < 1 and zero at
+    kappa = 1; in the exponential regime as
+    -(tau^kappa / 2T) expm1(-T/tau)^2.  The matched regime past that,
+    T > t_star/2, takes the three values, which at t_star = tau/2 do not
+    cancel.
     """
     _check_variance_domain(model, horizon)
+    k, tau = model.kappa, model.tau
+    if model.regime == "exponential":
+        return -0.5 * tau ** k * math.expm1(-horizon / tau) ** 2 / horizon
+    if model.regime == "scaling" or 2.0 * horizon <= model.t_star:
+        return 0.5 * horizon ** (k - 1.0) * (2.0 ** k - 2.0)
     d0 = propagator(model, 0.0)
     d1 = propagator(model, horizon)
     d2 = propagator(model, 2.0 * horizon)

@@ -22,7 +22,7 @@ under the raw weights tends to T/2 for psi and T for phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,20 +170,12 @@ def trend_strength(returns: ReturnSeries, kind: str,
     return TrendSeries(values=gain * raw)
 
 
-@dataclass(frozen=True)
-class AdjacentWindowTrends:
-    """Step trends phi_tilde on consecutive non-overlapping windows."""
-    values: np.ndarray            # one phi_tilde per window, oldest first
-    pairs: np.ndarray = field(repr=False)  # rows (phi(t), phi(t-T))
+def adjacent_window_trends(returns: ReturnSeries, horizon: int) -> np.ndarray:
+    """Step trends phi_tilde on consecutive non-overlapping windows of
+    length T, oldest first; adjacent pairs are (w[1:], w[:-1]).
 
-
-def adjacent_window_trends(returns: ReturnSeries,
-                           horizon: int) -> AdjacentWindowTrends:
-    """Pair phi_tilde over adjacent non-overlapping windows of length T.
-
-    The series is partitioned into consecutive windows of length T
-    counted from the end; a series of length 2^13 yields 2^(13-k)
-    windows and one fewer pairs for T = 2^k.
+    The series is partitioned into windows counted from the end; a series
+    of length 2^13 yields 2^(13-k) windows and one fewer pairs for T = 2^k.
     """
     t = int(horizon)
     if t < 1:
@@ -194,7 +186,4 @@ def adjacent_window_trends(returns: ReturnSeries,
         raise ValueError(f"need at least 2*T = {2 * t} returns, got {n}")
     n_win = n // t
     start = n - n_win * t
-    sums = excess[start:].reshape(n_win, t).sum(axis=1)
-    values = sums / math.sqrt(t)
-    pairs = np.column_stack([values[1:], values[:-1]])
-    return AdjacentWindowTrends(values=values, pairs=pairs)
+    return excess[start:].reshape(n_win, t).sum(axis=1) / math.sqrt(t)

@@ -228,12 +228,12 @@ def test_criterion_6_regression_recovery():
 def test_criterion_7_hurst_suite():
     horizons = [2 ** k for k in range(1, 9)]
     path = np.cumsum(np.random.default_rng(71).standard_normal(100000))
-    fits = lm.moment_scaling(path, [1.0, 2.0, 3.0, 4.0], horizons)
+    fits = lm.moment_scaling([path], [1.0, 2.0, 3.0, 4.0], horizons)
     for q, fit in fits.items():
         assert abs(fit.exponent - 0.5) <= 0.02
 
     fgn = lm.fractional_gaussian_noise(2 ** 15, 0.7, seed=74)
-    h2 = lm.moment_scaling(np.cumsum(fgn), [2.0], horizons)[2.0].exponent
+    h2 = lm.moment_scaling([np.cumsum(fgn)], [2.0], horizons)[2.0].exponent
     assert abs(h2 - 0.7) <= 0.03
 
     predicted = [lm.predicted_hurst(d) for d in (2.0, 3.0, 4.0)]

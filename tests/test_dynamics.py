@@ -45,19 +45,32 @@ class TestGlauberProbability:
             lm.glauber_flip_probability(1.0, 0.0)
 
 
+def sweep(lattice: SpinLattice, temperature: float,
+          rng: np.random.Generator) -> SpinLattice:
+    """One Monte Carlo sweep of the lattice in place through the kernel:
+    both checkerboard half-sweeps, N uniforms drawn."""
+    order, nbrs = dynamics._checkerboard(lattice.dims, lattice.side)
+    sigma = 2 * lattice.occupations[order] - 1
+    dynamics._run_sweeps(sigma, nbrs,
+                         dynamics._flip_thresholds(lattice.dims, temperature),
+                         rng, 1, record_every=1)
+    lattice.occupations[order] = (sigma + 1) // 2
+    return lattice
+
+
 class TestSweep:
     def test_frozen_at_tiny_temperature(self):
         lat = new_lattice(2, 8, "all_up")
         rng = np.random.default_rng(1)
         for _ in range(100):
-            lm.sweep(lat, 1e-6, rng)
+            sweep(lat, 1e-6, rng)
         assert np.all(lat.occupations == 1)
 
     def test_infinite_temperature_disorders(self):
         lat = new_lattice(2, 16, "all_up")
         rng = np.random.default_rng(2)
         for _ in range(200):
-            lm.sweep(lat, 1e12, rng)
+            sweep(lat, 1e12, rng)
         frac_up = lat.occupations.mean()
         # i.i.d. +-1/2 spins: sd of the fraction is 0.5/sqrt(256)
         assert abs(frac_up - 0.5) < 5 * 0.5 / 16
@@ -68,7 +81,7 @@ class TestSweep:
             lat = new_lattice(2, 8, "random", seed=5)
             rng = np.random.default_rng(17)
             for _ in range(20):
-                lm.sweep(lat, 0.3, rng)
+                sweep(lat, 0.3, rng)
             runs.append(lat.occupations.copy())
         assert np.array_equal(runs[0], runs[1])
 
@@ -88,7 +101,7 @@ class TestSweep:
             rng = np.random.default_rng(seed + 1)
             trace = []
             for _ in range(12):
-                lm.sweep(lat, temperature, rng)
+                sweep(lat, temperature, rng)
                 trace.append(lat.occupations.sum() - lat.n_sites / 2)
             traces.append(trace)
         assert traces[0] == [-m for m in traces[1]]
@@ -125,8 +138,8 @@ class TestCheckerboardKernel:
         with pytest.raises(ValueError, match="side 7"):
             lm.SimulationParams(side=7)
         with pytest.raises(ValueError, match="side 5"):
-            lm.sweep(new_lattice(2, 5, "all_up"), 1.0,
-                     np.random.default_rng(0))
+            sweep(new_lattice(2, 5, "all_up"), 1.0,
+                  np.random.default_rng(0))
         # the lattice itself keeps odd sides (energy tests use side 3)
         assert new_lattice(2, 3, "all_up").n_sites == 9
 
@@ -171,10 +184,10 @@ class TestCheckerboardKernel:
         lat = new_lattice(2, 64, init, seed=1)
         rng = np.random.default_rng(5)
         for _ in range(200):
-            lm.sweep(lat, temperature, rng)
+            sweep(lat, temperature, rng)
         energies = []
         for _ in range(2000):
-            lm.sweep(lat, temperature, rng)
+            sweep(lat, temperature, rng)
             energies.append(lat.spin_energy() / lat.n_sites)
         mean, error = mean_and_error(energies)
         assert abs(mean - exact) < 4.0 * error
@@ -297,8 +310,8 @@ class TestBlockKernel:
         saved = order.copy(), nbrs.copy()
         lm.run_simulation(lm.SimulationParams(dims=2, side=8, sweeps=50,
                                               burn_in=5, seed=1))
-        lm.sweep(new_lattice(2, 8, "random", seed=1), TC,
-                 np.random.default_rng(0))
+        sweep(new_lattice(2, 8, "random", seed=1), TC,
+              np.random.default_rng(0))
         again = dynamics._checkerboard(2, 8)
         assert again[0] is order and again[1] is nbrs
         assert np.array_equal(order, saved[0])

@@ -7,6 +7,7 @@ day for the bootstrap and the CV) and sent through the fits.
 """
 
 import datetime
+import math
 
 import numpy as np
 import pytest
@@ -399,3 +400,129 @@ def test_analyze_report_pinned(fgn_panel, estimator):
             assert rows[k][key] == pytest.approx(value, rel=1e-9), (k, key)
     for key, value in PINNED_KAPPA.items():
         assert report["kappa"][key] == pytest.approx(value, rel=1e-9), key
+
+
+# -- the scaling estimators: window sums for kappa, pooled moments for H ------
+
+def reference_window_sums(returns_all, ks):
+    """(markets, scales, 4) by a per-(market, k) loop: windows of T = 2^k
+    cut one by one from the series end, then (sum of squared trends,
+    windows, sum of adjacent products, pairs); zero below 2T returns."""
+    table = np.zeros((len(returns_all), len(ks), 4))
+    for m, rets in enumerate(returns_all):
+        excess = rets.excess()
+        n = excess.size
+        for s, k in enumerate(ks):
+            t = 2 ** k
+            if n < 2 * t:
+                continue
+            ends = range(n - (n // t - 1) * t, n + 1, t)
+            w = np.array([excess[end - t:end].sum() for end in ends]) \
+                / math.sqrt(t)
+            table[m, s] = (np.sum(w ** 2), w.size, np.sum(w[1:] * w[:-1]),
+                           w.size - 1)
+    return table
+
+
+def reference_pooled_moments(returns_all, horizons, qs=(1.0, 2.0, 3.0, 4.0)):
+    """analyze's moment pooling as one market at a time: M_q(T) of each
+    market's path at its sorted k with 10 T <= len, if 3 or more, pooled
+    per k as sum M_q n / sum n with n = len - T; a log-log line per q."""
+    rows = {q: {} for q in qs}
+    for rets in returns_all:
+        path = np.cumsum(rets.excess())
+        usable = sorted(k for k in horizons if 2 ** k * 10 <= path.size)
+        if len(usable) < 3:
+            continue
+        for q in qs:
+            for k in usable:
+                t = 2 ** k
+                stat = np.mean(np.abs(path[t:] - path[:-t]) ** q)
+                rows[q].setdefault(k, []).append((stat, path.size - t))
+    out = {"qs": list(qs), "curves": [], "hurst": {}}
+    for q in qs:
+        curve = []
+        for k in sorted(rows[q]):
+            pairs = rows[q][k]
+            pooled = sum(s * n for s, n in pairs) / sum(n for _, n in pairs)
+            curve.append({"q": q, "k": k, "T": 2 ** k, "M_q": pooled})
+        out["curves"].extend(curve)
+        if len(curve) >= 3:
+            slope, _, slope_se, _ = stats._line_fit(
+                np.log([row["T"] for row in curve]),
+                np.log([row["M_q"] for row in curve]), None)
+            out["hurst"][str(q)] = {"H": slope / q, "se": slope_se / q}
+    return out
+
+
+def ragged_returns():
+    """The ragged panel's returns (499 to 620 a market), then a market of
+    200 returns, which covers 10 T up to T = 16, and one of 49, which
+    covers it at only T = 2 and 4."""
+    prices = [m.prices for m in ragged_table().markets]
+    return [trends.normalize_returns(p)
+            for p in prices + [prices[0][:201], prices[0][:50]]]
+
+
+class TestScalingEstimators:
+    KS = list(range(1, 10))
+
+    def test_window_sums_match_per_market_loop(self):
+        returns_all = ragged_returns()
+        got = pipeline._window_sums(returns_all, self.KS)
+        np.testing.assert_array_equal(
+            got, reference_window_sums(returns_all, self.KS))
+        # markets under 2T returns are zero rows; none reaches 2 * 2^9
+        lengths = np.array([len(r.values) for r in returns_all])
+        assert np.array_equal(got[:, 7, 1] == 0, lengths < 512)
+        assert not got[:, 8].any()
+
+    def test_report_rows_are_the_pooled_sums(self):
+        table = ragged_table()
+        config = PipelineConfig(horizons=self.KS, estimator="step",
+                                bootstrap_samples=100, cv_folds=5)
+        report = analyze_price_table(table, config)
+        assert [row["k"] for row in report["by_scale"]] == self.KS
+        returns_all = [trends.normalize_returns(m.prices)
+                       for m in table.markets]
+        sums = reference_window_sums(returns_all, self.KS)
+        want = []
+        for k, scale in zip(self.KS, sums.transpose(1, 0, 2)):
+            sq_sum, n_win, pair_prod, n_pair = 0.0, 0, 0.0, 0
+            for market in scale:            # markets in order, from 0
+                sq_sum += market[0]
+                n_win += int(market[1])
+                pair_prod += market[2]
+                n_pair += int(market[3])
+            if n_win >= 4:
+                variance = sq_sum / n_win
+                want.append({"k": k, "T": 2 ** k, "variance_tilde": variance,
+                             "n_windows": n_win, "adjacent_correlation":
+                                 pair_prod / n_pair / variance})
+        assert [row["k"] for row in want] == self.KS[:-1]
+        assert report["variance_by_scale"] == want
+        assert all(type(row["n_windows"]) is int
+                   for row in report["variance_by_scale"])
+
+    def test_pooled_moments_match_per_market_pooling(self):
+        returns_all = ragged_returns()
+        horizons = [6, 2, 4, 1, 3, 5]
+        want = reference_pooled_moments(returns_all, horizons)
+        assert pipeline._pooled_moments(returns_all, horizons) == want
+        # T = 32 needs 320 returns, which one market lacks; no market
+        # reaches the 640 of T = 64
+        assert [row["T"] for row in want["curves"]] == [2, 4, 8, 16, 32] * 4
+        assert sorted(len(r.values) for r in returns_all)[:3] == \
+            [49, 200, 499]
+        fits = stats.moment_scaling(
+            [np.cumsum(r.excess()) for r in returns_all], (1.0, 2.0),
+            [2 ** k for k in horizons])
+        for q, fit in fits.items():
+            curve = [row for row in want["curves"] if row["q"] == q]
+            assert fit.horizons.tolist() == [row["T"] for row in curve]
+            assert fit.statistics.tolist() == [row["M_q"] for row in curve]
+
+    def test_no_market_with_three_horizons_gives_no_curve(self):
+        returns_all = ragged_returns()[-1:]
+        assert pipeline._pooled_moments(returns_all, [1, 2, 3]) == \
+            {"qs": [1.0, 2.0, 3.0, 4.0], "curves": [], "hurst": {}}

@@ -476,7 +476,7 @@ class TestMomentScaling:
 
     def test_brownian_scaling(self):
         path = np.cumsum(np.random.default_rng(0).standard_normal(100000))
-        fits = lm.moment_scaling(path, [1.0, 2.0, 3.0, 4.0], self.HORIZONS)
+        fits = lm.moment_scaling([path], [1.0, 2.0, 3.0, 4.0], self.HORIZONS)
         for q, fit in fits.items():
             assert fit.exponent == pytest.approx(0.5, abs=0.02)
 
@@ -484,31 +484,47 @@ class TestMomentScaling:
         rng = np.random.default_rng(301)
         ar = lfilter([1.0], [1.0, -0.6], rng.standard_normal(30000))
         scrambled = np.random.default_rng(302).permutation(ar)
-        fits = lm.moment_scaling(np.cumsum(scrambled), [1.0, 2.0, 3.0, 4.0],
+        fits = lm.moment_scaling([np.cumsum(scrambled)], [1.0, 2.0, 3.0, 4.0],
                                  self.HORIZONS)
         for fit in fits.values():
             assert fit.exponent == pytest.approx(0.5, abs=0.02)
 
     def test_fractional_noise_oracle(self):
         fgn = lm.fractional_gaussian_noise(2 ** 15, 0.7, seed=9)
-        fits = lm.moment_scaling(np.cumsum(fgn), [2.0], self.HORIZONS)
+        fits = lm.moment_scaling([np.cumsum(fgn)], [2.0], self.HORIZONS)
         assert fits[2.0].exponent == pytest.approx(0.7, abs=0.03)
 
     def test_too_short_series(self):
         with pytest.raises(ValueError):
-            lm.moment_scaling(np.arange(100.0), [2.0], [16, 32, 64])
+            lm.moment_scaling([np.arange(100.0)], [2.0], [16, 32, 64])
 
     def test_needs_three_distinct_horizons(self):
         path = np.cumsum(np.random.default_rng(3).standard_normal(3000))
         with pytest.raises(ValueError, match="3 distinct horizons"):
-            lm.moment_scaling(path, [2.0], [8, 8, 16, 16])
-        assert lm.moment_scaling(path, [2.0], [4, 8, 8, 16])[2.0].horizons \
+            lm.moment_scaling([path], [2.0], [8, 8, 16, 16])
+        assert lm.moment_scaling([path], [2.0], [4, 8, 8, 16])[2.0].horizons \
             .size == 4
 
     def test_residuals_attached(self):
         path = np.cumsum(np.random.default_rng(2).standard_normal(30000))
-        fit = lm.moment_scaling(path, [2.0], self.HORIZONS)[2.0]
+        fit = lm.moment_scaling([path], [2.0], self.HORIZONS)[2.0]
         assert fit.residuals.size == len(self.HORIZONS)
+
+    def test_single_path_is_its_window_mean(self):
+        # pooled as M_q (len - T) / (len - T): within one ulp of the mean
+        path = np.cumsum(np.random.default_rng(4).standard_normal(5000))
+        fits = lm.moment_scaling([path], [1.0, 2.0, 3.0, 4.0], self.HORIZONS)
+        for q, fit in fits.items():
+            for t, m in zip(fit.horizons.astype(int), fit.statistics):
+                want = np.mean(np.abs(path[t:] - path[:-t]) ** q)
+                assert abs(m - want) <= np.spacing(want), (q, t)
+
+    def test_horizons_past_a_tenth_are_dropped(self):
+        path = np.cumsum(np.random.default_rng(5).standard_normal(100))
+        fit = lm.moment_scaling([path], [2.0], [8, 2, 4, 16])[2.0]
+        assert fit.horizons.tolist() == [2.0, 4.0, 8.0]
+        with pytest.raises(ValueError, match="no path covers"):
+            lm.moment_scaling([path[:79]], [2.0], [8, 2, 4, 16])
 
 
 class TestFitKappa:

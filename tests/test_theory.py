@@ -1,5 +1,6 @@
 """Exponent tables, dimension interpolation and propagator predictions."""
 
+import decimal
 import math
 import warnings
 
@@ -523,6 +524,65 @@ class TestAdjacentWindowCorrelation:
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="scaling")
         with pytest.raises(DomainError):
             lm.predicted_adjacent_window_correlation(m, 16.1)
+
+
+def decimal_adjacent_and_tilde(model, horizon):
+    """-(1/T) [Delta(0) - 2 Delta(T) + Delta(2T)] and, for the exponential
+    regime, (tau/T)(1 - e^(-T/tau)) tau^(kappa-1), from the propagator's
+    definition in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tau, k, t = (decimal.Decimal(v) for v in (model.tau, model.kappa,
+                                                  horizon))
+        level = tau ** k / 2
+
+        def delta(x):
+            if model.regime == "exponential":
+                return level * (-x / tau).exp()
+            if model.regime == "scaling" or x <= decimal.Decimal(
+                    model.t_star):
+                return level - (x ** k if x else x) / 2
+            star = decimal.Decimal(model.t_star)
+            return (level - star ** k / 2) * (-(x - star) / tau).exp()
+
+        adjacent = -(delta(0 * t) - 2 * delta(t) + delta(2 * t)) / t
+        tilde = tau / t * (1 - (-t / tau).exp()) * tau ** (k - 1)
+        return float(adjacent), float(tilde)
+
+
+class TestNoCancellation:
+    """The closed forms against 50-digit arithmetic where tau >> T, which
+    subtracting propagator values near tau^kappa/2 gets wrong."""
+
+    @pytest.mark.parametrize("tau", [2.0 ** 15, 1e9, 1e12])
+    @pytest.mark.parametrize("regime,kappa", [
+        ("scaling", 0.97), ("scaling", 0.9), ("exponential", 0.9),
+        ("matched", 0.9)])
+    def test_adjacent_window_correlation(self, tau, regime, kappa):
+        m = PropagatorModel(tau=tau, kappa=kappa, regime=regime,
+                            t_star=tau / 2.0 if regime == "matched" else None)
+        for k in range(1, 14):
+            exact = decimal_adjacent_and_tilde(m, 2.0 ** k)[0]
+            got = lm.predicted_adjacent_window_correlation(m, 2.0 ** k)
+            assert got < 0.0, k
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0), k
+
+    @pytest.mark.parametrize("tau", [2.0 ** 15, 1e9, 1e12])
+    def test_exponential_tilde_variance(self, tau):
+        m = PropagatorModel(tau=tau, kappa=0.9, regime="exponential")
+        for k in range(1, 14):
+            exact = decimal_adjacent_and_tilde(m, 2.0 ** k)[1]
+            got = lm.predicted_trend_variance(m, 2.0 ** k, "tilde")
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0), k
+
+    def test_matched_past_the_knee(self):
+        # 2T > t_star: the tail enters at 2T, and the differences stay
+        m = PropagatorModel(tau=64.0, kappa=0.9, regime="matched",
+                            t_star=32.0)
+        for horizon in (17.0, 24.0, 32.0, 100.0):
+            exact = decimal_adjacent_and_tilde(m, horizon)[0]
+            got = lm.predicted_adjacent_window_correlation(m, horizon)
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0), horizon
 
 
 class TestPredictedHurst:

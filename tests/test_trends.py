@@ -369,21 +369,21 @@ class TestTrendProperties:
 class TestAdjacentWindows:
     def test_minimal_pair_count(self):
         rets = iid_returns(8, 16)
-        adj = lm.adjacent_window_trends(rets, 4)
-        assert adj.pairs.shape == (1, 2)
+        w = lm.adjacent_window_trends(rets, 4)
+        assert w[1:].shape == w[:-1].shape == (1,)
 
     def test_window_counts_power_of_two(self):
         rets = iid_returns(2 ** 13, 17)
         for k in (3, 6):
-            adj = lm.adjacent_window_trends(rets, 2 ** k)
-            assert adj.values.size == 2 ** (13 - k)
-            assert adj.pairs.shape == (2 ** (13 - k) - 1, 2)
+            w = lm.adjacent_window_trends(rets, 2 ** k)
+            assert w.size == 2 ** (13 - k)
+            assert w[1:].shape == w[:-1].shape == (2 ** (13 - k) - 1,)
 
     def test_iid_pairs_uncorrelated(self):
         rets = iid_returns(2 ** 13, 18)
-        adj = lm.adjacent_window_trends(rets, 8)
-        n_pairs = adj.pairs.shape[0]
-        corr = np.corrcoef(adj.pairs[:, 0], adj.pairs[:, 1])[0, 1]
+        w = lm.adjacent_window_trends(rets, 8)
+        n_pairs = w[1:].size
+        corr = np.corrcoef(w[1:], w[:-1])[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n_pairs)
 
     def test_too_short_series(self):
@@ -394,10 +394,10 @@ class TestAdjacentWindows:
     def test_windows_anchored_at_series_end(self):
         values = np.arange(10, dtype=float)
         rets = trends.ReturnSeries(values=values, mu=0.0, sigma=1.0)
-        adj = lm.adjacent_window_trends(rets, 4)
+        w = lm.adjacent_window_trends(rets, 4)
         # length 10 -> 2 windows covering indices 2..5 and 6..9
-        assert adj.values[0] == pytest.approx(np.sum(values[2:6]) / 2.0)
-        assert adj.values[1] == pytest.approx(np.sum(values[6:10]) / 2.0)
+        assert w[0] == pytest.approx(np.sum(values[2:6]) / 2.0)
+        assert w[1] == pytest.approx(np.sum(values[6:10]) / 2.0)
 
 
 class TestStatisticalWarmup:
