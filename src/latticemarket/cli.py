@@ -22,13 +22,18 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _span(ks: list[int]) -> str:
+    return f"{ks[0]}..{ks[-1]}"
+
+
+def _add_common(sub: argparse.ArgumentParser, seed: int) -> None:
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
+    sub.add_argument("--seed", type=int, help=f"master seed (default {seed})")
     sub.add_argument("--out", default=".", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = PipelineConfig()
     parser = argparse.ArgumentParser(
         prog="latticemarket",
         description="Lattice-gas market model: simulation, scaling-law "
@@ -36,55 +41,61 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="run the lattice simulation")
-    _add_common(sim)
-    sim.add_argument("--dims", type=int, help="lattice dimension (default 2)")
-    sim.add_argument("--side", type=int, help="sites per axis (default 32)")
+    _add_common(sim, d.seed)
+    sim.add_argument("--dims", type=int,
+                     help=f"lattice dimension (default {d.dims})")
+    sim.add_argument("--side", type=int,
+                     help=f"sites per axis (default {d.side})")
     sim.add_argument("--init", choices=["all_up", "all_down", "random"],
-                     help="initial configuration (default random)")
+                     help=f"initial configuration (default {d.init})")
     sim.add_argument("--temperature", type=float,
                      help="temperature, k=1 units (default 2D critical "
-                          "temperature 0.2836)")
+                          f"temperature {d.temperature:.4f})")
     sim.add_argument("--sweeps", type=int,
-                     help="total Monte Carlo sweeps (default 20000)")
+                     help=f"total Monte Carlo sweeps (default {d.sweeps})")
     sim.add_argument("--burn-in", dest="burn_in", type=int,
-                     help="discarded initial sweeps (default 2000)")
+                     help=f"discarded initial sweeps (default {d.burn_in})")
     sim.add_argument("--thin", type=int,
-                     help="record every thin-th sweep (default 1)")
+                     help=f"record every thin-th sweep (default {d.thin})")
 
     pred = subs.add_parser("predict", help="emit theory prediction curves")
-    _add_common(pred)
+    _add_common(pred, d.seed)
     pred.add_argument("--dimension", type=float,
-                      help="network dimension in [1.5, 4] (default 3.0)")
+                      help="network dimension in [1.5, 4] "
+                           f"(default {d.dimension})")
     pred.add_argument("--kappa", type=float,
                       help="set kappa directly instead of a dimension")
     pred.add_argument("--tau", type=float,
-                      help="correlation time in days (default 32768)")
+                      help=f"correlation time in days (default {d.tau:g})")
     pred.add_argument("--regime",
                       choices=["scaling", "exponential", "matched"],
-                      help="propagator regime (default scaling; matched is "
-                           "heuristic)")
+                      help=f"propagator regime (default {d.regime}; "
+                           "matched is heuristic)")
     pred.add_argument("--predict-horizons", dest="predict_horizons",
                       type=_int_list,
-                      help="comma-separated k list (default 1..13)")
+                      help="comma-separated k list "
+                           f"(default {_span(d.predict_horizons)})")
 
     ana = subs.add_parser("analyze", help="run the empirical pipeline on "
                                           "a price CSV")
-    _add_common(ana)
+    _add_common(ana, d.seed)
     ana.add_argument("prices", help="price CSV path")
     ana.add_argument("--schema", choices=["long", "wide"], default="long",
                      help="CSV schema (default long: market,date,price)")
     ana.add_argument("--horizons", type=_int_list,
-                     help="comma-separated k list (default 1..10)")
+                     help=f"comma-separated k list (default "
+                          f"{_span(d.horizons)})")
     ana.add_argument("--estimator", choices=["phi", "psi", "step"],
-                     help="trend estimator (default phi)")
+                     help=f"trend estimator (default {d.estimator})")
     ana.add_argument("--bootstrap-samples", dest="bootstrap_samples",
-                     type=int, help="bootstrap resamples (default 5000)")
+                     type=int, help="bootstrap resamples "
+                                    f"(default {d.bootstrap_samples})")
     ana.add_argument("--cv-folds", dest="cv_folds", type=int,
-                     help="cross-validation folds (default 15)")
+                     help=f"cross-validation folds (default {d.cv_folds})")
 
     fk = subs.add_parser("fit-kappa", help="fit kappa from a variance CSV "
                                            "and invert to the dimension")
-    _add_common(fk)
+    _add_common(fk, d.seed)
     fk.add_argument("variances", help="CSV with k,variance columns")
     return parser
 
@@ -124,10 +135,10 @@ def main(argv=None) -> int:
         for path in paths:
             print(path)
         return 0
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         logging.error("%s: %s", type(exc).__name__, exc)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # any other exception is a bug
         logging.error("unexpected failure: %s", exc)
         return 1
 

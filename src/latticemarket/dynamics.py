@@ -260,21 +260,21 @@ def binder_cumulant(m_samples) -> float:
 
 @dataclass(frozen=True)
 class AutocorrelationEstimate:
-    """Integrated autocorrelation time with its self-consistent window."""
+    """Integrated autocorrelation time and whether its window converged."""
     tau: float
-    window: int
     reliable: bool
 
 
 def autocorrelation_time(series) -> AutocorrelationEstimate:
-    """Integrated autocorrelation time tau_int = 1/2 + sum_h rho(h).
+    """Integrated autocorrelation time tau_int = 1/2 + sum_h rho(h) of a
+    1-d array.
 
     The sum is cut at the smallest window W >= 6 * tau_int(W)
     (self-consistent windowing).  White noise gives ~0.5 in sweep units.
     If no window converges below a third of the series length the
     estimate is flagged unreliable.
     """
-    x = np.asarray(getattr(series, "values", series), dtype=np.float64)
+    x = np.asarray(series, dtype=np.float64)
     n = x.size
     if n < 16:
         raise ValueError("series too short for autocorrelation analysis")
@@ -291,5 +291,5 @@ def autocorrelation_time(series) -> AutocorrelationEstimate:
     for w in range(1, max_lag + 1):
         tau += float(rho[w])
         if w >= 6.0 * tau:
-            return AutocorrelationEstimate(tau=tau, window=w, reliable=True)
-    return AutocorrelationEstimate(tau=tau, window=max_lag, reliable=False)
+            return AutocorrelationEstimate(tau=tau, reliable=True)
+    return AutocorrelationEstimate(tau=tau, reliable=False)

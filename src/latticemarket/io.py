@@ -33,10 +33,6 @@ class MarketSeries:
     name: str
     dates: np.ndarray        # datetime64[D]
     prices: np.ndarray
-    gap_days: int = 0
-
-    def __len__(self) -> int:
-        return len(self.prices)
 
 
 @dataclass(frozen=True)
@@ -45,12 +41,6 @@ class PriceTable:
 
     def names(self) -> list[str]:
         return [m.name for m in self.markets]
-
-    def __getitem__(self, name: str) -> MarketSeries:
-        for m in self.markets:
-            if m.name == name:
-                return m
-        raise KeyError(name)
 
 
 def _parse_dates(tokens: list[str], known: dict) -> np.ndarray | None:
@@ -116,10 +106,9 @@ def _group_markets(names: list[str], cells: list) -> list:
                              f" for market {name!r}")
         raise ValueError(f"line {lines[j]}: dates not increasing for {name!r}"
                          f" ({date} after {days[j - 1].item().isoformat()})")
-    gaps = ordinals[bounds[1:] - 1] - ordinals[bounds[:-1]] - np.diff(bounds) + 1
     return [MarketSeries(name=names[c], dates=days[lo:hi],
-                         prices=prices[lo:hi], gap_days=int(gap))
-            for c, lo, hi, gap in zip(by_first, bounds[:-1], bounds[1:], gaps)]
+                         prices=prices[lo:hi])
+            for c, lo, hi in zip(by_first, bounds[:-1], bounds[1:])]
 
 
 def _blocks(reader, size: int):

@@ -366,7 +366,7 @@ def analyze_price_table(table: io.PriceTable,
         "t_b": fit.b / boot.se_b if boot.se_b > 0 else math.inf,
         "t_c": fit.c / boot.se_c if boot.se_c > 0 else math.inf,
         "r_squared": fit.r_squared,
-        "r_squared_cv": cv.r_squared_adj,
+        "r_squared_cv": cv.r_squared,
         "cv_fold_sizes": cv.fold_sizes.tolist(),
         "n_obs": fit.n_obs,
         "gram_condition": fit.gram_condition,
@@ -386,7 +386,7 @@ def analyze_price_table(table: io.PriceTable,
         report["aggregated_factor"] = {
             "a": cfit.a, "b": cfit.b, "c": cfit.c,
             "r_squared": cfit.r_squared,
-            "r_squared_cv": ccv.r_squared_adj,
+            "r_squared_cv": ccv.r_squared,
             "cv_fold_sizes": ccv.fold_sizes.tolist(),
             "n_obs": cfit.n_obs,
         }

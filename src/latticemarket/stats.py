@@ -39,10 +39,9 @@ _GRAM = [0, 1, 3, 1, 2, 4, 3, 4, 5]
 
 @dataclass(frozen=True)
 class RegressionReport:
-    """Cubic-regression coefficients with errors and fit quality.
+    """Cubic-regression coefficients with classical errors and fit quality.
 
-    r_squared_adj is the classical small-sample adjustment; the honest
-    out-of-sample figure comes from cross_validate.  R-squared values
+    The out-of-sample figure comes from cross_validate.  R-squared values
     are fractions; multiply by 1e4 to read them in basis points.
     """
     a: float
@@ -51,11 +50,7 @@ class RegressionReport:
     se_a: float
     se_b: float
     se_c: float
-    t_a: float
-    t_b: float
-    t_c: float
     r_squared: float
-    r_squared_adj: float
     n_obs: int
     gram_condition: float     # 2-norm condition of the (1, x, x^3) Gram
 
@@ -142,14 +137,10 @@ def fit_cubic(rows) -> RegressionReport:
     cov = sigma2 * np.linalg.inv(sums[_GRAM].reshape(3, 3))
     se = np.sqrt(np.diag(cov))
     r2 = 1.0 - ssr / sst if sst > 0 else 0.0
-    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = np.where(se > 0, coef / se, np.inf * np.sign(coef))
     return RegressionReport(
         a=float(coef[0]), b=float(coef[1]), c=float(coef[2]),
         se_a=float(se[0]), se_b=float(se[1]), se_c=float(se[2]),
-        t_a=float(tstats[0]), t_b=float(tstats[1]), t_c=float(tstats[2]),
-        r_squared=r2, r_squared_adj=r2_adj, n_obs=n, gram_condition=cond)
+        r_squared=r2, n_obs=n, gram_condition=cond)
 
 
 # -- bootstrap ---------------------------------------------------------------
@@ -160,7 +151,6 @@ class BootstrapResult:
     se_a: float
     se_b: float
     se_c: float
-    percentiles: np.ndarray   # shape (3, 2): 2.5% / 97.5% per coefficient
     samples: np.ndarray       # (n_kept, 3) resampled coefficients
     n_skipped: int
 
@@ -192,9 +182,9 @@ def bootstrap_errors(rows, n_samples: int, seed) -> BootstrapResult:
 
     The G rows (groups, e.g. days holding several markets) are resampled
     i.i.d. with replacement and the regression refit on each sample; the
-    per-coefficient standard deviation and 2.5/97.5 percentile interval
-    are reported.  Deterministic for a fixed seed; degenerate resamples
-    (Gram non-finite or condition above 1e12) are skipped and counted.
+    per-coefficient standard deviation is reported.  Deterministic for a
+    fixed seed; degenerate resamples (Gram non-finite or condition above
+    1e12) are skipped and counted.
 
     The groups are resampled in chunks of c = max(1, 2**18 // G): a
     chunk's moment sums are counts @ rows, with counts the (c, G) matrix of
@@ -234,10 +224,8 @@ def bootstrap_errors(rows, n_samples: int, seed) -> BootstrapResult:
     if samples.size == 0:
         raise ValueError("all bootstrap resamples were degenerate")
     se = samples.std(axis=0, ddof=1)
-    pct = np.percentile(samples, [2.5, 97.5], axis=0).T
     return BootstrapResult(se_a=float(se[0]), se_b=float(se[1]),
-                           se_c=float(se[2]), percentiles=pct,
-                           samples=samples,
+                           se_c=float(se[2]), samples=samples,
                            n_skipped=n_samples - samples.shape[0])
 
 
@@ -245,9 +233,10 @@ def bootstrap_errors(rows, n_samples: int, seed) -> BootstrapResult:
 
 @dataclass(frozen=True)
 class CrossValidationResult:
-    """Out-of-sample R-squared from contiguous-block folds."""
+    """Out-of-sample R-squared from contiguous-block folds; r_squared is
+    the mean of the folds' scores."""
     r_squared_folds: np.ndarray
-    r_squared_adj: float
+    r_squared: float
     fold_sizes: np.ndarray    # held-out observations per fold
 
 
@@ -287,7 +276,7 @@ def cross_validate(rows, folds: int) -> CrossValidationResult:
     scores = 1.0 - ss_res / np.where(ss_tot > 0, ss_tot, 1.0)
     scores[ss_tot <= 0] = 0.0
     return CrossValidationResult(r_squared_folds=scores,
-                                 r_squared_adj=float(scores.mean()),
+                                 r_squared=float(scores.mean()),
                                  fold_sizes=sizes.astype(np.int64))
 
 
@@ -305,27 +294,14 @@ class ParabolicFit:
     k0: float
     delta_k: float
     c_const: float
-    se_amplitude: float
-    se_k0: float
-    se_delta_k: float
-    se_c: float
-    residual_sse: float
     degenerate: bool = False
-
-
-def _parabola_params(beta: np.ndarray) -> np.ndarray:
-    b0, b1, b2 = beta
-    amp = b0 - b1 * b1 / (4.0 * b2)
-    k0 = -b1 / (2.0 * b2)
-    return np.array([amp, k0, math.sqrt(-amp / b2)])
 
 
 def fit_parabolic_b(b_by_scale, c_by_scale) -> ParabolicFit:
     """Fit the peaked horizon dependence of b and the constant level of c.
 
     b_by_scale and c_by_scale are sequences of (k, value) with
-    k = log2(horizon).  Standard errors follow from the quadratic-fit
-    covariance by the delta method.
+    k = log2(horizon).
     """
     b_pts = np.asarray(list(b_by_scale), dtype=np.float64)
     c_pts = np.asarray(list(c_by_scale), dtype=np.float64)
@@ -335,54 +311,34 @@ def fit_parabolic_b(b_by_scale, c_by_scale) -> ParabolicFit:
     b = b_pts[:, 1]
     design = np.column_stack([np.ones_like(k), k, k * k])
     beta, _, rank, _ = np.linalg.lstsq(design, b, rcond=None)
-    resid = b - design @ beta
-    sse = float(resid @ resid)
-    c_vals = c_pts[:, 1] if c_pts.size else np.array([0.0])
-    c_const = float(c_vals.mean())
-    se_c = float(c_vals.std(ddof=1) / math.sqrt(len(c_vals))) \
-        if len(c_vals) > 1 else 0.0
+    c_const = float(c_pts[:, 1].mean()) if c_pts.size else 0.0
     scale = float(np.abs(b).max()) + 1e-300
-    if rank < 3 or beta[2] >= -1e-10 * scale \
-            or beta[0] - beta[1] ** 2 / (4 * beta[2]) <= 0:
+    b0, b1, b2 = beta
+    if rank < 3 or b2 >= -1e-10 * scale \
+            or (amp := float(b0 - b1 * b1 / (4.0 * b2))) <= 0:
         return ParabolicFit(amplitude=float("nan"), k0=float("nan"),
                             delta_k=math.inf, c_const=c_const,
-                            se_amplitude=float("nan"), se_k0=float("nan"),
-                            se_delta_k=float("nan"), se_c=se_c,
-                            residual_sse=sse, degenerate=True)
-    dof = max(len(k) - 3, 1)
-    cov = (sse / dof) * np.linalg.inv(design.T @ design)
-    params = _parabola_params(beta)
-    jac = np.empty((3, 3))
-    for j in range(3):
-        h = 1e-7 * (abs(beta[j]) + 1.0)
-        bp = beta.copy()
-        bp[j] += h
-        jac[:, j] = (_parabola_params(bp) - params) / h
-    se = np.sqrt(np.clip(np.diag(jac @ cov @ jac.T), 0.0, None))
-    return ParabolicFit(amplitude=float(params[0]), k0=float(params[1]),
-                        delta_k=float(params[2]), c_const=c_const,
-                        se_amplitude=float(se[0]), se_k0=float(se[1]),
-                        se_delta_k=float(se[2]), se_c=se_c,
-                        residual_sse=sse, degenerate=False)
+                            degenerate=True)
+    return ParabolicFit(amplitude=amp, k0=float(-b1 / (2.0 * b2)),
+                        delta_k=math.sqrt(-amp / b2), c_const=c_const)
 
 
 # -- scaling fits ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Log-log (or linear) scaling fit with residual diagnostics."""
+    """A scaling exponent and its standard error, read off the log-log
+    slope of the statistics over the horizons."""
     horizons: np.ndarray
     statistics: np.ndarray
-    slope: float
-    intercept: float
-    slope_se: float
     exponent: float
     exponent_se: float
-    residuals: np.ndarray
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray,
-              weights: np.ndarray | None) -> tuple[float, float, float, np.ndarray]:
+              weights: np.ndarray | None) -> tuple[float, float]:
+    """Slope of the (weighted) least-squares line of y on x and its
+    standard error from the weighted residual scatter."""
     design = np.column_stack([x, np.ones_like(x)])
     w = np.ones_like(x) if weights is None else np.asarray(weights, float)
     if np.any(w <= 0):
@@ -394,7 +350,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray,
     dof = max(x.size - 2, 1)
     sigma2 = float((w * resid * resid).sum() / dof)
     cov = sigma2 * np.linalg.inv(gram)
-    return float(beta[0]), float(beta[1]), float(math.sqrt(cov[0, 0])), resid
+    return float(beta[0]), float(math.sqrt(cov[0, 0]))
 
 
 def moment_scaling(paths, qs, horizons) -> dict[float, ScalingFit]:
@@ -433,11 +389,10 @@ def moment_scaling(paths, qs, horizons) -> dict[float, ScalingFit]:
     out: dict[float, ScalingFit] = {}
     for q, row in zip(qs, sums):
         mq = row[entered] / windows[entered]
-        slope, intercept, slope_se, resid = _line_fit(log_t, np.log(mq), None)
+        slope, slope_se = _line_fit(log_t, np.log(mq), None)
         out[float(q)] = ScalingFit(
             horizons=horizons[entered].astype(float), statistics=mq,
-            slope=slope, intercept=intercept, slope_se=slope_se,
-            exponent=slope / q, exponent_se=slope_se / q, residuals=resid)
+            exponent=slope / q, exponent_se=slope_se / q)
     return out
 
 
@@ -460,12 +415,9 @@ def fit_kappa(variances_by_scale, weights=None) -> ScalingFit:
     var = pts[:, 1]
     if np.any(var <= 0):
         raise ValueError("variances must be positive for the log fit")
-    slope, intercept, slope_se, resid = _line_fit(
-        k * math.log(2.0), np.log(var), w)
-    return ScalingFit(horizons=2.0 ** k, statistics=var, slope=slope,
-                      intercept=intercept, slope_se=slope_se,
-                      exponent=1.0 + slope, exponent_se=slope_se,
-                      residuals=resid)
+    slope, slope_se = _line_fit(k * math.log(2.0), np.log(var), w)
+    return ScalingFit(horizons=2.0 ** k, statistics=var,
+                      exponent=1.0 + slope, exponent_se=slope_se)
 
 
 # -- Gaussian-process oracle ---------------------------------------------------

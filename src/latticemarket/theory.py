@@ -443,16 +443,27 @@ def predicted_adjacent_window_correlation(model: PropagatorModel,
     (T^(kappa-1)/2)(2^kappa - 2), negative for kappa < 1 and zero at
     kappa = 1; in the exponential regime as
     -(tau^kappa / 2T) expm1(-T/tau)^2.  The matched regime past that,
-    T > t_star/2, takes the three values, which at t_star = tau/2 do not
-    cancel.
+    T > t_star/2, is -(2 g(T) - g(2T))/T with g(t) = Delta(0) - Delta(t)
+    in closed form: t^kappa/2 up to t_star, then
+    t_star^kappa/2 - Delta(t_star) expm1(-(t - t_star)/tau).  For
+    T > t_star the two expm1 terms merge into
+    E^2 + expm1(-t_star/tau) (1 + E)^2, E = expm1(-(T - t_star)/tau), so
+    no term of order T/tau cancels.  At kappa = 1, t_star^kappa/2 still
+    cancels against the tail's first order (about 2e-6 relative at
+    t_star = 10, tau = 1e12).
     """
     _check_variance_domain(model, horizon)
-    k, tau = model.kappa, model.tau
+    k, tau, t_star = model.kappa, model.tau, model.t_star
     if model.regime == "exponential":
         return -0.5 * tau ** k * math.expm1(-horizon / tau) ** 2 / horizon
-    if model.regime == "scaling" or 2.0 * horizon <= model.t_star:
+    if model.regime == "scaling" or 2.0 * horizon <= t_star:
         return 0.5 * horizon ** (k - 1.0) * (2.0 ** k - 2.0)
-    d0 = propagator(model, 0.0)
-    d1 = propagator(model, horizon)
-    d2 = propagator(model, 2.0 * horizon)
-    return -(d0 - 2.0 * d1 + d2) / horizon
+    d_star = _delta_scaling(model, t_star)
+    if horizon <= t_star:
+        curvature = horizon ** k - 0.5 * t_star ** k \
+            + d_star * math.expm1(-(2.0 * horizon - t_star) / tau)
+    else:
+        e = math.expm1(-(horizon - t_star) / tau)
+        curvature = 0.5 * t_star ** k + d_star * (
+            e * e + math.expm1(-t_star / tau) * (1.0 + e) ** 2)
+    return -curvature / horizon

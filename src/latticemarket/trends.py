@@ -49,9 +49,6 @@ class ReturnSeries:
     def excess(self) -> np.ndarray:
         return self.values - self.mu / self.sigma
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def normalize_raw_returns(raw) -> ReturnSeries:
     """Normalize raw returns to unit sample variance (ddof=1)."""
@@ -103,9 +100,6 @@ class TrendSeries:
     enough history for a regression.
     """
     values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _first_order(values: np.ndarray, x: float) -> np.ndarray:

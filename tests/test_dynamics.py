@@ -477,5 +477,5 @@ class TestExactChain1D:
             x = r.values - r.values.mean()
             rho.append([x[:-k] @ x[k:] / (x @ x) for k in lags])
         assert np.abs(np.mean(rho, axis=0) - exact).max() < 0.035
-        tau = np.mean([dynamics.autocorrelation_time(r).tau for r in runs])
+        tau = np.mean([dynamics.autocorrelation_time(r.values).tau for r in runs])
         assert tau == pytest.approx(0.5 / (1.0 - gamma), rel=0.10)

@@ -53,7 +53,8 @@ class TestLoadPriceCsv:
         path.write_text("market,date,price\n"
                         "ES,2020-01-01,100\nES,2020-01-02,110\n")
         table = io.load_price_csv(path)
-        prices = table["ES"].prices
+        assert table.names() == ["ES"]
+        prices = table.markets[0].prices
         assert len(prices) == 2
         assert math.log(prices[1] / prices[0]) == pytest.approx(
             math.log(1.1))
@@ -99,12 +100,12 @@ class TestLoadPriceCsv:
             "2020-01-02,101,,51\n"
             "2020-01-03,102,200,52\n"
             "2020-01-06,103,202,\n")
-        table = io.load_price_csv(path, schema="wide")
-        assert len(table["A"]) == 4
-        assert len(table["B"]) == 2
-        assert len(table["C"]) == 3
-        # the weekend gap is recorded, not rejected
-        assert table["A"].gap_days == 2
+        markets = {m.name: m for m in io.load_price_csv(
+            path, schema="wide").markets}
+        assert {name: m.prices.size for name, m in markets.items()} == \
+            {"A": 4, "B": 2, "C": 3}
+        # the weekend gap is kept, not rejected
+        assert markets["A"].dates[-1] == np.datetime64("2020-01-06")
 
     def test_wide_market_without_prices(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -119,7 +120,9 @@ class TestLoadPriceCsv:
         path = tmp_path / "p.csv"
         path.write_text("\ufeff" + text.replace("abc", "110"),
                         encoding="utf-8")
-        assert list(io.load_price_csv(path)["ES"].prices) == [100.0, 110.0]
+        table = io.load_price_csv(path)
+        assert table.names() == ["ES"]
+        assert list(table.markets[0].prices) == [100.0, 110.0]
         path.write_text("\ufeff" + text, encoding="utf-8")
         with pytest.raises(ValueError, match="line 4: bad price 'abc'"):
             io.load_price_csv(path)
@@ -883,7 +886,32 @@ class TestConfigPrecedence:
         assert fields <= dests
 
     def test_help_lists_protocol_defaults(self):
-        parser = cli.build_parser()
-        sub = parser._subparsers._group_actions[0].choices
-        assert "5000" in sub["analyze"].format_help()
-        assert "15" in sub["analyze"].format_help()
+        # each flag's help shows the default that PipelineConfig() holds
+        subs = cli.build_parser()._subparsers._group_actions[0].choices
+        defaults = PipelineConfig()
+        for f in dataclasses.fields(defaults):
+            value = getattr(defaults, f.name)
+            if value is None:           # kappa: no default to show
+                continue
+            if isinstance(value, list):
+                shown = f"{value[0]}..{value[-1]}"
+            elif isinstance(value, float):
+                shown = f"{value:g}" if value.is_integer() \
+                    else f"{value:.4f}"
+            else:
+                shown = str(value)
+            helps = [a.help for sub in subs.values() for a in sub._actions
+                     if a.dest == f.name]
+            assert helps, f.name
+            for text in helps:
+                assert f"default {shown}" in text \
+                    or f"temperature {shown}" in text, (f.name, text)
+
+    def test_key_error_is_a_runtime_error(self, tmp_path, monkeypatch):
+        # no input or config fault raises KeyError: one is a bug, exit 1
+        def lookup_bug(config, out_dir):
+            raise KeyError("k")
+        monkeypatch.setattr(cli, "cmd_predict", lookup_bug)
+        out = tmp_path / "p"
+        assert cli.main(["predict", "--out", str(out)]) == 1
+        assert not out.exists()

@@ -2,9 +2,9 @@
 
 `reference_load` is the per-cell parser: one `date.fromisoformat` and one
 `float` per cell, and a per-market duplicate and order scan.  The bulk
-`io.load_price_csv` must give the same markets, dates, prices and gap
-counts on every valid file, and the same message, line number included,
-on every invalid one, whether a file is read in one block or in blocks
+`io.load_price_csv` must give the same markets, dates and prices on
+every valid file, and the same message, line number included, on every
+invalid one, whether a file is read in one block or in blocks
 of a few rows.  A fault is named by file and by the physical line on
 which its record ends, as `csv.reader.line_num` counts it, so a quoted
 field that spans lines moves every later line number.
@@ -44,7 +44,7 @@ def _parse_price(token, line_no):
 
 
 def _build_market(name, rows):
-    seen, gaps, prev = set(), 0, None
+    seen, prev = set(), None
     for date, _, line_no in rows:
         if date in seen:
             raise ValueError(
@@ -56,13 +56,12 @@ def _build_market(name, rows):
                 raise ValueError(
                     f"line {line_no}: dates not increasing for {name!r}"
                     f" ({date.isoformat()} after {prev.isoformat()})")
-            gaps += (date - prev).days - 1
         prev = date
-    return (name, [r[0] for r in rows], [r[1] for r in rows], gaps)
+    return (name, [r[0] for r in rows], [r[1] for r in rows])
 
 
 def reference_load(path, schema):
-    """(name, dates, prices, gap_days) per market, in io's market order;
+    """(name, dates, prices) per market, in io's market order;
     a fault is raised as '<path>: <message>'."""
     try:
         return _reference_load(path, schema)
@@ -141,7 +140,7 @@ def bulk_load(path, schema):
     table = io.load_price_csv(path, schema=schema)
     for m in table.markets:
         assert m.dates.dtype == np.dtype("datetime64[D]")
-    return [(m.name, m.dates.tolist(), m.prices.tolist(), m.gap_days)
+    return [(m.name, m.dates.tolist(), m.prices.tolist())
             for m in table.markets]
 
 

@@ -119,7 +119,7 @@ def reference_report(table, config):
             "se_a": boot.se_a, "se_b": boot.se_b, "se_c": boot.se_c,
             "t_a": fit.a / boot.se_a, "t_b": fit.b / boot.se_b,
             "t_c": fit.c / boot.se_c, "r_squared": fit.r_squared,
-            "r_squared_cv": cv.r_squared_adj,
+            "r_squared_cv": cv.r_squared,
             "cv_fold_sizes": cv.fold_sizes.tolist(), "n_obs": fit.n_obs,
             "gram_condition": fit.gram_condition,
             "bootstrap_samples": config.bootstrap_samples,
@@ -130,7 +130,7 @@ def reference_report(table, config):
     ccv = stats.cross_validate(stats.moment_sums(xc, yc, dc), config.cv_folds)
     report["aggregated_factor"] = {
         "a": cfit.a, "b": cfit.b, "c": cfit.c, "r_squared": cfit.r_squared,
-        "r_squared_cv": ccv.r_squared_adj,
+        "r_squared_cv": ccv.r_squared,
         "cv_fold_sizes": ccv.fold_sizes.tolist(), "n_obs": cfit.n_obs}
     return report, boot.samples
 
@@ -262,7 +262,7 @@ def assert_matches_reference(x, y, days, folds):
     cv = stats.cross_validate(stats.moment_sums(x, y, days), folds)
     expected = reference_cv(x, y, days, folds)
     np.testing.assert_allclose(cv.r_squared_folds, expected, rtol=1e-10)
-    assert cv.r_squared_adj == pytest.approx(expected.mean(), rel=1e-10)
+    assert cv.r_squared == pytest.approx(expected.mean(), rel=1e-10)
 
 
 class TestDateBlockCv:
@@ -448,7 +448,7 @@ def reference_pooled_moments(returns_all, horizons, qs=(1.0, 2.0, 3.0, 4.0)):
             curve.append({"q": q, "k": k, "T": 2 ** k, "M_q": pooled})
         out["curves"].extend(curve)
         if len(curve) >= 3:
-            slope, _, slope_se, _ = stats._line_fit(
+            slope, slope_se = stats._line_fit(
                 np.log([row["T"] for row in curve]),
                 np.log([row["M_q"] for row in curve]), None)
             out["hurst"][str(q)] = {"H": slope / q, "se": slope_se / q}

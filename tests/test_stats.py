@@ -25,7 +25,7 @@ def synthetic_xy(n, seed, noise=1.0, coeffs=TABLE_COEFFS):
 def lstsq_fit(x, y):
     """The lstsq fit with an explicit inverse: the reference for fit_cubic.
 
-    Returns (coef, se, r2, r2_adj, gram condition).
+    Returns (coef, se, r2, gram condition).
     """
     n = x.size
     design = np.column_stack([np.ones_like(x), x, x ** 3])
@@ -35,8 +35,7 @@ def lstsq_fit(x, y):
     r2 = 1.0 - ssr / np.sum((y - y.mean()) ** 2)
     gram = design.T @ design
     se = np.sqrt(np.diag(ssr / (n - 3) * np.linalg.inv(gram)))
-    return (coef, se, r2, 1.0 - (1.0 - r2) * (n - 1) / (n - 3),
-            np.linalg.cond(gram))
+    return coef, se, r2, np.linalg.cond(gram)
 
 
 class TestFitCubic:
@@ -45,11 +44,10 @@ class TestFitCubic:
         # shift 3 puts the Gram condition near 8e4
         x, y = synthetic_xy(5000, 26)
         rep = lm.fit_cubic(lm.moment_sums(x + shift, y))
-        coef, se, r2, r2_adj, cond = lstsq_fit(x + shift, y)
+        coef, se, r2, cond = lstsq_fit(x + shift, y)
         np.testing.assert_allclose(rep.coefficients, coef, rtol=1e-9)
         np.testing.assert_allclose(rep.standard_errors, se, rtol=1e-9)
         assert rep.r_squared == pytest.approx(r2, rel=1e-9)
-        assert rep.r_squared_adj == pytest.approx(r2_adj, rel=1e-9)
         assert rep.gram_condition == pytest.approx(cond, rel=1e-9)
 
     def test_gram_condition_cut_is_the_rank_rule(self):
@@ -94,8 +92,7 @@ class TestFitCubic:
         rng = np.random.default_rng(100)
         rep = lm.fit_cubic(lm.moment_sums(rng.standard_normal(2000),
                                           rng.standard_normal(2000)))
-        for t in (rep.t_a, rep.t_b, rep.t_c):
-            assert abs(t) < 3.0
+        assert np.all(np.abs(rep.coefficients) < 3.0 * rep.standard_errors)
 
     def test_noisy_recovery_within_errors(self):
         x, y = synthetic_xy(20000, 1)
@@ -103,12 +100,6 @@ class TestFitCubic:
         for got, want, se in zip(rep.coefficients, TABLE_COEFFS,
                                  rep.standard_errors):
             assert abs(got - want) < 3 * se
-
-    def test_tstats_are_coefficient_over_se(self):
-        x, y = synthetic_xy(5000, 2)
-        rep = lm.fit_cubic(lm.moment_sums(x, y))
-        assert rep.t_b == pytest.approx(rep.b / rep.se_b, rel=1e-9)
-        assert rep.t_c == pytest.approx(rep.c / rep.se_c, rel=1e-9)
 
     def test_rank_deficiency_reported(self):
         with pytest.raises(ValueError, match="rank"):
@@ -244,13 +235,6 @@ class TestBootstrap:
         ratio = boot.standard_errors / classical
         assert np.all(ratio > 0.85) and np.all(ratio < 1.15)
 
-    def test_percentiles_bracket_coefficients(self):
-        x, y = synthetic_xy(5000, 8)
-        rep = lm.fit_cubic(lm.moment_sums(x, y))
-        boot = lm.bootstrap_errors(lm.moment_sums(x, y), 400, seed=11)
-        for coef, (lo, hi) in zip(rep.coefficients, boot.percentiles):
-            assert lo < coef < hi
-
     def test_group_resampling(self):
         x, y = synthetic_xy(3000, 9)
         groups = np.repeat(np.arange(1000), 3)
@@ -284,8 +268,8 @@ class TestBootstrap:
 def offset_bootstrap(rows, n_samples, seed):
     """The bootstrap with one (c, G) draw per chunk, counted by one
     bincount of the draws offset by row and converted to float: the
-    formulation the sub-draws replaced.  Returns samples, standard errors,
-    percentiles and the skipped count."""
+    formulation the sub-draws replaced.  Returns samples, standard errors
+    and the skipped count."""
     group_sums = np.ascontiguousarray(np.asarray(rows, np.float64)[:, :9])
     n_groups = group_sums.shape[0]
     chunk = max(1, stats._CHUNK_COUNTS // n_groups)
@@ -300,9 +284,7 @@ def offset_bootstrap(rows, n_samples, seed):
             counts.reshape(c, n_groups).astype(np.float64) @ group_sums)
     coef, cond = stats._solve_from_sums(sums)
     samples = coef[cond <= stats._COND_LIMIT]
-    return (samples, samples.std(axis=0, ddof=1),
-            np.percentile(samples, [2.5, 97.5], axis=0).T,
-            n_samples - len(samples))
+    return samples, samples.std(axis=0, ddof=1), n_samples - len(samples)
 
 
 def grouped_rows(n_groups, seed):
@@ -321,10 +303,9 @@ class TestBootstrapSubDraws:
                                              seed):
         rows = grouped_rows(n_groups, 40 + seed)
         boot = lm.bootstrap_errors(rows, n_samples, seed)
-        samples, se, pct, skipped = offset_bootstrap(rows, n_samples, seed)
+        samples, se, skipped = offset_bootstrap(rows, n_samples, seed)
         assert np.array_equal(boot.samples, samples)
         assert np.array_equal(boot.standard_errors, se)
-        assert np.array_equal(boot.percentiles, pct)
         assert boot.n_skipped == skipped
 
     @pytest.mark.parametrize("n_groups", [137, 3999, 70001])
@@ -345,7 +326,7 @@ class TestCrossValidate:
     def test_noiseless_cubic_perfect_score(self):
         x, y = synthetic_xy(3000, 12, noise=0.0)
         cv = lm.cross_validate(lm.moment_sums(x, y), 15)
-        assert cv.r_squared_adj == pytest.approx(1.0, abs=1e-10)
+        assert cv.r_squared == pytest.approx(1.0, abs=1e-10)
 
     def test_pure_noise_non_positive(self):
         rng = np.random.default_rng(50)
@@ -353,7 +334,7 @@ class TestCrossValidate:
         _ = rng.standard_normal(3000)  # keep stream aligned with pilot
         y = rng.standard_normal(3000)
         cv = lm.cross_validate(lm.moment_sums(x, y), 15)
-        assert cv.r_squared_adj <= 0.005
+        assert cv.r_squared <= 0.005
 
     def test_single_fold_rejected(self):
         x, y = synthetic_xy(3000, 13)
@@ -455,17 +436,6 @@ class TestParabolicFit:
         assert fit.degenerate
         assert fit.delta_k == math.inf
 
-    def test_noisy_recovery_within_errors(self):
-        rng = np.random.default_rng(200)
-        b = 0.02 * (1.0 - (self.KS - 6.0) ** 2 / 25.0)
-        noisy = b + rng.normal(0.0, 0.005, b.size)
-        fit = lm.fit_parabolic_b(list(zip(self.KS, noisy)),
-                                 [(k, -0.006) for k in self.KS])
-        assert not fit.degenerate
-        assert abs(fit.amplitude - 0.02) < 3 * fit.se_amplitude
-        assert abs(fit.k0 - 6.0) < 3 * fit.se_k0
-        assert abs(fit.delta_k - 5.0) < 3 * fit.se_delta_k
-
     def test_too_few_scales(self):
         with pytest.raises(ValueError):
             lm.fit_parabolic_b([(1, 0.1), (2, 0.2), (3, 0.1)], [])
@@ -505,11 +475,6 @@ class TestMomentScaling:
         assert lm.moment_scaling([path], [2.0], [4, 8, 8, 16])[2.0].horizons \
             .size == 4
 
-    def test_residuals_attached(self):
-        path = np.cumsum(np.random.default_rng(2).standard_normal(30000))
-        fit = lm.moment_scaling([path], [2.0], self.HORIZONS)[2.0]
-        assert fit.residuals.size == len(self.HORIZONS)
-
     def test_single_path_is_its_window_mean(self):
         # pooled as M_q (len - T) / (len - T): within one ulp of the mean
         path = np.cumsum(np.random.default_rng(4).standard_normal(5000))
@@ -533,7 +498,7 @@ class TestFitKappa:
         points = [(k, (2.0 ** k) ** (0.9 - 1.0)) for k in ks]
         fit = lm.fit_kappa(points)
         assert fit.exponent == pytest.approx(0.9, abs=1e-12)
-        assert fit.slope_se == pytest.approx(0.0, abs=1e-10)
+        assert fit.exponent_se == pytest.approx(0.0, abs=1e-10)
 
     def test_weighted_fit(self):
         ks = np.arange(1, 11, dtype=float)

@@ -575,6 +575,28 @@ class TestNoCancellation:
             got = lm.predicted_trend_variance(m, 2.0 ** k, "tilde")
             assert got == pytest.approx(exact, rel=1e-12, abs=0.0), k
 
+    @pytest.mark.parametrize("tau", [2.0 ** 15, 1e9, 1e12])
+    @pytest.mark.parametrize("kappa", [0.6, 0.9, 0.97, 1.0])
+    @pytest.mark.parametrize("knee", ["10", "tau/64", "tau/2"])
+    def test_matched_past_half_the_knee(self, tau, kappa, knee):
+        # every T = 2^e with 2T > t_star, up to 4 tau.  At kappa = 1 the
+        # power law's t_star/2 cancels against the tail's first order
+        # (about 2e-6 relative at t_star = 10, tau = 1e12): only the sign
+        # is held there
+        t_star = {"10": 10.0, "tau/64": tau / 64.0, "tau/2": tau / 2.0}[knee]
+        m = PropagatorModel(tau=tau, kappa=kappa, regime="matched",
+                            t_star=t_star)
+        horizons = [2.0 ** e for e in range(64)
+                    if t_star < 2.0 ** (e + 1) <= 8.0 * tau]
+        assert horizons
+        for horizon in horizons:
+            got = lm.predicted_adjacent_window_correlation(m, horizon)
+            assert got < 0.0, horizon
+            if kappa < 1.0:
+                exact = decimal_adjacent_and_tilde(m, horizon)[0]
+                assert got == pytest.approx(exact, rel=1e-12, abs=0.0), \
+                    horizon
+
     def test_matched_past_the_knee(self):
         # 2T > t_star: the tail enters at 2T, and the differences stay
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="matched",
