@@ -244,8 +244,11 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
             del block                   # its records go before more are read
         if not parsed:
             raise ValueError("no data rows")
-        cells = list(map(np.concatenate, zip(*parsed)))
+        pieces = list(map(list, zip(*parsed)))  # day, price, code, line
         del parsed
+        cells = []
+        while pieces:       # a column's pieces go as soon as it is joined
+            cells.append(np.concatenate(pieces.pop(0)))
         counts = np.bincount(cells[2], minlength=len(index))   # codes
         names = list(index)
         if not counts.all():

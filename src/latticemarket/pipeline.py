@@ -259,9 +259,22 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
 
 # -- analyze ----------------------------------------------------------------
 
+def _calendar(days: list[np.ndarray]) -> tuple:
+    """The sorted union of int64 day arrays, and each day's index in it
+    (np.unique's inverse, split per array): the set bits of a bitmap over
+    the day span, at most 3.7 MB from year 1 to 9999, and the days'
+    ranks among them."""
+    lo = min(map(np.min, days))
+    seen = np.zeros(max(map(np.max, days)) - lo + 1, dtype=bool)
+    for d in days:
+        seen[d - lo] = True
+    calendar = np.flatnonzero(seen) + lo
+    return calendar, [np.searchsorted(calendar, d) for d in days]
+
+
 def _union_panel(table: io.PriceTable) -> tuple:
     """Normalized returns per market, the cell of each return's day in
-    the union calendar (the sorted dates of every market's returns; return
+    the union calendar (_calendar of every market's return dates; return
     i carries the date of price i + 1), and the (markets, days) returns."""
     returns_all = []
     for m in table.markets:
@@ -269,11 +282,10 @@ def _union_panel(table: io.PriceTable) -> tuple:
             returns_all.append(trends.normalize_returns(m.prices))
         except ValueError as exc:
             raise ValueError(f"market {m.name!r}: {exc}") from None
-    days = [np.asarray(m.dates, dtype="datetime64[D]")[1:]
-            for m in table.markets]
-    calendar, cells = np.unique(np.concatenate(days), return_inverse=True)
-    cells = np.split(cells.ravel(), np.cumsum([d.size for d in days])[:-1])
-    y_panel = np.zeros((len(days), calendar.size))
+    calendar, cells = _calendar([
+        np.asarray(m.dates, dtype="datetime64[D]")[1:].view(np.int64)
+        for m in table.markets])
+    y_panel = np.zeros((len(cells), calendar.size))
     for m, (rets, pos) in enumerate(zip(returns_all, cells)):
         y_panel[m, pos] = rets.values
     return returns_all, cells, y_panel
@@ -298,9 +310,9 @@ def _trend_panel(returns_all: list, cells: list[np.ndarray], n_days: int,
 
 def _moment_panels(x, y, mask: np.ndarray):
     """The ten moments (stats._moments) of a masked panel of pairs as
-    (markets, days) panels, zero off the mask, one at a time."""
-    return stats._moments(np.where(mask, x, 0.0), np.where(mask, y, 0.0),
-                          mask.astype(np.float64))
+    (markets, days) panels, zero off the mask, one at a time; x must be
+    zero off the mask already."""
+    return stats._moments(x, np.where(mask, y, 0.0), mask.astype(np.float64))
 
 
 def analyze_price_table(table: io.PriceTable,
@@ -312,9 +324,18 @@ def analyze_price_table(table: io.PriceTable,
     and the stacked fit, the day bootstrap and the date-block CV read
     per-day sums added in the pooled row order (scale, then market), so
     the day groups and their sums are the rows'.
+
+    Each large intermediate is dropped after its last reader: the table
+    once the panel is built (a caller that passes it straight in frees
+    its dates and prices then), the panels after the combined factor,
+    the returns after the moment scaling.  The day bootstrap, whose
+    count block is the largest transient, runs last, on the stacked
+    per-day rows alone.
     """
     config.validate()
+    names = table.names()
     returns_all, cells, y_panel = _union_panel(table)
+    del table
     n_markets, n_days = y_panel.shape
     stacked = np.zeros((10, n_days))
     x_sum, shared = np.zeros(y_panel.shape), np.ones(y_panel.shape, bool)
@@ -345,44 +366,34 @@ def analyze_price_table(table: io.PriceTable,
         })
         x_sum += x_panel
         shared &= mask
+    del x_panel, mask, cells
     if not by_scale:
         raise ValueError("no usable horizon: price history too short")
-    report: dict = {"markets": table.names(),
+    report: dict = {"markets": names,
                     "estimator": config.estimator,
                     "horizons_requested": list(config.horizons),
                     "horizons_used": [row["k"] for row in by_scale],
                     "horizons_dropped": dropped,
                     "by_scale": by_scale}
 
-    # stacked regression across markets and scales (the headline fit)
-    days = stacked[:, stacked[0] > 0].T       # the days with data
-    fit = stats.fit_cubic(days)
-    boot = stats.bootstrap_errors(days, config.bootstrap_samples, config.seed)
-    cv = stats.cross_validate(days, config.cv_folds)
-    report["regression"] = {
-        "a": fit.a, "b": fit.b, "c": fit.c,
-        "se_a": boot.se_a, "se_b": boot.se_b, "se_c": boot.se_c,
-        "t_a": fit.a / boot.se_a if boot.se_a > 0 else math.inf,
-        "t_b": fit.b / boot.se_b if boot.se_b > 0 else math.inf,
-        "t_c": fit.c / boot.se_c if boot.se_c > 0 else math.inf,
-        "r_squared": fit.r_squared,
-        "r_squared_cv": cv.r_squared,
-        "cv_fold_sizes": cv.fold_sizes.tolist(),
-        "n_obs": fit.n_obs,
-        "gram_condition": fit.gram_condition,
-        "bootstrap_samples": config.bootstrap_samples,
-        "bootstrap_skipped": boot.n_skipped,
-        "cv_folds": config.cv_folds,
-    }
+    # stacked regression across markets and scales (the headline fit);
+    # its bootstrap errors are added last
+    rows = stacked[:, stacked[0] > 0].T       # the days with data
+    del stacked
+    fit = stats.fit_cubic(rows)
+    cv = stats.cross_validate(rows, config.cv_folds)
 
     # combined factor: equally weighted mean trend across scales, on the
     # observations that every scale shares
     if len(by_scale) >= 2 and shared.sum() >= stats._MIN_OBSERVATIONS:
+        x_sum /= len(by_scale)
+        x_sum[~shared] = 0.0
         combined = np.array([panel.sum(axis=0) for panel in _moment_panels(
-            x_sum / len(by_scale), y_panel, shared)])
-        days = combined[:, combined[0] > 0].T
-        cfit = stats.fit_cubic(days)
-        ccv = stats.cross_validate(days, config.cv_folds)
+            x_sum, y_panel, shared)])
+        combined = combined[:, combined[0] > 0].T
+        cfit = stats.fit_cubic(combined)
+        ccv = stats.cross_validate(combined, config.cv_folds)
+        del combined
         report["aggregated_factor"] = {
             "a": cfit.a, "b": cfit.b, "c": cfit.c,
             "r_squared": cfit.r_squared,
@@ -390,6 +401,7 @@ def analyze_price_table(table: io.PriceTable,
             "cv_fold_sizes": ccv.fold_sizes.tolist(),
             "n_obs": cfit.n_obs,
         }
+    del x_sum, shared, y_panel
 
     # horizon dependence of b and c
     if len(by_scale) >= 4:
@@ -430,6 +442,24 @@ def analyze_price_table(table: io.PriceTable,
 
     # moment scaling (generalized Hurst exponents), pooled per observation
     report["moment_scaling"] = _pooled_moments(returns_all, config.horizons)
+    del returns_all
+
+    boot = stats.bootstrap_errors(rows, config.bootstrap_samples, config.seed)
+    report["regression"] = {
+        "a": fit.a, "b": fit.b, "c": fit.c,
+        "se_a": boot.se_a, "se_b": boot.se_b, "se_c": boot.se_c,
+        "t_a": fit.a / boot.se_a if boot.se_a > 0 else math.inf,
+        "t_b": fit.b / boot.se_b if boot.se_b > 0 else math.inf,
+        "t_c": fit.c / boot.se_c if boot.se_c > 0 else math.inf,
+        "r_squared": fit.r_squared,
+        "r_squared_cv": cv.r_squared,
+        "cv_fold_sizes": cv.fold_sizes.tolist(),
+        "n_obs": fit.n_obs,
+        "gram_condition": fit.gram_condition,
+        "bootstrap_samples": config.bootstrap_samples,
+        "bootstrap_skipped": boot.n_skipped,
+        "cv_folds": config.cv_folds,
+    }
     return report
 
 
@@ -488,8 +518,9 @@ def cmd_analyze(config: PipelineConfig, price_path, out_dir,
                 schema: str = "long") -> list[Path]:
     """Load prices, run the full pipeline, write the report and figures."""
     config.validate()
-    table = io.load_price_csv(price_path, schema=schema)
-    report = analyze_price_table(table, config)
+    # passed straight in, so analyze_price_table frees the table early
+    report = analyze_price_table(io.load_price_csv(price_path, schema=schema),
+                                 config)
     prov = io.make_provenance(
         config.seed,
         inputs={Path(price_path).name: io.sha256_of_file(price_path),

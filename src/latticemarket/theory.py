@@ -313,8 +313,12 @@ _QUAD_END_RTOL = 1e-12
 
 def _quad(f, model: PropagatorModel, omega: float,
           hi: float = math.inf) -> float:
-    """Integral of f (vectorized) over (0, hi), split at t_star if matched.
+    """Integral of f (vectorized) over (0, hi), split at t_star if matched,
+    and also at 32/omega when that is below t_star.
 
+    f decays as e^(-omega z), so past 32/omega it keeps e^-32 of its
+    weight: one tanh-sinh rule spread over (0, t_star) with 1/omega much
+    smaller than t_star would put too few nodes where the weight is.
     Finite pieces use tanh-sinh, a piece to infinity exp-sinh scaled by
     the decay length 1/(omega + 1/tau).  Every other node gives the sum
     at step 2h.  If it differs from the step-h sum by more than 1e-10 of
@@ -322,6 +326,8 @@ def _quad(f, model: PropagatorModel, omega: float,
     resolved f and QuadratureError is raised.
     """
     knees = [model.t_star] if model.regime == "matched" else []
+    if knees and 32.0 / omega < model.t_star:
+        knees.insert(0, 32.0 / omega)
     edges = [0.0] + [b for b in knees if b < hi] + [hi]
     fine = coarse = ends = 0.0
     for a, b in zip(edges, edges[1:]):

@@ -3,18 +3,21 @@
 tracemalloc counts every Python and numpy allocation, so a traced peak is
 deterministic for fixed inputs, unlike the resident set.  Each bound is
 the peak measured on Python 3.11 / numpy 2.4 plus the margin stated
-beside it; the formulations these bounds replaced peaked far above them
-(bootstrap 6.58 MB, long load 4.53 MB, wide load 7.37 MB).
+beside it; the formulations these bounds replaced peaked higher
+(bootstrap 6.58 MB; long load 4.53, then 2.35 MB; wide load 7.37, then
+4.61 MB; load and analyze 6.65 MB long, 10.13 MB wide).  numpy.ma is
+imported up front, so that no peak counts that one-off import.
 """
 
 import datetime
 import tracemalloc
 
 import numpy as np
+import numpy.ma  # noqa: F401  (numpy 2 imports it at the first np.unique)
 import pytest
 
 import latticemarket as lm
-from latticemarket import io
+from latticemarket import io, pipeline
 
 MB = 2 ** 20
 
@@ -57,22 +60,45 @@ def test_bootstrap_counts_a_few_resamples_at_a_time():
     assert traced_peak_mb(lm.bootstrap_errors, rows, 5000, 7) < 5.0  # +18 %
 
 
-@pytest.mark.parametrize("schema, markets, days, bound", [
-    ("long", 10, 4000, 2.8),            # measured 2.35 MB, +19 %
-    ("wide", 20, 5000, 5.4)],           # measured 4.62 MB, +17 %
-    ids=["long", "wide"])
-def test_load_price_csv_peak(tmp_path, schema, markets, days, bound):
+def write_prices(path, schema, markets, days):
+    """A long or a wide price CSV of price_columns(markets, days, 11); the
+    wide one has ragged starts, market m empty before day m * days / 80."""
     dates, columns = price_columns(markets, days, 11)
     if schema == "long":
         lines = ["market,date,price"] + [
             f"M{m:02d},{date},{price}" for m, column in enumerate(columns)
             for date, price in zip(dates, column)]
     else:
-        # ragged starts: market m is empty before day m * days / 80
         for m, column in enumerate(columns):
             column[:m * days // 80] = [""] * (m * days // 80)
         lines = ["date," + ",".join(f"W{m:02d}" for m in range(markets))]
         lines += [",".join(row) for row in zip(dates, *columns)]
-    path = tmp_path / "prices.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("schema, markets, days, bound", [
+    ("long", 10, 4000, 2.5),            # measured 2.15 MB, +16 %
+    ("wide", 20, 5000, 4.5)],           # measured 4.09 MB, +10 %
+    ids=["long", "wide"])
+def test_load_price_csv_peak(tmp_path, schema, markets, days, bound):
+    path = write_prices(tmp_path / "prices.csv", schema, markets, days)
     assert traced_peak_mb(io.load_price_csv, path, schema) < bound
+
+
+@pytest.mark.parametrize("schema, markets, days, estimator, samples, bound", [
+    # analyze's settings: the bootstrap's 2 MB count block comes after
+    # the panels and the returns are freed
+    ("long", 10, 4000, "phi", 5000, 4.8),     # measured 4.14 MB, +16 %
+    # analyze-wide's: the per-scale moment panels set the peak
+    ("wide", 20, 5000, "step", 500, 8.4)],    # measured 7.28 MB, +15 %
+    ids=["long", "wide"])
+def test_load_and_analyze_peak(tmp_path, schema, markets, days, estimator,
+                               samples, bound):
+    path = write_prices(tmp_path / "prices.csv", schema, markets, days)
+    config = pipeline.PipelineConfig(estimator=estimator,
+                                     bootstrap_samples=samples, seed=1)
+    # the table is passed straight in, as cmd_analyze does, so that
+    # analyze_price_table holds the only reference to it
+    assert traced_peak_mb(lambda: pipeline.analyze_price_table(
+        io.load_price_csv(path, schema), config)) < bound

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticemarket import io, pipeline, stats, trends
 from latticemarket.pipeline import PipelineConfig, analyze_price_table
@@ -327,6 +328,48 @@ class TestCombinedFactor:
         by_iso = stats.bootstrap_errors(stats.moment_sums(x, y, iso), 200, 7)
         by_day = stats.bootstrap_errors(stats.moment_sums(x, y, days), 200, 7)
         np.testing.assert_array_equal(by_iso.samples, by_day.samples)
+
+
+# day numbers (from 1970-01-01) of 0001-01-01 and 9999-12-31
+FIRST_DAY, LAST_DAY = -719_162, 2_932_896
+
+
+@st.composite
+def ragged_days(draw):
+    """1-6 markets of strictly increasing int64 days: each starts near
+    day 0, anywhere from year 1 to 9999 (disjoint ranges), or on the last
+    day of the market before it (a single-day overlap)."""
+    markets = []
+    for i in range(draw(st.integers(1, 6))):
+        start = draw(st.one_of(
+            st.integers(0, 60), st.integers(FIRST_DAY, LAST_DAY - 200),
+            *([st.just(int(markets[-1][-1]))] if i else [])))
+        gaps = draw(st.lists(st.integers(1, 4), max_size=40))
+        markets.append(start + np.cumsum([0] + gaps, dtype=np.int64))
+    return markets
+
+
+class TestCalendar:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(days=ragged_days())
+    def test_bitmap_equals_unique(self, days):
+        calendar, cells = pipeline._calendar(days)
+        want, inverse = np.unique(np.concatenate(days), return_inverse=True)
+        np.testing.assert_array_equal(calendar, want)
+        assert len(cells) == len(days)
+        for got, ref in zip(cells, np.split(
+                inverse.ravel(), np.cumsum([d.size for d in days])[:-1])):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    def test_single_day_overlap_and_far_market(self):
+        days = [np.arange(5, dtype=np.int64), np.arange(4, 8, dtype=np.int64),
+                np.array([FIRST_DAY, LAST_DAY], dtype=np.int64)]
+        calendar, cells = pipeline._calendar(days)
+        np.testing.assert_array_equal(
+            calendar, [FIRST_DAY, 0, 1, 2, 3, 4, 5, 6, 7, LAST_DAY])
+        assert [c.tolist() for c in cells] == [[1, 2, 3, 4, 5],
+                                               [5, 6, 7, 8], [0, 9]]
 
 
 # Headline numbers of the analyze report on the panel below, recorded with

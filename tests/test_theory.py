@@ -500,6 +500,65 @@ class TestQuadratureFailsClosed:
             theory._quad(lambda x: np.cos(40.0 * x) + 2.0, m, 1.0, 20.0)
 
 
+def substituted_quadpack(model, horizon, kind):
+    """The matched trend/return correlation ("corr") or the phi or tilde
+    variance at horizon T by QUADPACK, with z = u^(1/kappa) on
+    (0, min(32/w, t_star, hi)) to take the z^(kappa-1) end out of the
+    integrand, and the rest split at 1024/w (past which e^(-w z) leaves
+    nothing), t_star and hi."""
+    w, k = 2.0 / horizon, model.kappa
+    hi = horizon if kind == "tilde" else math.inf
+    if kind == "tilde":
+        scale = -2.0 / horizon
+
+        def f(z):
+            return reference_derivatives(model, z)[0]
+    else:
+        scale, order = (-2.0 * w ** 1.5, 1) if kind == "corr" else \
+            (-2.0 * w ** 2, 0)
+
+        def f(z):
+            return z * math.exp(-w * z) * reference_derivatives(model, z)[order]
+
+    first = min(hi, 32.0 / w, model.t_star)
+    edges = sorted([first] + [b for b in (1024.0 / w, model.t_star, hi)
+                              if first < b <= hi])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        total = integrate.quad(
+            lambda u: f(u ** (1.0 / k)) * u ** (1.0 / k - 1.0) / k,
+            0.0, first ** k, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges, edges[1:]):
+            total += integrate.quad(f, a, b, epsabs=1e-16 * abs(total),
+                                    epsrel=1e-10, limit=200)[0]
+    return scale * total
+
+
+class TestMatchedLargeTau:
+    """predict's matched regime (t_star = tau/2) for tau up to 1e12.
+
+    The integrands decay as e^(-w z) with 1/w far below t_star; a single
+    tanh-sinh piece over (0, t_star) left too few nodes where the weight
+    is and raised QuadratureError in 190 of these 780 evaluations.
+    """
+
+    @pytest.mark.parametrize("tau", [2.0 ** 15, 1e6, 1e7, 1e9, 1e12])
+    @pytest.mark.parametrize("kappa", [0.6, 0.808, 0.9, 0.97])
+    def test_converges_and_matches_quadpack(self, tau, kappa):
+        m = PropagatorModel(tau=tau, kappa=kappa, regime="matched",
+                            t_star=tau / 2.0)
+        for k in range(1, 14):
+            horizon = 2.0 ** k
+            ours = {
+                "corr": lm.predicted_trend_return_correlation(m, 2.0 / horizon),
+                "phi": lm.predicted_trend_variance(m, horizon, "phi"),
+                "tilde": lm.predicted_trend_variance(m, horizon, "tilde")}
+            for kind, value in ours.items():
+                assert value == pytest.approx(
+                    substituted_quadpack(m, horizon, kind), rel=1e-12), \
+                    (kind, k)
+
+
 class TestAdjacentWindowCorrelation:
     def test_kappa_one_scaling_telescopes(self):
         m = PropagatorModel(tau=4096.0, kappa=1.0, regime="scaling")
