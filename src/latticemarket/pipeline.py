@@ -54,8 +54,12 @@ class PipelineConfig:
             ks = getattr(self, name)
             if not ks or min(ks) < 1:
                 raise ValueError(f"{name} must be positive k values")
+            if max(ks) > 62:            # T = 2^k must fit in an int64
+                raise ValueError(f"{name} must be k values up to 62")
             if len(set(ks)) < len(ks):
                 raise ValueError(f"{name} must not repeat")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.estimator not in ("phi", "psi", "step"):
             raise ValueError("estimator must be phi, psi or step")
         if self.bootstrap_samples < 100:

@@ -364,7 +364,7 @@ def moment_scaling(paths, qs, horizons) -> dict[float, ScalingFit]:
     is slope(log M_q vs log T) / q over the T that some path entered.
     """
     horizons = np.asarray(sorted(int(t) for t in horizons))
-    if np.unique(horizons).size < 3:
+    if len(set(horizons.tolist())) < 3:
         raise ValueError("need at least 3 distinct horizons")
     if np.any(horizons < 1):
         raise ValueError("horizons must be >= 1")
@@ -375,7 +375,7 @@ def moment_scaling(paths, qs, horizons) -> dict[float, ScalingFit]:
     for path in paths:
         x = np.asarray(path, dtype=np.float64)
         usable = horizons[10 * horizons <= x.size]
-        if np.unique(usable).size < 3:
+        if len(set(usable.tolist())) < 3:
             continue
         for j, t in enumerate(usable.tolist()):
             diff = np.abs(x[t:] - x[:-t])
@@ -406,7 +406,7 @@ def fit_kappa(variances_by_scale, weights=None) -> ScalingFit:
     finite, and variances positive.
     """
     pts = np.asarray(list(variances_by_scale), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or np.unique(pts[:, 0]).size < 3:
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(set(pts[:, 0].tolist())) < 3:
         raise ValueError("need (k, variance) points at 3 or more distinct k")
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
     if not (np.isfinite(pts).all() and (w is None or np.isfinite(w).all())):

@@ -417,8 +417,10 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
     regimes have closed forms (scaling: T^(kappa-1) for tilde and
     kappa Gamma(kappa+1) w^(1-kappa) for phi; exponential:
     -(tau/T) expm1(-T/tau) tau^(kappa-1) and w^2/(w + 1/tau)^2
-    tau^(kappa-1)); the matched regime is integrated by double-exponential
-    quadrature (_quad; QuadratureError when it does not converge).  In the
+    tau^(kappa-1)).  The matched regime's tilde variance is (2/T) g(T) in
+    closed form, g as in predicted_adjacent_window_correlation; its phi
+    variance is integrated by double-exponential quadrature (_quad;
+    QuadratureError when it does not converge).  In the
     scaling regime T <= tau/4 is enforced; beyond that the power law is
     not a valid description and a DomainError is raised.
     """
@@ -436,6 +438,11 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
             return (tau / horizon) * -math.expm1(-horizon / tau) \
                 * tau ** (k - 1.0)
         return omega ** 2 / (omega + 1.0 / tau) ** 2 * tau ** (k - 1.0)
+    if estimator == "tilde":        # (2/T) g(T), g(t) = Delta(0) - Delta(t)
+        if horizon <= model.t_star:
+            return horizon ** (k - 1.0)
+        return 2.0 / horizon * (0.5 * model.t_star ** k - _delta_scaling(
+            model, model.t_star) * math.expm1(-(horizon - model.t_star) / tau))
     return _quad_trend_variance(model, horizon, estimator)
 
 

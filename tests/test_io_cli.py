@@ -127,24 +127,6 @@ class TestLoadPriceCsv:
         with pytest.raises(ValueError, match="line 4: bad price 'abc'"):
             io.load_price_csv(path)
 
-    def test_line_numbers_past_int32_rejected(self):
-        class Reader:                   # a csv.reader near line 2**31
-            line_num = 2 ** 31 - 3
-
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                self.line_num += 1
-                return ["ES", "2020-01-01", "100"]
-
-        reader = Reader()
-        lines, rows = next(io._blocks(reader, 2))
-        assert lines.dtype == np.int32
-        assert lines.tolist() == [2 ** 31 - 2, 2 ** 31 - 1]
-        with pytest.raises(ValueError, match="line 2147483649: more than"):
-            next(io._blocks(reader, 2))
-
 
 class TestProvenanceOutput:
     def test_csv_header_carries_provenance(self, tmp_path):
@@ -285,7 +267,9 @@ def _variance_csv(path):
 
 
 class TestNoScipyAtRunTime:
-    """Every command runs on numpy alone: scipy is a test-only oracle."""
+    """Every command runs on numpy alone: scipy is a test-only oracle.
+    No command imports numpy.ma either, which numpy 2 loads at the first
+    np.unique call (about 1.1 MB of module objects)."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--side", "4", "--sweeps", "40", "--burn-in", "4"],
@@ -311,7 +295,8 @@ class TestNoScipyAtRunTime:
             "code = cli.main(json.loads(sys.argv[1]))\n"
             "print(json.dumps([code] + sorted(\n"
             "    m for m in sys.modules\n"
-            "    if m == 'scipy' or m.startswith('scipy.'))))\n")
+            "    if m in ('scipy', 'numpy.ma')\n"
+            "    or m.startswith(('scipy.', 'numpy.ma.')))))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -384,12 +369,14 @@ class TestPredictCommand:
         ("3,3,4", "predict_horizons must not repeat"),
         (",", "predict_horizons must be positive"),
         ("-40", "predict_horizons must be positive"),
-        ("0,1", "predict_horizons must be positive")],
-        ids=["repeat", "empty", "negative", "zero"])
+        ("0,1", "predict_horizons must be positive"),
+        ("1,1100", "predict_horizons must be k values up to 62")],
+        ids=["repeat", "empty", "negative", "zero", "past-int64"])
     def test_bad_predict_horizons_exit_2_without_output(self, tmp_path,
                                                         caplog, ks, fault):
-        # a repeat writes a row twice, an empty list an empty table, and
-        # k = -40 a T of 9.1e-13 with a variance of 0.0
+        # a repeat writes a row twice, an empty list an empty table,
+        # k = -40 a T of 9.1e-13 with a variance of 0.0, and k = 1100 a
+        # T = 2^k past the largest float
         out = tmp_path / "pred"
         with caplog.at_level("ERROR"):
             assert cli.main(["predict", "--regime", "exponential", "--kappa",
@@ -397,6 +384,17 @@ class TestPredictCommand:
                              "--out", str(out)]) == 2
         assert fault in caplog.text
         assert not out.exists()
+
+    def test_matched_far_past_tau(self, tmp_path):
+        # the matched tilde variance is closed-form: at T >> tau no
+        # quadrature over (t_star, T) is left to fail
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--regime", "matched",
+                         "--predict-horizons", "37,40,62",
+                         "--out", str(out)]) == 0
+        _, rows = read_output_csv(out / "predictions.csv")
+        assert [int(row[0]) for row in rows] == [37, 40, 62]
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_invalid_dimension_writes_no_directory(self, tmp_path):
         out = tmp_path / "pred_bad"
@@ -586,17 +584,22 @@ class TestAnalyzeCommand:
         assert "big.csv: line 3: field larger than field limit" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("horizons", ["3,3,3", "2,2,2,3,4,5"])
+    @pytest.mark.parametrize("horizons,fault", [
+        ("3,3,3", "horizons must not repeat"),
+        ("2,2,2,3,4,5", "horizons must not repeat"),
+        ("1,2,3,1100", "horizons must be k values up to 62")],
+        ids=["3,3,3", "2,2,2,3,4,5", "1,2,3,1100"])
     def test_repeated_horizons_exit_2_without_output(self, tmp_path, caplog,
-                                                     horizons):
-        # a repeated k would count its pairs and its variance point again
+                                                     horizons, fault):
+        # a repeated k would count its pairs and its variance point again,
+        # and T = 2^1100 overflows a float
         csv_path = make_long_csv(tmp_path / "prices.csv", days=300)
         out = tmp_path / "analysis"
         with caplog.at_level("ERROR"):
             assert cli.main(["analyze", str(csv_path), "--horizons", horizons,
                              "--bootstrap-samples", "100", "--cv-folds", "5",
                              "--out", str(out)]) == 2
-        assert "horizons must not repeat" in caplog.text
+        assert fault in caplog.text
         assert not out.exists()
 
     def test_flat_market_named_without_output(self, tmp_path, caplog):
@@ -906,6 +909,22 @@ class TestConfigPrecedence:
             for text in helps:
                 assert f"default {shown}" in text \
                     or f"temperature {shown}" in text, (f.name, text)
+
+    @pytest.mark.parametrize("command", [
+        "simulate", "predict", "analyze", "fit-kappa"])
+    def test_negative_seed_exits_2_without_output(self, tmp_path, caplog,
+                                                  command):
+        # checked with the config, before any input is read or any work
+        # is done: no command writes seed -1 into its provenance
+        inputs = {"analyze": [str(make_long_csv(tmp_path / "p.csv",
+                                                days=300))],
+                  "fit-kappa": [str(_variance_csv(tmp_path / "v.csv"))]}
+        out = tmp_path / "run"
+        with caplog.at_level("ERROR"):
+            assert cli.main([command, *inputs.get(command, []), "--seed",
+                             "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0" in caplog.text
+        assert not out.exists()
 
     def test_key_error_is_a_runtime_error(self, tmp_path, monkeypatch):
         # no input or config fault raises KeyError: one is a bug, exit 1

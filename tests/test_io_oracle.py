@@ -1,13 +1,14 @@
-"""The bulk CSV parser against the per-cell parser it replaced.
+"""The CSV loader against a plain per-cell reference parser.
 
-`reference_load` is the per-cell parser: one `date.fromisoformat` and one
-`float` per cell, and a per-market duplicate and order scan.  The bulk
-`io.load_price_csv` must give the same markets, dates and prices on
-every valid file, and the same message, line number included, on every
-invalid one, whether a file is read in one block or in blocks
-of a few rows.  A fault is named by file and by the physical line on
-which its record ends, as `csv.reader.line_num` counts it, so a quoted
-field that spans lines moves every later line number.
+`reference_load` reads the whole file, then checks it cell by cell: one
+`date.fromisoformat` and one `float` per cell, and a per-market duplicate
+and order scan.  `io.load_price_csv`, which checks each record as it
+reads it and each market's date order as it appends, must give the same
+markets, dates and prices on every valid file, and the same message,
+line number included, on every invalid one, also when the file holds
+two faults.  A fault is named by file and by the physical line on which
+its record ends, as `csv.reader.line_num` counts it, so a quoted field
+that spans lines moves every later line number.
 """
 
 import csv
@@ -15,11 +16,10 @@ import datetime
 import io as textio
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latticemarket import io
 
@@ -136,7 +136,7 @@ def outcome(loader, text, schema):
     return "ok", result
 
 
-def bulk_load(path, schema):
+def io_load(path, schema):
     table = io.load_price_csv(path, schema=schema)
     for m in table.markets:
         assert m.dates.dtype == np.dtype("datetime64[D]")
@@ -247,20 +247,10 @@ def inject(schema, rows, draw):
     return rows
 
 
-def few_rows(draw):
-    """A loader block size of a few rows, so that comment lines, faults and
-    a market's first price fall across block boundaries."""
-    return mock.patch.object(io, "_BLOCK_FIELDS", draw(st.integers(1, 12)))
-
-
-# a block size far past these files' field counts: the whole file is one block
-WHOLE_FILE = 2 ** 14
-
-
 def check_round_trip(draw):
     schema, rows = draw(panels())
     text = render(rows, draw)
-    got = outcome(bulk_load, text, schema)
+    got = outcome(io_load, text, schema)
     assert got == outcome(reference_load, text, schema)
     assert got[0] == "ok"
 
@@ -269,8 +259,31 @@ def check_single_fault(draw):
     schema, rows = draw(panels())
     rows = inject(schema, rows, draw)
     text = render(rows, draw)
-    assert outcome(bulk_load, text, schema) == \
+    assert outcome(io_load, text, schema) == \
         outcome(reference_load, text, schema)
+
+
+def check_two_faults(draw):
+    schema, rows = draw(panels())
+    rows = inject(schema, rows, draw)
+    try:
+        rows = inject(schema, rows, draw)
+    except IndexError:
+        # the second fault indexed a cell of a row the first one shortened
+        assume(False)
+    text = render(rows, draw)
+    assert outcome(io_load, text, schema) == \
+        outcome(reference_load, text, schema)
+
+
+# a long run of good rows before a fault: the per-market arrays grow many
+# times before the fault is met, and its line number has five digits
+MANY_ROWS = 16384
+
+
+def day(i):
+    """The ISO date i days after 2020-01-01."""
+    return (datetime.date(2020, 1, 1) + datetime.timedelta(i)).isoformat()
 
 
 class TestBulkParserOracle:
@@ -279,41 +292,34 @@ class TestBulkParserOracle:
     def test_valid_panels_round_trip(self, data):
         check_round_trip(data.draw)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_valid_panels_round_trip_in_few_row_blocks(self, data):
-        with few_rows(data.draw):
-            check_round_trip(data.draw)
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_single_fault_same_message(self, data):
         check_single_fault(data.draw)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=600, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_single_fault_same_message_in_few_row_blocks(self, data):
-        with few_rows(data.draw):
-            check_single_fault(data.draw)
+    def test_two_faults_same_message(self, data):
+        check_two_faults(data.draw)
 
-    @pytest.mark.parametrize("fields", [3, 6, WHOLE_FILE])
-    def test_later_row_fault_beats_earlier_date_order(self, fields):
-        # line 3 goes back in time for A, but the order of a market's
-        # dates is checked after every row has passed, so the bad price
-        # on line 7, blocks later, is the reported fault
-        text = ("market,date,price\nA,2020-01-02,1\nA,2020-01-01,2\n"
-                "# note\nB,2020-01-01,3\nB,2020-01-02,4\nB,2020-01-03,x\n")
-        want = ("error", "<path>: line 7: bad price 'x'")
+    @pytest.mark.parametrize("rows", [3, 6, MANY_ROWS])
+    def test_later_row_fault_beats_earlier_date_order(self, rows):
+        # line 3 goes back in time for A, but a market's date-order fault
+        # is reported only after every row has passed, so the bad price
+        # after `rows` good rows of B is the reported fault
+        text = ("market,date,price\nA,2020-01-02,1\nA,2020-01-01,2\n# note\n"
+                + "".join(f"B,{day(i)},3\n" for i in range(rows))
+                + f"B,{day(rows)},x\n")
+        want = ("error", f"<path>: line {5 + rows}: bad price 'x'")
         assert outcome(reference_load, text, "long") == want
-        with mock.patch.object(io, "_BLOCK_FIELDS", fields):
-            assert outcome(bulk_load, text, "long") == want
+        assert outcome(io_load, text, "long") == want
 
     def test_numpy_only_date_forms_rejected(self):
         # numpy reads these as dates; date.fromisoformat does not
         for token in ["NaT", "2020-01", "2020", "today", "2020-01-05T00",
                       "0000-01-01", "10000-01-01"]:
             text = f"market,date,price\nA,2020-01-01,1\nA,{token},2\n"
-            assert outcome(bulk_load, text, "long") == \
+            assert outcome(io_load, text, "long") == \
                 ("error", f"<path>: line 3: bad date {token!r}")
 
     def test_basic_iso_date_is_the_date_not_a_year(self):
@@ -321,7 +327,7 @@ class TestBulkParserOracle:
         # reads it as 2020-01-05 where it accepts the basic format
         text = "date,A\n2020-01-04,1\n20200105,2\n"
         want = outcome(reference_load, text, "wide")
-        assert outcome(bulk_load, text, "wide") == want
+        assert outcome(io_load, text, "wide") == want
         if want[0] == "ok":
             assert want[1][0][1][1] == datetime.date(2020, 1, 5)
 
@@ -338,33 +344,33 @@ class TestBulkParserOracle:
         text = header + "\n" + "".join(
             f"2020-01-0{d},{','.join(['1'] * width)}\n" for d in (1, 2))
         assert outcome(reference_load, text, "wide") == ("error", want)
-        assert outcome(bulk_load, text, "wide") == ("error", want)
+        assert outcome(io_load, text, "wide") == ("error", want)
 
     def test_first_fault_in_file_order_wins(self):
         # a bad price on line 3 precedes a bad date on line 4 and the
         # wrong field count on line 5, whatever the check order
         text = ("date,A,B\n2020-01-01,1,2\n2020-01-02,1,-2\n"
                 "2020-13-01,1,2\n2020-01-04,1\n")
-        assert outcome(bulk_load, text, "wide") == \
+        assert outcome(io_load, text, "wide") == \
             ("error", "<path>: line 3: non-positive price '-2'")
 
     @pytest.mark.parametrize("last,want", [
-        ('2020-01-03,abc', "line 7: bad price 'abc'"),
-        ('2020-13-01,3', "line 7: bad date '2020-13-01'"),
-        ('2020-01-03', "line 7: expected 3 fields, got 2"),
-        ('2020-01-02,3', "line 7: duplicate date 2020-01-02 for market "
-                         "'B\\nInc'")],
+        ("{next},abc", "bad price 'abc'"),
+        ("2020-13-01,3", "bad date '2020-13-01'"),
+        ("{next}", "expected 3 fields, got 2"),
+        ("2020-01-02,3", "duplicate date 2020-01-02 for market 'B\\nInc'")],
         ids=["price", "date", "fields", "duplicate"])
-    @pytest.mark.parametrize("fields", [3, WHOLE_FILE])
-    def test_two_line_name_counts_both_lines(self, last, want, fields):
-        # each record's quoted name spans two lines, so the third record
-        # ends on line 7, not on line 4
-        text = ('market,date,price\n"B\nInc",2020-01-01,1\n'
-                '"B\nInc",2020-01-02,2\n"B\nInc",' + last + "\n")
-        want = ("error", "<path>: " + want)
+    @pytest.mark.parametrize("rows", [3, MANY_ROWS])
+    def test_two_line_name_counts_both_lines(self, last, want, rows):
+        # each record's quoted name spans two lines, so the record after
+        # `rows` good ones ends on line 1 + 2 * (rows + 1), not on line
+        # rows + 2
+        text = ('market,date,price\n'
+                + "".join(f'"B\nInc",{day(i)},1\n' for i in range(rows))
+                + '"B\nInc",' + last.format(next=day(rows)) + "\n")
+        want = ("error", f"<path>: line {3 + 2 * rows}: {want}")
         assert outcome(reference_load, text, "long") == want
-        with mock.patch.object(io, "_BLOCK_FIELDS", fields):
-            assert outcome(bulk_load, text, "long") == want
+        assert outcome(io_load, text, "long") == want
 
     @pytest.mark.parametrize("header,want", [
         ('date,"A\nB",C', "line 4: bad price 'x'"),
@@ -376,4 +382,4 @@ class TestBulkParserOracle:
         text = header + "\n2020-01-01,1,2\n2020-01-02,1,x\n"
         assert outcome(reference_load, text, "wide") == ("error",
                                                          "<path>: " + want)
-        assert outcome(bulk_load, text, "wide") == ("error", "<path>: " + want)
+        assert outcome(io_load, text, "wide") == ("error", "<path>: " + want)

@@ -4,16 +4,14 @@ tracemalloc counts every Python and numpy allocation, so a traced peak is
 deterministic for fixed inputs, unlike the resident set.  Each bound is
 the peak measured on Python 3.11 / numpy 2.4 plus the margin stated
 beside it; the formulations these bounds replaced peaked higher
-(bootstrap 6.58 MB; long load 4.53, then 2.35 MB; wide load 7.37, then
-4.61 MB; load and analyze 6.65 MB long, 10.13 MB wide).  numpy.ma is
-imported up front, so that no peak counts that one-off import.
+(bootstrap 6.58 MB; long load 4.53, 2.35, then 2.15 MB; wide load 7.37,
+4.61, then 4.09 MB; load and analyze 6.65 MB long, 10.13 MB wide).
 """
 
 import datetime
 import tracemalloc
 
 import numpy as np
-import numpy.ma  # noqa: F401  (numpy 2 imports it at the first np.unique)
 import pytest
 
 import latticemarket as lm
@@ -78,8 +76,8 @@ def write_prices(path, schema, markets, days):
 
 
 @pytest.mark.parametrize("schema, markets, days, bound", [
-    ("long", 10, 4000, 2.5),            # measured 2.15 MB, +16 %
-    ("wide", 20, 5000, 4.5)],           # measured 4.09 MB, +10 %
+    ("long", 10, 4000, 1.35),           # measured 1.15 MB, +18 %
+    ("wide", 20, 5000, 2.3)],           # measured 1.97 MB, +17 %
     ids=["long", "wide"])
 def test_load_price_csv_peak(tmp_path, schema, markets, days, bound):
     path = write_prices(tmp_path / "prices.csv", schema, markets, days)

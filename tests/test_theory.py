@@ -481,7 +481,7 @@ class TestQuadratureFailsClosed:
         with pytest.raises(QuadratureError, match="kappa=0.05"):
             lm.predicted_trend_return_correlation(m, 1.0)
         with pytest.raises(QuadratureError):
-            lm.predicted_trend_variance(m, 2.0, "tilde")
+            theory._quad_trend_variance(m, 2.0, "tilde")
 
     def test_end_terms_alone_raise(self):
         # kappa = 0.08: steps h and 2h agree to 1.4e-11, but the end terms
@@ -586,9 +586,9 @@ class TestAdjacentWindowCorrelation:
 
 
 def decimal_adjacent_and_tilde(model, horizon):
-    """-(1/T) [Delta(0) - 2 Delta(T) + Delta(2T)] and, for the exponential
-    regime, (tau/T)(1 - e^(-T/tau)) tau^(kappa-1), from the propagator's
-    definition in 50-digit decimal arithmetic."""
+    """-(1/T) [Delta(0) - 2 Delta(T) + Delta(2T)] and (2/T) (Delta(0) -
+    Delta(T)), from the propagator's definition in 50-digit decimal
+    arithmetic."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         tau, k, t = (decimal.Decimal(v) for v in (model.tau, model.kappa,
@@ -605,7 +605,7 @@ def decimal_adjacent_and_tilde(model, horizon):
             return (level - star ** k / 2) * (-(x - star) / tau).exp()
 
         adjacent = -(delta(0 * t) - 2 * delta(t) + delta(2 * t)) / t
-        tilde = tau / t * (1 - (-t / tau).exp()) * tau ** (k - 1)
+        tilde = 2 * (delta(0 * t) - delta(t)) / t
         return float(adjacent), float(tilde)
 
 
@@ -641,7 +641,8 @@ class TestNoCancellation:
         # every T = 2^e with 2T > t_star, up to 4 tau.  At kappa = 1 the
         # power law's t_star/2 cancels against the tail's first order
         # (about 2e-6 relative at t_star = 10, tau = 1e12): only the sign
-        # is held there
+        # of the correlation is held there.  The tilde variance, closed-form
+        # too, holds at every kappa
         t_star = {"10": 10.0, "tau/64": tau / 64.0, "tau/2": tau / 2.0}[knee]
         m = PropagatorModel(tau=tau, kappa=kappa, regime="matched",
                             t_star=t_star)
@@ -655,6 +656,9 @@ class TestNoCancellation:
                 exact = decimal_adjacent_and_tilde(m, horizon)[0]
                 assert got == pytest.approx(exact, rel=1e-12, abs=0.0), \
                     horizon
+            assert lm.predicted_trend_variance(m, horizon, "tilde") == \
+                pytest.approx(decimal_adjacent_and_tilde(m, horizon)[1],
+                              rel=1e-12, abs=0.0), horizon
 
     def test_matched_past_the_knee(self):
         # 2T > t_star: the tail enters at 2T, and the differences stay
