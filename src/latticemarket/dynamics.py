@@ -116,13 +116,18 @@ def _checkerboard(dims: int, side: int):
     first; nbrs[0] and nbrs[1], shape (2D, N/2), index the neighbours of
     each half in permuted order.  Cached per shape and shared, so never
     written; left writeable, as `take` is slower with a read-only index.
+    The tables are permuted from `_neighbor_table` one column at a time.
     """
     _check_even_side(side)
     n = side ** dims
-    coords = np.unravel_index(np.arange(n), (side,) * dims)
-    order = np.argsort(np.sum(coords, axis=0) % 2, kind="stable")
-    nbrs = np.argsort(order)[_neighbor_table(dims, side)[order]]
-    return order, nbrs.reshape(2, n // 2, 2 * dims).transpose(0, 2, 1).copy()
+    order = np.argsort(sum(np.unravel_index(np.arange(n), (side,) * dims)) % 2,
+                       kind="stable")
+    inverse = np.argsort(order)
+    table = _neighbor_table(dims, side)
+    nbrs = np.empty((2, 2 * dims, n // 2), np.int64)
+    for column in range(2 * dims):
+        nbrs[:, column] = inverse[table[order, column]].reshape(2, n // 2)
+    return order, nbrs
 
 
 def _flip_levels(u: np.ndarray, thresholds: np.ndarray,

@@ -229,11 +229,13 @@ def format_float(x) -> str:
 
 
 def write_csv(path, columns: list[str], rows, provenance: dict) -> None:
-    lines = ["# provenance: " + json.dumps(provenance, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """A provenance comment, the header, then one line per row.  rows may
+    be any iterable of rows, read once; each line is written to the file
+    as it is formatted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# provenance: " + json.dumps(provenance, sort_keys=True)
+                 + "\n" + ",".join(columns) + "\n")
+        fh.writelines(",".join(map(format_float, row)) + "\n" for row in rows)
 
 
 def _finite_or_null(obj):

@@ -15,22 +15,20 @@ forms differ by the configuration-independent constant N/4 when mu = 1.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 _MAX_SITES_BITS = 62  # reject L**D beyond int64 territory
 
 
-@functools.cache
 def _neighbor_table(dims: int, side: int) -> np.ndarray:
     """(N, 2D) int64 neighbour indices in row-major site order, periodic:
     column 2a is the +axis neighbour and 2a + 1 the -axis one, so the even
-    columns hold each link once.  Cached per shape, hence read-only."""
+    columns hold each link once.  Built one column at a time."""
     grid = np.arange(side ** dims, dtype=np.int64).reshape((side,) * dims)
-    table = np.stack([np.roll(grid, -step, axis=axis).ravel()
-                      for axis in range(dims) for step in (1, -1)], axis=1)
-    table.flags.writeable = False
+    table = np.empty((grid.size, 2 * dims), np.int64)
+    for axis in range(dims):
+        for column, step in ((2 * axis, 1), (2 * axis + 1, -1)):
+            table[:, column] = np.roll(grid, -step, axis=axis).ravel()
     return table
 
 

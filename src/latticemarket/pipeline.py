@@ -161,6 +161,18 @@ def _publish(out_dir, provenance: dict, files: dict) -> list[Path]:
 
 # -- simulate -------------------------------------------------------------
 
+# Values per column that a CSV row stream converts to Python at a time.
+_ROW_SLICE = 1 << 14
+
+
+def _rows(*columns: np.ndarray):
+    """The rows of equal-length 1-d arrays as tuples of Python scalars,
+    each column converted _ROW_SLICE values at a time."""
+    for start in range(0, len(columns[0]), _ROW_SLICE):
+        yield from zip(*(c[start:start + _ROW_SLICE].tolist()
+                         for c in columns))
+
+
 def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
     """Run the lattice simulation; write magnetization, returns, params."""
     config.validate()
@@ -175,13 +187,15 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
     # a frozen run has no return variance: fail before writing any file
     returns = dynamics.magnetization_to_returns(series)
     n_sites = config.side ** config.dims
+    m = series.values
+    sweep = np.arange(1, m.size + 1) * params.thin + params.burn_in
     prov = io.make_provenance(config.seed,
                               inputs={"config": _config_hash(config)})
     return _publish(out_dir, prov, {
-        "magnetization.csv": (["sweep", "M", "price"], [
-            (params.burn_in + (i + 1) * params.thin, m,
-             1.0 + 2.0 * m / n_sites) for i, m in enumerate(series.values)]),
-        "returns.csv": (["t", "R"], list(enumerate(returns.values))),
+        "magnetization.csv": (["sweep", "M", "price"],
+                              _rows(sweep, m, 1.0 + 2.0 * m / n_sites)),
+        "returns.csv": (["t", "R"],
+                        _rows(np.arange(returns.values.size), returns.values)),
         "params.json": {"params": dataclasses.asdict(params),
                         "n_sites": n_sites,
                         "returns_mu": returns.mu,

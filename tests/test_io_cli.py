@@ -146,6 +146,13 @@ class TestProvenanceOutput:
         _, rows = read_output_csv(path)
         assert float(rows[0][0]) == value
 
+    def test_empty_rows_write_the_two_header_lines(self, tmp_path):
+        path = tmp_path / "out.csv"
+        prov = io.make_provenance(3)
+        io.write_csv(path, ["t", "R"], iter(()), prov)
+        assert path.read_text(encoding="utf-8") == (
+            "# provenance: " + json.dumps(prov, sort_keys=True) + "\nt,R\n")
+
     def test_json_writes_non_finite_floats_as_null(self, tmp_path):
         path = tmp_path / "out.json"
         io.write_json(path, {"a": math.nan, "b": [np.float64(math.inf)],
@@ -183,6 +190,38 @@ class TestSimulateCommand:
         assert cli.main(args + ["--out", str(out_b)]) == 0
         for name in ("magnetization.csv", "returns.csv", "params.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (["--side", "8", "--sweeps", "300", "--burn-in", "50"], 250),
+        # (301 - 20) % 3 = 2 sweeps past the last recorded one
+        (["--side", "8", "--sweeps", "301", "--burn-in", "20", "--thin", "3"],
+         93),
+        # past two 2^14-value slices of the streamed rows
+        (["--dims", "1", "--side", "8", "--sweeps", "40000"], 38000)],
+        ids=["thin-1", "thin-3-ragged", "row-slices"])
+    def test_csv_bytes_match_rows_built_one_at_a_time(self, tmp_path, argv,
+                                                      recorded):
+        out = tmp_path / "run"
+        assert cli.main(["simulate", *argv, "--temperature", "0.35",
+                         "--seed", "4", "--out", str(out)]) == 0
+        params = lm.SimulationParams(**json.loads(
+            (out / "params.json").read_text())["params"])
+        series = lm.run_simulation(params)
+        n_sites = params.side ** params.dims
+        files = {
+            "magnetization.csv": ("sweep,M,price", [
+                (params.burn_in + (i + 1) * params.thin, m,
+                 1.0 + 2.0 * m / n_sites)
+                for i, m in enumerate(series.values)]),
+            "returns.csv": ("t,R", list(enumerate(
+                lm.magnetization_to_returns(series).values)))}
+        for name, (header, rows) in files.items():
+            provenance, text = (out / name).read_bytes().split(b"\n", 1)
+            assert provenance.startswith(b"# provenance: ")
+            assert text == (header + "\n" + "".join(
+                ",".join(map(io.format_float, row)) + "\n"
+                for row in rows)).encode()
+        assert len(series.values) == recorded
 
     def test_invalid_sweeps_exit_code(self, tmp_path):
         code = cli.main(["simulate", "--sweeps", "0",

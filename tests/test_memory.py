@@ -1,11 +1,14 @@
-"""Bounds on the memory the analyze path allocates while it runs.
+"""Bounds on the memory the analyze and simulate paths allocate while
+they run.
 
 tracemalloc counts every Python and numpy allocation, so a traced peak is
 deterministic for fixed inputs, unlike the resident set.  Each bound is
 the peak measured on Python 3.11 / numpy 2.4 plus the margin stated
 beside it; the formulations these bounds replaced peaked higher
 (bootstrap 6.58 MB; long load 4.53, 2.35, then 2.15 MB; wide load 7.37,
-4.61, then 4.09 MB; load and analyze 6.65 MB long, 10.13 MB wide).
+4.61, then 4.09 MB; load and analyze 6.65 MB long, 10.13 MB wide; CSV
+write 29.5 MB; simulate 414 B per recorded sweep; cold checkerboard
+tables 2.00 MB).
 """
 
 import datetime
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 import latticemarket as lm
-from latticemarket import io, pipeline
+from latticemarket import dynamics, io, pipeline
 
 MB = 2 ** 20
 
@@ -100,3 +103,33 @@ def test_load_and_analyze_peak(tmp_path, schema, markets, days, estimator,
     # analyze_price_table holds the only reference to it
     assert traced_peak_mb(lambda: pipeline.analyze_price_table(
         io.load_price_csv(path, schema), config)) < bound
+
+
+def test_write_csv_streams_its_rows(tmp_path):
+    # 200 000 rows from a generator, written as they are formatted
+    rows = ((i, 0.1 * i, 1.0 + i / 3.0) for i in range(200_000))
+    assert traced_peak_mb(io.write_csv, tmp_path / "out.csv",
+                          ["sweep", "M", "price"], rows,
+                          io.make_provenance(0)) < 1.0   # measured 0.04 MB
+
+
+def test_simulate_memory_per_recorded_sweep(tmp_path):
+    def peak(sweeps):
+        config = pipeline.PipelineConfig(dims=2, side=8, sweeps=sweeps,
+                                         burn_in=0, seed=1)
+        return traced_peak_mb(pipeline.cmd_simulate, config,
+                              tmp_path / str(sweeps))
+
+    peak(2000)      # first-call caches and imports
+    per_sweep = (peak(200_000) - peak(20_000)) * MB / 180_000
+    # measured 109 B, +47 %: the recorded M, the returns and the
+    # autocorrelation's FFT arrays; the CSV rows are converted and
+    # written a slice at a time
+    assert per_sweep < 160
+
+
+def test_cold_checkerboard_peak():
+    # measured 1.50 MB, +17 %: the (N, 2D) neighbour table, the
+    # (2, 2D, N/2) result and one column's index arrays
+    dynamics._checkerboard.cache_clear()
+    assert traced_peak_mb(dynamics._checkerboard, 2, 128) < 1.75
