@@ -47,8 +47,9 @@ def _records(reader):
             if record and not record[0].lstrip().startswith("#"))
 
 
-def _order_fault(line: int, name: str, day: int, days: array) -> str:
-    """The fault of a day that is not after the last of a market's days."""
+def _order_fault(reader, name: str, day: int, days: array) -> str:
+    """The fault of a day not after a market's last, at the reader's line."""
+    line = reader.line_num
     date, last = (datetime.date.fromordinal(d + _EPOCH).isoformat()
                   for d in (day, days[-1]))
     if day in days:
@@ -103,54 +104,71 @@ def load_price_csv(path, schema: str = "long") -> PriceTable:
             names = list(map(str.strip, header[1:]))
             for column, name in enumerate(names, 2):
                 if not name or name in names[:column - 2]:
-                    fault = (f"duplicate market {name!r}" if name
-                             else "empty market name")
+                    what = (f"duplicate market {name!r}" if name
+                            else "empty market name")
                     raise ValueError(
-                        f"line {header_no}: {fault} in column {column}")
+                        f"line {header_no}: {what} in column {column}")
             columns = [(array("q"), array("d")) for _ in names]
             unstarted = list(zip(names, columns))
         width = 3 if long else len(header)
         known: dict[str, int] = {}      # date token: day
         faults: dict[str, str] = {}     # market: its first date-order fault
-        top = -math.inf                 # the latest day of any earlier row
-        for line, row in records:
+        inf = math.inf
+        top = -inf                      # the latest day of any earlier row
+        token = None                    # the previous long row's raw name
+        def fault(text: str) -> ValueError:     # at the current record
+            return ValueError(f"line {reader.line_num}: {text}")
+        for row in reader:
+            if not row or "#" in row[0] and row[0].lstrip().startswith("#"):
+                continue
             if len(row) != width:
-                raise ValueError(
-                    f"line {line}: expected {width} fields, got {len(row)}")
+                raise fault(f"expected {width} fields, got {len(row)}")
             if long:
-                name = row[0].strip()
-                if not name:
-                    raise ValueError(f"line {line}: empty market name")
-                if name not in markets:
-                    markets[name] = (array("q"), array("d"))
-                date, cells = row[1], ((name, markets[name], row[2]),)
+                raw, date, cell = row
+                if raw != token:        # a long file repeats its names
+                    name = raw.strip()
+                    if not name:
+                        raise fault("empty market name")
+                    if name not in markets:
+                        markets[name] = (array("q"), array("d"))
+                    days, prices = markets[name]
+                    token = raw
             else:
-                date, cells = row[0], zip(names, columns, row[1:])
+                date = row[0]
             day = known.get(date)
             if day is None:
                 try:
                     day = known[date] = (datetime.date.fromisoformat(
                         date.strip()).toordinal() - _EPOCH)
                 except ValueError:
-                    raise ValueError(f"line {line}: bad date {date!r}") \
-                        from None
+                    raise fault(f"bad date {date!r}") from None
             late = day <= top           # a market may hold this day already
-            top = max(top, day)
-            for name, (days, prices), token in cells:
-                if long or token.strip():
-                    try:
-                        price = float(token)
-                    except ValueError:
-                        raise ValueError(
-                            f"line {line}: bad price {token!r}") from None
-                    if not 0.0 < price < math.inf:
-                        raise ValueError(
-                            f"line {line}: non-positive price {token!r}")
-                    if late and days and day <= days[-1] \
-                            and name not in faults:
-                        faults[name] = _order_fault(line, name, day, days)
-                    days.append(day)
-                    prices.append(price)
+            top = top if late else day
+            if long:        # its one price, as each wide cell below
+                try:
+                    price = float(cell)
+                except ValueError:
+                    raise fault(f"bad price {cell!r}") from None
+                if not 0.0 < price < inf:
+                    raise fault(f"non-positive price {cell!r}")
+                if late and days and day <= days[-1] and name not in faults:
+                    faults[name] = _order_fault(reader, name, day, days)
+                days.append(day)
+                prices.append(price)
+                continue
+            for name, (days, prices), cell in zip(names, columns, row[1:]):
+                if not cell.strip():
+                    continue
+                try:
+                    price = float(cell)
+                except ValueError:
+                    raise fault(f"bad price {cell!r}") from None
+                if not 0.0 < price < inf:
+                    raise fault(f"non-positive price {cell!r}")
+                if late and days and day <= days[-1] and name not in faults:
+                    faults[name] = _order_fault(reader, name, day, days)
+                days.append(day)
+                prices.append(price)
             if unstarted:       # wide markets enter at their first price
                 markets.update((n, a) for n, a in unstarted if a[0])
                 unstarted = [(n, a) for n, a in unstarted if not a[0]]
@@ -228,14 +246,33 @@ def format_float(x) -> str:
     return str(x)
 
 
-def write_csv(path, columns: list[str], rows, provenance: dict) -> None:
-    """A provenance comment, the header, then one line per row.  rows may
-    be any iterable of rows, read once; each line is written to the file
-    as it is formatted."""
+_CSV_SLICE = 1 << 10        # rows converted and written at a time
+
+
+def _cells(column, a: int, b: int):
+    """format_float of each of column[a:b], a numpy column's through its
+    Python scalars, whose repr (floats) or str is the same text."""
+    if isinstance(column, np.ndarray):
+        return map(repr if column.dtype.kind == "f" else str,
+                   column[a:b].tolist())
+    return map(format_float, column[a:b])
+
+
+def write_csv(path, header: list[str], columns, provenance: dict) -> None:
+    """A provenance comment, the header, then one line per row of the
+    columns (arrays or other sequences), _CSV_SLICE rows at a time; columns
+    that do not match the header or each other raise before any write."""
+    n_rows = {len(column) for column in columns}
+    if len(columns) != len(header) or len(n_rows) > 1:
+        raise ValueError(f"{path}: columns do not match the header or "
+                         "each other")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# provenance: " + json.dumps(provenance, sort_keys=True)
-                 + "\n" + ",".join(columns) + "\n")
-        fh.writelines(",".join(map(format_float, row)) + "\n" for row in rows)
+                 + "\n" + ",".join(header) + "\n")
+        for a in range(0, max(n_rows, default=0), _CSV_SLICE):
+            b = a + _CSV_SLICE
+            fh.write("\n".join(map(",".join, zip(*(
+                _cells(column, a, b) for column in columns)))) + "\n")
 
 
 def _finite_or_null(obj):

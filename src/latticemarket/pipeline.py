@@ -121,15 +121,15 @@ def _config_hash(config: PipelineConfig) -> str:
     return io.sha256_of_text(json.dumps(config.as_dict(), sort_keys=True))
 
 
-def _table(records: list[dict], columns: list[str]) -> tuple:
-    """(columns, rows) of a CSV whose columns are keys of the records."""
-    return columns, [tuple(r[c] for c in columns) for r in records]
+def _table(records: list[dict], header: list[str]) -> tuple:
+    """(header, columns) of a CSV whose columns are keys of the records."""
+    return header, [[r[name] for r in records] for name in header]
 
 
 def _publish(out_dir, provenance: dict, files: dict) -> list[Path]:
     """Write every output file into out_dir, or none of them.
 
-    files maps a name to (columns, rows) for a .csv and to a payload for
+    files maps a name to (header, columns) for a .csv and to a payload for
     a .json.  All are written into a staging directory in the nearest
     existing ancestor of out_dir, which with its missing parents is made
     only after the last write, and then moved in; so a failed write leaves
@@ -161,18 +161,6 @@ def _publish(out_dir, provenance: dict, files: dict) -> list[Path]:
 
 # -- simulate -------------------------------------------------------------
 
-# Values per column that a CSV row stream converts to Python at a time.
-_ROW_SLICE = 1 << 14
-
-
-def _rows(*columns: np.ndarray):
-    """The rows of equal-length 1-d arrays as tuples of Python scalars,
-    each column converted _ROW_SLICE values at a time."""
-    for start in range(0, len(columns[0]), _ROW_SLICE):
-        yield from zip(*(c[start:start + _ROW_SLICE].tolist()
-                         for c in columns))
-
-
 def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
     """Run the lattice simulation; write magnetization, returns, params."""
     config.validate()
@@ -193,9 +181,9 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
                               inputs={"config": _config_hash(config)})
     return _publish(out_dir, prov, {
         "magnetization.csv": (["sweep", "M", "price"],
-                              _rows(sweep, m, 1.0 + 2.0 * m / n_sites)),
+                              [sweep, m, 1.0 + 2.0 * m / n_sites]),
         "returns.csv": (["t", "R"],
-                        _rows(np.arange(returns.values.size), returns.values)),
+                        [np.arange(returns.values.size), returns.values]),
         "params.json": {"params": dataclasses.asdict(params),
                         "n_sites": n_sites,
                         "returns_mu": returns.mu,
@@ -262,13 +250,13 @@ def cmd_predict(config: PipelineConfig, out_dir) -> list[Path]:
         dim = theory.dimension_for_kappa(model.kappa)
     except ValueError:
         dim = None
+    header = ["k", "T", "return_autocorrelation", "trend_return_correlation",
+              "variance_phi", "variance_tilde", "adjacent_window_correlation"]
     return _publish(out_dir, prov, {
-        "predictions.csv": (["k", "T", "return_autocorrelation",
-                             "trend_return_correlation", "variance_phi",
-                             "variance_tilde", "adjacent_window_correlation"],
-                            rows),
+        # no row left: the header's width of empty columns
+        "predictions.csv": (header, list(zip(*rows)) or [()] * len(header)),
         "hurst.csv": (["dimension", "kappa", "hurst"],
-                      [(dim if dim is not None else "", model.kappa, hurst)]),
+                      [["" if dim is None else dim], [model.kappa], [hurst]]),
         "params.json": {"config": config.as_dict(), "kappa": model.kappa,
                         "hurst": hurst, "dimension": dim,
                         "horizons_dropped": dropped},
@@ -557,11 +545,11 @@ def cmd_analyze(config: PipelineConfig, price_path, out_dir,
                               ["q", "k", "T", "M_q"]),
         "coefficient_table.csv": (
             ["Coefficient", "Value", "Error", "t-statistic"],
-            [("a", reg["a"], reg["se_a"], reg["t_a"]),
-             ("b", reg["b"], reg["se_b"], reg["t_b"]),
-             ("c", reg["c"], reg["se_c"], reg["t_c"]),
-             ("R2", reg["r_squared"], "", ""),
-             ("R2_adj_cv", reg["r_squared_cv"], "", "")]),
+            [["a", "b", "c", "R2", "R2_adj_cv"],
+             [reg["a"], reg["b"], reg["c"], reg["r_squared"],
+              reg["r_squared_cv"]],
+             [reg["se_a"], reg["se_b"], reg["se_c"], "", ""],
+             [reg["t_a"], reg["t_b"], reg["t_c"], "", ""]]),
     })
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import latticemarket as lm
 from latticemarket import cli, io, pipeline
@@ -132,7 +133,7 @@ class TestProvenanceOutput:
     def test_csv_header_carries_provenance(self, tmp_path):
         path = tmp_path / "out.csv"
         prov = io.make_provenance(7, inputs={"x": "abc"})
-        io.write_csv(path, ["a", "b"], [(1, 2.5)], prov)
+        io.write_csv(path, ["a", "b"], [[1], [2.5]], prov)
         first = path.read_text().splitlines()[0]
         assert first.startswith("# provenance: ")
         payload = json.loads(first.split(": ", 1)[1])
@@ -142,14 +143,14 @@ class TestProvenanceOutput:
     def test_float_rendering_roundtrips(self, tmp_path):
         path = tmp_path / "out.csv"
         value = 0.1 + 0.2
-        io.write_csv(path, ["v"], [(value,)], io.make_provenance(0))
+        io.write_csv(path, ["v"], [[value]], io.make_provenance(0))
         _, rows = read_output_csv(path)
         assert float(rows[0][0]) == value
 
     def test_empty_rows_write_the_two_header_lines(self, tmp_path):
         path = tmp_path / "out.csv"
         prov = io.make_provenance(3)
-        io.write_csv(path, ["t", "R"], iter(()), prov)
+        io.write_csv(path, ["t", "R"], [np.arange(0), np.zeros(0)], prov)
         assert path.read_text(encoding="utf-8") == (
             "# provenance: " + json.dumps(prov, sort_keys=True) + "\nt,R\n")
 
@@ -161,6 +162,84 @@ class TestProvenanceOutput:
         doc = strict_json(path.read_text())
         assert doc["a"] is None and doc["b"] == [None]
         assert doc["c"] == {"d": [None, 1.5]}
+
+
+def csv_body(rows) -> bytes:
+    """The data lines of write_csv, built one row at a time."""
+    return "".join(",".join(map(io.format_float, row)) + "\n"
+                   for row in rows).encode()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                  2.2250738585072014e-308, 1e300, -1e300, 0.1 + 0.2]
+
+
+@st.composite
+def columns_of(draw):
+    """Equal-length columns of write_csv's kinds: float64 (specials and
+    subnormals among them), float32, int64 and bool arrays, and lists of
+    str, empty and np.float64 cells."""
+    n = draw(st.integers(0, 30))
+
+    def cells(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    kinds = {
+        "float64": lambda: np.array(cells(floats), dtype=np.float64),
+        "float32": lambda: np.array(cells(st.floats(width=32)),
+                                    dtype=np.float32),
+        "int64": lambda: np.array(cells(st.integers(-2 ** 63, 2 ** 63 - 1)),
+                                  dtype=np.int64),
+        "bool": lambda: np.array(cells(st.booleans()), dtype=bool),
+        "list": lambda: cells(st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",))),
+            st.just(""), floats.map(np.float64), st.integers())),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                          max_size=5))
+    return [kinds[name]() for name in names]
+
+
+class TestWriteCsvColumns:
+    """write_csv against the row-major reference: format_float of each
+    cell of each row, joined by commas."""
+
+    # each example overwrites the one file in tmp_path
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=columns_of())
+    def test_lines_match_the_row_reference(self, tmp_path, columns):
+        path = tmp_path / "out.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        io.write_csv(path, header, columns, io.make_provenance(0))
+        _, head, body = path.read_bytes().split(b"\n", 2)
+        assert head == ",".join(header).encode()
+        assert body == csv_body(zip(*columns))
+
+    @pytest.mark.parametrize("n", [0, 1, 2 ** 10 - 1, 2 ** 10, 2 ** 10 + 1])
+    def test_row_counts_around_the_slice(self, tmp_path, n):
+        path = tmp_path / "out.csv"
+        columns = [np.arange(n) * 3 + 7, np.arange(n) / 7.0,
+                   [f"r{i}" for i in range(n)]]
+        io.write_csv(path, ["sweep", "M", "name"], columns,
+                     io.make_provenance(0))
+        _, _, body = path.read_bytes().split(b"\n", 2)
+        assert body == csv_body(zip(*columns))
+        assert body.count(b"\n") == n
+
+    @pytest.mark.parametrize("header, columns", [
+        (["a", "b"], [[1], [2], [3]]),
+        (["a", "b", "c"], [[1], [2]]),
+        (["a", "b"], [np.arange(3), np.arange(2)]),
+        (["a", "b"], [[], [1.5]])],
+        ids=["more-columns", "fewer-columns", "long-short", "empty-one"])
+    def test_mismatch_raises_before_the_file_is_opened(self, tmp_path,
+                                                       header, columns):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="do not match"):
+            io.write_csv(path, header, columns, io.make_provenance(0))
+        assert not path.exists()
+
 
 class TestSimulateCommand:
     def test_outputs_and_price_identity(self, tmp_path):
@@ -300,8 +379,10 @@ class TestSimulateCommand:
 
 
 def _variance_csv(path):
-    rows = [(k, (2.0 ** k) ** (0.9 - 1.0)) for k in range(1, 11)]
-    io.write_csv(path, ["k", "variance"], rows, io.make_provenance(0))
+    ks = list(range(1, 11))
+    io.write_csv(path, ["k", "variance"],
+                 [ks, [(2.0 ** k) ** (0.9 - 1.0) for k in ks]],
+                 io.make_provenance(0))
     return path
 
 
@@ -403,6 +484,17 @@ class TestPredictCommand:
             "scaling-regime variances require T <= tau/4 (T=64.0, tau=64.0)",
             "scaling regime requires t <= tau = 64.0",
             "scaling regime requires t <= tau = 64.0"]
+
+    def test_every_horizon_dropped_writes_the_header_alone(self, tmp_path):
+        out = tmp_path / "pred"
+        assert cli.main(["predict", "--tau", "64", "--predict-horizons",
+                         "7,8", "--out", str(out)]) == 0
+        provenance, rest = (out / "predictions.csv").read_bytes().split(
+            b"\n", 1)
+        assert provenance == (out / "hurst.csv").read_bytes().split(b"\n")[0]
+        assert rest == (b"k,T,return_autocorrelation,trend_return_correlation,"
+                        b"variance_phi,variance_tilde,"
+                        b"adjacent_window_correlation\n")
 
     @pytest.mark.parametrize("ks,fault", [
         ("3,3,4", "predict_horizons must not repeat"),
@@ -691,9 +783,11 @@ class TestAnalyzeCommand:
 
 class TestFitKappaCommand:
     def test_exact_power_law_input(self, tmp_path):
-        rows = [(k, (2.0 ** k) ** (0.96 - 1.0)) for k in range(1, 11)]
+        ks = list(range(1, 11))
         var_csv = tmp_path / "var.csv"
-        io.write_csv(var_csv, ["k", "variance"], rows, io.make_provenance(0))
+        io.write_csv(var_csv, ["k", "variance"],
+                     [ks, [(2.0 ** k) ** (0.96 - 1.0) for k in ks]],
+                     io.make_provenance(0))
         out = tmp_path / "fit"
         assert cli.main(["fit-kappa", str(var_csv), "--out", str(out)]) == 0
         result = json.loads((out / "kappa_fit.json").read_text())
@@ -713,13 +807,12 @@ class TestFitKappaCommand:
         from latticemarket.theory import PropagatorModel
         model = PropagatorModel(tau=2 ** 12, kappa=0.9, regime="scaling")
         path = lm.gaussian_process_from_propagator(model, 2 ** 15, seed=21)
-        rows = []
-        for k in range(1, 9):
-            horizon = 2 ** k
-            diffs = path[horizon:] - path[:-horizon]
-            rows.append((k, float(np.mean(diffs ** 2) / horizon)))
+        ks = list(range(1, 9))
+        variances = [float(np.mean((path[2 ** k:] - path[:-2 ** k]) ** 2)
+                           / 2 ** k) for k in ks]
         var_csv = tmp_path / "var.csv"
-        io.write_csv(var_csv, ["k", "variance"], rows, io.make_provenance(0))
+        io.write_csv(var_csv, ["k", "variance"], [ks, variances],
+                     io.make_provenance(0))
         out = tmp_path / "fit"
         assert cli.main(["fit-kappa", str(var_csv), "--out", str(out)]) == 0
         result = json.loads((out / "kappa_fit.json").read_text())

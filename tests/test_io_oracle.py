@@ -383,3 +383,45 @@ class TestBulkParserOracle:
         assert outcome(reference_load, text, "wide") == ("error",
                                                          "<path>: " + want)
         assert outcome(io_load, text, "wide") == ("error", "<path>: " + want)
+
+
+class TestLongRowShortcuts:
+    """The long loader strips and looks up a market name only when the raw
+    name token changes, and tests a first field for '#' before it strips
+    it: each shortcut against the reference."""
+
+    def test_interleaved_padded_names(self):
+        # the raw token changes on every row while the name repeats
+        tokens = ["A", "B", " A", "B", "A ", " B "]
+        text = "market,date,price\n" + "".join(
+            f"{t},{day(i // 2)},{i + 1}\n" for i, t in enumerate(tokens))
+        text += f"A,{day(3)},7\nA,{day(4)},8\n"
+        want = outcome(reference_load, text, "long")
+        assert outcome(io_load, text, "long") == want
+        assert [(name, prices) for name, _, prices in want[1]] == [
+            ("A", [1.0, 3.0, 5.0, 7.0, 8.0]), ("B", [2.0, 4.0, 6.0])]
+
+    def test_interleaved_padded_name_repeats_a_date(self):
+        text = ("market,date,price\nA,2020-01-01,1\nB,2020-01-01,2\n"
+                " A,2020-01-02,3\nB,2020-01-02,4\nA ,2020-01-02,5\n")
+        want = ("error", "<path>: line 6: duplicate date 2020-01-02"
+                " for market 'A'")
+        assert outcome(reference_load, text, "long") == want
+        assert outcome(io_load, text, "long") == want
+
+    @pytest.mark.parametrize("first, want", [
+        ("A#1", ["A#1", "B"]),          # a '#' past the start is data
+        ("  # x", ["B"])],              # a padded '#' opens a comment
+        ids=["hash-in-name", "padded-comment"])
+    def test_hash_in_the_first_field(self, first, want):
+        text = (f"market,date,price\n{first},2020-01-01,1\n"
+                f"{first},2020-01-02,2\nB,2020-01-01,3\nB,2020-01-02,4\n")
+        got = outcome(io_load, text, "long")
+        assert got == outcome(reference_load, text, "long")
+        assert [name for name, _, _ in got[1]] == want
+
+    def test_empty_name_reported_before_bad_date(self):
+        text = "market,date,price\nA,2020-01-01,1\n  ,2020-13-01,2\n"
+        want = ("error", "<path>: line 3: empty market name")
+        assert outcome(reference_load, text, "long") == want
+        assert outcome(io_load, text, "long") == want
