@@ -177,8 +177,10 @@ SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
 @st.composite
 def columns_of(draw):
     """Equal-length columns of write_csv's kinds: float64 (specials and
-    subnormals among them), float32, int64 and bool arrays, and lists of
-    str, empty and np.float64 cells."""
+    subnormals among them), float32, int64 and bool arrays, lists of str,
+    empty and np.float64 cells, and arrays that format_float must format
+    cell by cell: datetime64 (NaT among them) and object arrays of
+    np.float32, str and int cells."""
     n = draw(st.integers(0, 30))
 
     def cells(elements):
@@ -194,6 +196,12 @@ def columns_of(draw):
         "list": lambda: cells(st.one_of(
             st.text(st.characters(blacklist_categories=("Cs",))),
             st.just(""), floats.map(np.float64), st.integers())),
+        "datetime64": lambda: np.array(
+            cells(st.integers(-2 ** 63, 2 ** 63 - 1)),
+            dtype=np.int64).view("datetime64[ns]"),
+        "object": lambda: np.array(cells(st.one_of(
+            st.floats(width=32).map(np.float32), st.text(max_size=3),
+            st.integers())) + [None], dtype=object)[:-1],
     }
     names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
                           max_size=5))

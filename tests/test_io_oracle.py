@@ -386,12 +386,12 @@ class TestBulkParserOracle:
 
 
 class TestLongRowShortcuts:
-    """The long loader strips and looks up a market name only when the raw
-    name token changes, and tests a first field for '#' before it strips
-    it: each shortcut against the reference."""
+    """The long loader's flattened per-row work against the reference:
+    padded names of markets that interleave by day, a first field tested
+    for '#' before it is stripped, and the check order of a row."""
 
     def test_interleaved_padded_names(self):
-        # the raw token changes on every row while the name repeats
+        # the raw token changes on every row; each name recurs
         tokens = ["A", "B", " A", "B", "A ", " B "]
         text = "market,date,price\n" + "".join(
             f"{t},{day(i // 2)},{i + 1}\n" for i, t in enumerate(tokens))
