@@ -30,7 +30,6 @@ from .theory import (
     CriticalExponents,
     PropagatorModel,
     DomainError,
-    QuadratureError,
     PUBLISHED_EXPONENT_TABLE,
     critical_exponent_table,
     exponents_for_dimension,

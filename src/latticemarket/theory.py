@@ -18,7 +18,10 @@ prediction descends from Delta:
 
 An explicitly heuristic "matched" regime glues the power law to a
 rescaled exponential tail at a chosen t*; it exists for exploration and
-is labeled non-canonical wherever it surfaces.
+is labeled non-canonical wherever it surfaces.  Every prediction is in
+closed form in all three regimes: the matched Laplace integrals split at
+t* into a lower incomplete gamma function and an elementary exponential
+tail, so no integral is evaluated numerically.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +37,6 @@ import numpy as np
 
 class DomainError(ValueError):
     """Raised when an evaluation leaves its regime's domain of validity."""
-
-
-class QuadratureError(ValueError):
-    """Raised when the double-exponential rule does not resolve an integral."""
 
 
 # Literature estimates of the critical exponents for the scalar
@@ -232,28 +232,6 @@ def propagator(model: PropagatorModel, t: float) -> float:
         -(at - model.t_star) / model.tau)
 
 
-def _derivatives(model: PropagatorModel, t):
-    """(Delta'(t), Delta''(t)) for t > 0, elementwise, with no domain check.
-
-    t is a float or an array.  The scaling power law is used past tau as
-    well; the quadratures below integrate it over (0, inf).
-    """
-    k = model.kappa
-    tau = model.tau
-    if model.regime == "exponential":
-        e = np.exp(-t / tau)
-        return (-0.5 * tau ** (k - 1.0) * e, 0.5 * tau ** (k - 2.0) * e)
-    first = -0.5 * k * t ** (k - 1.0)
-    second = 0.5 * k * (1.0 - k) * t ** (k - 2.0)
-    if model.regime == "matched":
-        tail = t > model.t_star
-        d = _delta_scaling(model, model.t_star) * np.exp(
-            -(t - model.t_star) / tau)
-        first = np.where(tail, -d / tau, first)
-        second = np.where(tail, d / tau ** 2, second)
-    return first, second
-
-
 def propagator_derivatives(model: PropagatorModel,
                            t: float) -> tuple[float, float]:
     """(Delta'(t), Delta''(t)) for t > 0.
@@ -262,13 +240,21 @@ def propagator_derivatives(model: PropagatorModel,
                   Delta'' = (kappa(1-kappa)/2) t^(kappa-2)
     exponential:  Delta' = -(1/2) tau^(kappa-1) e^(-t/tau)
                   Delta'' = (1/2) tau^(kappa-2) e^(-t/tau)
+    matched:      scaling up to t_star, then -Delta(t)/tau, Delta(t)/tau^2
     """
     if t <= 0:
         raise DomainError("derivatives are defined for t > 0")
-    if model.regime == "scaling" and t > model.tau:
-        raise DomainError(f"scaling regime requires t <= tau = {model.tau}")
-    first, second = _derivatives(model, float(t))
-    return float(first), float(second)
+    k, tau, t = model.kappa, model.tau, float(t)
+    if model.regime == "scaling" and t > tau:
+        raise DomainError(f"scaling regime requires t <= tau = {tau}")
+    if model.regime == "exponential":
+        e = float(np.exp(-t / tau))
+        return -0.5 * tau ** (k - 1.0) * e, 0.5 * tau ** (k - 2.0) * e
+    if model.regime == "matched" and t > model.t_star:
+        d = _delta_scaling(model, model.t_star) * float(
+            np.exp(-(t - model.t_star) / tau))
+        return -d / tau, d / tau ** 2
+    return -0.5 * k * t ** (k - 1.0), 0.5 * k * (1.0 - k) * t ** (k - 2.0)
 
 
 def predicted_return_autocorrelation(model: PropagatorModel,
@@ -281,79 +267,60 @@ def predicted_return_autocorrelation(model: PropagatorModel,
     return -propagator_derivatives(model, t)[1]
 
 
-# -- quadrature ------------------------------------------------------------
-# Every quadrature integrates the regime derivatives in analytic form
-# (_derivatives): the scaling power law is extended past tau (its
-# validity is a modeling statement, T << tau, enforced by the variance
-# domain checks; the integrals over (0, inf) converge because of the
-# e^(-w zeta) weight).  The phi variance
-#
-#     -2 w^3 Int_0^inf du e^(-w u) Int_0^u dv v Delta'(v)
-#   = -2 w^2 Int_0^inf dv v e^(-w v) Delta'(v)
-#
-# is the single Laplace integral on the right, by swapping the order of
-# integration.
+# -- matched-regime Laplace integrals ---------------------------------------
+# The matched Delta' and Delta'' are the power law up to t_star and
+# -Delta/tau and Delta/tau^2 past it, so each Laplace integral over
+# (0, inf) splits at t_star into a lower incomplete gamma function and an
+# elementary exponential tail.  Both pieces are non-negative: nothing
+# cancels.
 
-# Double-exponential nodes (Takahasi & Mori 1974): t = j h, |t| <= 5.25,
-# u = (pi/2) sinh t.  tanh-sinh maps (0, 1) by x = 1/(1 + e^(-2u)) and
-# exp-sinh maps (0, inf) by x = e^(2u); both put a node e^(-299) from the
-# finite end, which absorbs the t^(kappa-1) singularity at 0.
-_DE_H = 1.0 / 64.0
-_DE_T = np.arange(-336, 337) * _DE_H
-_DE_U = 0.5 * math.pi * np.sinh(_DE_T)
-_DE_DU = 0.5 * math.pi * np.cosh(_DE_T)
-_TANH_SINH = (1.0 / (1.0 + np.exp(-2.0 * _DE_U)),
-              _DE_DU / (2.0 * np.cosh(_DE_U) ** 2))
-_EXP_SINH = (np.exp(2.0 * _DE_U), 2.0 * _DE_DU * np.exp(2.0 * _DE_U))
-# At a t^(kappa-1) end the integral beyond the last node is about
-# 1/(4.7 kappa) times that node's term, hence the tighter end tolerance.
-_QUAD_RTOL = 1e-10
-_QUAD_END_RTOL = 1e-12
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
-def _quad(f, model: PropagatorModel, omega: float,
-          hi: float = math.inf) -> float:
-    """Integral of f (vectorized) over (0, hi), split at t_star if matched,
-    and also at 32/omega when that is below t_star.
+def _lower_gamma(s: float, x: float) -> float:
+    """gamma(s, x) = Int_0^x t^(s-1) e^(-t) dt for s > 0, x > 0.
 
-    f decays as e^(-omega z), so past 32/omega it keeps e^-32 of its
-    weight: one tanh-sinh rule spread over (0, t_star) with 1/omega much
-    smaller than t_star would put too few nodes where the weight is.
-    Finite pieces use tanh-sinh, a piece to infinity exp-sinh scaled by
-    the decay length 1/(omega + 1/tau).  Every other node gives the sum
-    at step 2h.  If it differs from the step-h sum by more than 1e-10 of
-    the integral, or an end term exceeds 1e-12 of it, the rule has not
-    resolved f and QuadratureError is raised.
+    Below x = s + 1 the series (DLMF 8.7.1)
+    x^s e^(-x) Sum_n x^n / (s (s+1) ... (s+n)) of positive terms; from
+    there Gamma(s) less the continued fraction (DLMF 8.9.2)
+    Gamma(s, x) = x^s e^(-x) / (x + 1 - s - 1 (1-s) / (x + 3 - s - ...)),
+    summed by the modified Lentz method (Numerical Recipes, section 6.2).
+    For s <= 2 that takes under 100 terms, and Gamma(s, x) is at most a
+    fifth of Gamma(s), so the difference loses no digits.
     """
-    knees = [model.t_star] if model.regime == "matched" else []
-    if knees and 32.0 / omega < model.t_star:
-        knees.insert(0, 32.0 / omega)
-    edges = [0.0] + [b for b in knees if b < hi] + [hi]
-    fine = coarse = ends = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if math.isinf(b):
-            width, (x, w) = 1.0 / (omega + 1.0 / model.tau), _EXP_SINH
-        else:
-            width, (x, w) = b - a, _TANH_SINH
-        terms = (width * _DE_H) * w * f(a + width * x)
-        fine += float(terms.sum())
-        coarse += 2.0 * float(terms[::2].sum())
-        ends = max(ends, abs(float(terms[0])), abs(float(terms[-1])))
-    scale = abs(fine)
-    if not (abs(fine - coarse) <= _QUAD_RTOL * scale
-            and ends <= _QUAD_END_RTOL * scale):
-        raise QuadratureError(
-            f"quadrature over (0, {hi}) did not converge for {model}: steps "
-            f"h and 2h give {fine!r} and {coarse!r}, end terms {ends:.3g}")
-    return fine
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        n = s
+        while term > _EPS * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        return total * x ** s * math.exp(-x)
+    b = x + 1.0 - s
+    c, d = 1.0 / _TINY, 1.0 / b
+    h = d
+    for i in range(1, 200):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) > _TINY else _TINY
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            # x^s e^(-x) as one exponential: x^s alone may overflow
+            return math.gamma(s) - h * math.exp(s * math.log(x) - x)
+    raise ArithmeticError(f"Gamma({s}, {x}): continued fraction unresolved")
 
 
-def _quad_trend_return_correlation(model: PropagatorModel,
-                                   omega: float) -> float:
-    """<phi_w R> by double-exponential quadrature (_quad)."""
-    return -2.0 * omega ** 1.5 * _quad(
-        lambda z: z * np.exp(-omega * z) * _derivatives(model, z)[1],
-        model, omega)
+def _matched_tail(model: PropagatorModel, omega: float) -> float:
+    """Int_t_star^inf z e^(-w z) Delta(z) dz
+    = Delta(t_star) e^(-w t_star) (t_star/a + 1/a^2), a = w + 1/tau."""
+    t_star = model.t_star
+    a = omega + 1.0 / model.tau
+    return _delta_scaling(model, t_star) * math.exp(-omega * t_star) \
+        * (t_star / a + 1.0 / (a * a))
 
 
 def predicted_trend_return_correlation(model: PropagatorModel,
@@ -365,9 +332,12 @@ def predicted_trend_return_correlation(model: PropagatorModel,
         scaling:      -2 w^(3/2) (kappa(1-kappa)/2) Gamma(kappa) w^(-kappa)
         exponential:  -2 w^(3/2) (tau^(kappa-2)/2) / (w + 1/tau)^2;
 
-    the matched regime is integrated by double-exponential quadrature
-    split at its knee (_quad: steps h and 2h agree to 1e-10 relative,
-    else QuadratureError).
+    the matched regime splits at t_star (gamma the lower incomplete
+    gamma function, tail = Int_t_star^inf z e^(-w z) Delta(z) dz, which
+    _matched_tail gives in closed form):
+
+        matched:      -2 w^(3/2) [(kappa(1-kappa)/2) gamma(kappa, w t_star)
+                      w^(-kappa) + tail / tau^2].
     """
     if omega <= 0:
         raise ValueError("omega must be > 0")
@@ -378,7 +348,9 @@ def predicted_trend_return_correlation(model: PropagatorModel,
     if model.regime == "exponential":
         return -2.0 * omega ** 1.5 * 0.5 * tau ** (k - 2.0) \
             / (omega + 1.0 / tau) ** 2
-    return _quad_trend_return_correlation(model, omega)
+    return -2.0 * omega ** 1.5 * (
+        0.5 * k * (1.0 - k) * _lower_gamma(k, omega * model.t_star)
+        * omega ** (-k) + _matched_tail(model, omega) / tau ** 2)
 
 
 def _check_variance_domain(model: PropagatorModel, horizon: float) -> None:
@@ -387,19 +359,6 @@ def _check_variance_domain(model: PropagatorModel, horizon: float) -> None:
     if model.regime == "scaling" and horizon > model.tau / 4.0:
         raise DomainError("scaling-regime variances require T <= tau/4 "
                           f"(T={horizon}, tau={model.tau})")
-
-
-def _quad_trend_variance(model: PropagatorModel, horizon: float,
-                         estimator: str) -> float:
-    """Trend variance by double-exponential quadrature (_quad)."""
-    omega = 2.0 / horizon
-    if estimator == "tilde":
-        # (2/T)(Delta(0) - Delta(T)) = -(2/T) Int_0^T Delta'(v) dv
-        return -2.0 / horizon * _quad(lambda v: _derivatives(model, v)[0],
-                                      model, omega, horizon)
-    return -2.0 * omega ** 2 * _quad(
-        lambda v: v * np.exp(-omega * v) * _derivatives(model, v)[0],
-        model, omega)
 
 
 def predicted_trend_variance(model: PropagatorModel, horizon: float,
@@ -417,12 +376,12 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
     regimes have closed forms (scaling: T^(kappa-1) for tilde and
     kappa Gamma(kappa+1) w^(1-kappa) for phi; exponential:
     -(tau/T) expm1(-T/tau) tau^(kappa-1) and w^2/(w + 1/tau)^2
-    tau^(kappa-1)).  The matched regime's tilde variance is (2/T) g(T) in
-    closed form, g as in predicted_adjacent_window_correlation; its phi
-    variance is integrated by double-exponential quadrature (_quad;
-    QuadratureError when it does not converge).  In the
-    scaling regime T <= tau/4 is enforced; beyond that the power law is
-    not a valid description and a DomainError is raised.
+    tau^(kappa-1)).  The matched regime's tilde variance is (2/T) g(T),
+    g as in predicted_adjacent_window_correlation; its phi variance splits
+    at t_star as in predicted_trend_return_correlation,
+    kappa gamma(kappa+1, w t_star) w^(1-kappa) + 2 w^2 tail / tau.
+    In the scaling regime T <= tau/4 is enforced; beyond that the power
+    law is not a valid description and a DomainError is raised.
     """
     _check_variance_domain(model, horizon)
     if estimator not in ("phi", "tilde"):
@@ -443,7 +402,11 @@ def predicted_trend_variance(model: PropagatorModel, horizon: float,
             return horizon ** (k - 1.0)
         return 2.0 / horizon * (0.5 * model.t_star ** k - _delta_scaling(
             model, model.t_star) * math.expm1(-(horizon - model.t_star) / tau))
-    return _quad_trend_variance(model, horizon, estimator)
+    # w^(1-kappa), not w^2 w^(-kappa-1): 1 - kappa is exact, -kappa - 1
+    # is rounded, and its error grows with |ln w|
+    return k * _lower_gamma(k + 1.0, omega * model.t_star) \
+        * omega ** (1.0 - k) \
+        + 2.0 * omega ** 2 * _matched_tail(model, omega) / tau
 
 
 def predicted_adjacent_window_correlation(model: PropagatorModel,

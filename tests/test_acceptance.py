@@ -9,6 +9,8 @@ import math
 import numpy as np
 
 import latticemarket as lm
+from de_quadrature import (_quad_trend_return_correlation,
+                           _quad_trend_variance)
 from latticemarket import dynamics, theory
 from latticemarket.theory import PUBLISHED_EXPONENT_TABLE, PropagatorModel
 
@@ -60,19 +62,21 @@ def test_criterion_3_closed_vs_quadrature():
     checks = 0
     for kappa in (0.6, 0.9, 0.97, 1.0):
         for tau in (2.0 ** 6, 2.0 ** 11):
-            for regime in ("scaling", "exponential"):
-                model = PropagatorModel(tau=tau, kappa=kappa, regime=regime)
+            for regime in ("scaling", "exponential", "matched"):
+                model = PropagatorModel(
+                    tau=tau, kappa=kappa, regime=regime,
+                    t_star=tau / 2.0 if regime == "matched" else None)
                 for k in range(1, 11):
                     horizon = 2.0 ** k
                     if regime == "scaling" and horizon > tau / 4.0:
                         continue
                     omega = 2.0 / horizon
                     quantities = [
-                        (theory._quad_trend_variance(model, horizon, "phi"),
+                        (_quad_trend_variance(model, horizon, "phi"),
                          lm.predicted_trend_variance(model, horizon, "phi")),
-                        (theory._quad_trend_variance(model, horizon, "tilde"),
+                        (_quad_trend_variance(model, horizon, "tilde"),
                          lm.predicted_trend_variance(model, horizon, "tilde")),
-                        (theory._quad_trend_return_correlation(model, omega),
+                        (_quad_trend_return_correlation(model, omega),
                          lm.predicted_trend_return_correlation(model, omega)),
                     ]
                     for quad, closed in quantities:

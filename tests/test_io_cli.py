@@ -525,8 +525,7 @@ class TestPredictCommand:
         assert not out.exists()
 
     def test_matched_far_past_tau(self, tmp_path):
-        # the matched tilde variance is closed-form: at T >> tau no
-        # quadrature over (t_star, T) is left to fail
+        # the matched variances are closed-form, so they hold at T >> tau
         out = tmp_path / "pred"
         assert cli.main(["predict", "--regime", "matched",
                          "--predict-horizons", "37,40,62",
@@ -554,8 +553,6 @@ class TestPredictCommand:
     @pytest.mark.parametrize("regime", ["scaling", "exponential"])
     def test_small_kappa_pure_regimes_use_closed_forms(self, tmp_path,
                                                        regime):
-        # the quadrature cannot resolve kappa = 0.05 (matched case below);
-        # the pure regimes never call it
         out = tmp_path / "pred"
         assert cli.main(["predict", "--kappa", "0.05", "--regime", regime,
                          "--out", str(out)]) == 0
@@ -563,16 +560,22 @@ class TestPredictCommand:
         assert len(rows) == 13
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
-    def test_unresolved_quadrature_exits_2_without_output(self, tmp_path,
-                                                          caplog):
-        # at kappa = 0.05 the t^(kappa-1) end singularity outlasts the
-        # quadrature's node range: fail closed rather than write a guess
-        out = tmp_path / "pred_quad"
-        with caplog.at_level("ERROR"):
-            assert cli.main(["predict", "--kappa", "0.05", "--regime",
-                             "matched", "--out", str(out)]) == 2
-        assert "QuadratureError" in caplog.text
-        assert not out.exists()
+    @pytest.mark.parametrize("kappa", ["0.05", "0.08"])
+    def test_small_kappa_matched_regime_runs(self, tmp_path, kappa):
+        # a t^(kappa-1) end singularity that a quadrature fails to resolve
+        # is a lower incomplete gamma function in closed form
+        outs = [tmp_path / "pred", tmp_path / "again"]
+        for out in outs:
+            assert cli.main(["predict", "--kappa", kappa, "--regime",
+                             "matched", "--out", str(out)]) == 0
+        header, rows = read_output_csv(outs[0] / "predictions.csv")
+        assert len(rows) == 13
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        col = header.index("trend_return_correlation")
+        assert all(float(row[col]) < 0.0 for row in rows)
+        for name in ("predictions.csv", "hurst.csv", "params.json"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes()
 
 
 class TestAnalyzeCommand:

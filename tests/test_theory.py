@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammainc
 
 import latticemarket as lm
+from de_quadrature import (QuadratureError, _quad,
+                           _quad_trend_return_correlation,
+                           _quad_trend_variance)
 from latticemarket import theory
 from latticemarket.theory import (
     DomainError,
     PUBLISHED_EXPONENT_TABLE,
     PropagatorModel,
-    QuadratureError,
     kappa_for_dimension,
 )
 
@@ -246,7 +248,7 @@ class TestTrendReturnCorrelation:
         m = PropagatorModel(tau=4096.0, kappa=kappa, regime="scaling")
         for horizon in (4.0, 64.0):
             omega = 2.0 / horizon
-            quad = theory._quad_trend_return_correlation(m, omega)
+            quad = _quad_trend_return_correlation(m, omega)
             closed = -2 * omega ** 1.5 * (kappa * (1 - kappa) / 2) \
                 * gamma_fn(kappa) * omega ** (-kappa)
             assert quad == pytest.approx(closed, rel=1e-6)
@@ -259,7 +261,7 @@ class TestTrendReturnCorrelation:
         m = PropagatorModel(tau=tau, kappa=kappa, regime="exponential")
         for horizon in (4.0, 256.0):
             omega = 2.0 / horizon
-            quad = theory._quad_trend_return_correlation(m, omega)
+            quad = _quad_trend_return_correlation(m, omega)
             closed = -2 * omega ** 1.5 * (tau ** (kappa - 2) / 2) \
                 / (omega + 1 / tau) ** 2
             assert quad == pytest.approx(closed, rel=1e-6)
@@ -293,7 +295,7 @@ class TestTrendVariance:
                 closed = kappa * gamma_fn(kappa + 1) * omega ** (1 - kappa)
                 assert lm.predicted_trend_variance(m, horizon, "phi") == \
                     pytest.approx(closed, rel=1e-12)
-                quad = theory._quad_trend_variance(m, horizon, "phi")
+                quad = _quad_trend_variance(m, horizon, "phi")
                 assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_phi_kappa_one_is_unity(self):
@@ -317,7 +319,7 @@ class TestTrendVariance:
                     assert lm.predicted_trend_variance(
                         m, horizon, estimator) == pytest.approx(
                         closed, rel=1e-12)
-                    quad = theory._quad_trend_variance(m, horizon, estimator)
+                    quad = _quad_trend_variance(m, horizon, estimator)
                     assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_scaling_domain_enforced(self):
@@ -369,7 +371,7 @@ class TestPhiVarianceNestedOracle:
 
     def test_exponential_single_integral_equals_nested(self):
         m = PropagatorModel(tau=64.0, kappa=0.6, regime="exponential")
-        assert theory._quad_trend_variance(m, 16.0, "phi") == \
+        assert _quad_trend_variance(m, 16.0, "phi") == \
             pytest.approx(nested_phi_variance(m, 16.0), rel=1e-9)
 
 
@@ -416,17 +418,17 @@ class TestQuadratureOracle:
             for k in range(1, 14):
                 horizon = 2.0 ** k
                 w = 2.0 / horizon
-                pairs = [(theory._quad_trend_return_correlation(m, w),
+                pairs = [(_quad_trend_return_correlation(m, w),
                           quadpack(lambda z: -2.0 * w ** 1.5 * z
                                    * math.exp(-w * z)
                                    * reference_derivatives(m, z)[1], m))]
                 if regime != "scaling" or horizon <= tau / 4.0:
                     pairs += [
-                        (theory._quad_trend_variance(m, horizon, "phi"),
+                        (_quad_trend_variance(m, horizon, "phi"),
                          quadpack(lambda v: -2.0 * w ** 2 * v
                                   * math.exp(-w * v)
                                   * reference_derivatives(m, v)[0], m)),
-                        (theory._quad_trend_variance(m, horizon, "tilde"),
+                        (_quad_trend_variance(m, horizon, "tilde"),
                          quadpack(lambda v: -2.0 / horizon
                                   * reference_derivatives(m, v)[0],
                                   m, horizon)),
@@ -443,9 +445,7 @@ class TestMatchedScalingLimit:
     """Below t_star = tau/2 the matched curves are the scaling closed forms.
 
     With tau = 2^15 and k <= 10, e^(-w t_star) <= e^(-32), so the tail
-    past t_star moves no prediction at 1e-9.  At small kappa the k = 1
-    trend/return correlation is the hard case: most of its mass sits
-    within a few days of 0 on a piece 16 384 days long.
+    past t_star moves no prediction at 1e-9.
     """
 
     @pytest.mark.parametrize("kappa", [0.1, 0.2, 0.3, 0.6, 0.9])
@@ -469,9 +469,14 @@ class TestMatchedScalingLimit:
 
 
 class TestQuadratureFailsClosed:
+    """The reference quadrature raises where it cannot resolve an integral;
+    the package's closed forms hold there too."""
+
     def test_is_a_value_error(self):
         assert issubclass(QuadratureError, ValueError)
-        assert lm.QuadratureError is QuadratureError
+        # the package integrates nothing, so it exports no such error
+        with pytest.raises(AttributeError):
+            lm.QuadratureError
 
     def test_unresolved_singularity_raises(self):
         # t^(kappa-1) at kappa = 0.05 decays too slowly toward t = 0 for
@@ -479,9 +484,10 @@ class TestQuadratureFailsClosed:
         m = PropagatorModel(tau=2.0 ** 15, kappa=0.05, regime="matched",
                             t_star=2.0 ** 14)
         with pytest.raises(QuadratureError, match="kappa=0.05"):
-            lm.predicted_trend_return_correlation(m, 1.0)
+            _quad_trend_return_correlation(m, 1.0)
         with pytest.raises(QuadratureError):
-            theory._quad_trend_variance(m, 2.0, "tilde")
+            _quad_trend_variance(m, 2.0, "tilde")
+        assert lm.predicted_trend_return_correlation(m, 1.0) < 0.0
 
     def test_end_terms_alone_raise(self):
         # kappa = 0.08: steps h and 2h agree to 1.4e-11, but the end terms
@@ -489,15 +495,16 @@ class TestQuadratureFailsClosed:
         m = PropagatorModel(tau=2.0 ** 15, kappa=0.08, regime="matched",
                             t_star=2.0 ** 14)
         with pytest.raises(QuadratureError):
-            lm.predicted_trend_return_correlation(m, 1.0)
+            _quad_trend_return_correlation(m, 1.0)
+        assert lm.predicted_trend_return_correlation(m, 1.0) < 0.0
 
     def test_step_disagreement_alone_raises(self):
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
-        assert theory._quad(lambda x: np.cos(x) + 2.0, m, 1.0, 20.0) == \
+        assert _quad(lambda x: np.cos(x) + 2.0, m, 1.0, 20.0) == \
             pytest.approx(math.sin(20.0) + 40.0, rel=1e-14)
         # cos(40 x) oscillates faster than the step-2h nodes resolve
         with pytest.raises(QuadratureError, match="steps h and 2h"):
-            theory._quad(lambda x: np.cos(40.0 * x) + 2.0, m, 1.0, 20.0)
+            _quad(lambda x: np.cos(40.0 * x) + 2.0, m, 1.0, 20.0)
 
 
 def substituted_quadpack(model, horizon, kind):
@@ -537,9 +544,8 @@ def substituted_quadpack(model, horizon, kind):
 class TestMatchedLargeTau:
     """predict's matched regime (t_star = tau/2) for tau up to 1e12.
 
-    The integrands decay as e^(-w z) with 1/w far below t_star; a single
-    tanh-sinh piece over (0, t_star) left too few nodes where the weight
-    is and raised QuadratureError in 190 of these 780 evaluations.
+    The integrands decay as e^(-w z) with 1/w far below t_star, so the
+    reference splits where the weight is.
     """
 
     @pytest.mark.parametrize("tau", [2.0 ** 15, 1e6, 1e7, 1e9, 1e12])
@@ -557,6 +563,92 @@ class TestMatchedLargeTau:
                 assert value == pytest.approx(
                     substituted_quadpack(m, horizon, kind), rel=1e-12), \
                     (kind, k)
+
+
+CLOSED_FORM_KAPPAS = (0.01, 0.05, 0.08, 0.15, 0.3, 0.6, 0.808, 0.9, 0.97,
+                      1.0)
+
+
+def decimal_lower_gamma(s, x):
+    """gamma(s, x) by its series x^s e^(-x) Sum_n x^n / (s (s+1) ... (s+n))
+    in 40-digit decimal arithmetic; every term is positive."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        s, x = decimal.Decimal(s), decimal.Decimal(x)
+        term = total = 1 / s
+        n = s
+        while term > total * decimal.Decimal("1e-38"):
+            n += 1
+            term *= x / n
+            total += term
+        return float(total * (s * x.ln() - x).exp())
+
+
+class TestLowerGamma:
+    """theory._lower_gamma across both branches and the switch at s + 1."""
+
+    @staticmethod
+    def points(kappa, top):
+        for s in (kappa, kappa + 1.0):
+            for x in [10.0 ** (e / 4.0) for e in range(-48, 4 * top + 1)] \
+                    + [s + 1.0 - 1e-9, s + 1.0 + 1e-9]:
+                yield s, x
+
+    @pytest.mark.parametrize("kappa", CLOSED_FORM_KAPPAS)
+    def test_matches_scipy(self, kappa):
+        # scipy's gammainc * gamma is itself off by up to 9.6e-15 from
+        # 40-digit values at x <= 1e-10, s > 1
+        for s, x in self.points(kappa, 12):
+            assert theory._lower_gamma(s, x) == pytest.approx(
+                gammainc(s, x) * gamma_fn(s), rel=2e-14, abs=0.0), (s, x)
+
+    @pytest.mark.parametrize("kappa", CLOSED_FORM_KAPPAS)
+    def test_matches_decimal_series(self, kappa):
+        # up to x = 56: past it gamma(s, x) is Gamma(s) to 1e-22
+        for s, x in self.points(kappa, 1):
+            assert theory._lower_gamma(s, x) == pytest.approx(
+                decimal_lower_gamma(s, x), rel=2e-15, abs=0.0), (s, x)
+
+
+def scipy_matched(model, horizon):
+    """The matched trend/return correlation and phi variance, split at
+    t_star, with scipy's lower incomplete gamma function."""
+    k, tau, t_star = model.kappa, model.tau, model.t_star
+    w = 2.0 / horizon
+    a = w + 1.0 / tau
+    tail = 0.5 * (tau ** k - t_star ** k) * math.exp(-w * t_star) \
+        * (t_star / a + 1.0 / a ** 2)
+    corr = -2.0 * w ** 1.5 * (
+        0.5 * k * (1.0 - k) * gammainc(k, w * t_star) * gamma_fn(k)
+        * w ** -k + tail / tau ** 2)
+    phi = k * gammainc(k + 1.0, w * t_star) * gamma_fn(k + 1.0) \
+        * w ** (1.0 - k) + 2.0 * w ** 2 * tail / tau
+    return corr, phi
+
+
+class TestMatchedClosedForms:
+    """The matched closed forms against the same split evaluated with
+    scipy, over t_star from 10 to tau/2 and T = 2^k up to 2^40."""
+
+    @pytest.mark.parametrize("tau", [2.0 ** 6, 2.0 ** 11, 2.0 ** 15, 1e6,
+                                     1e9, 1e12])
+    def test_matches_scipy_gamma(self, tau):
+        compared = 0
+        for kappa in CLOSED_FORM_KAPPAS:
+            for t_star in (10.0, tau / 64.0, tau / 2.0):
+                m = PropagatorModel(tau=tau, kappa=kappa, regime="matched",
+                                    t_star=t_star)
+                for k in range(1, 41):
+                    horizon = 2.0 ** k
+                    ours = (lm.predicted_trend_return_correlation(
+                        m, 2.0 / horizon),
+                            lm.predicted_trend_variance(m, horizon, "phi"))
+                    for got, ref in zip(ours, scipy_matched(m, horizon)):
+                        if abs(ref) > 1e-290:
+                            assert got == pytest.approx(
+                                ref, rel=1e-14, abs=0.0), (kappa, t_star, k)
+                            compared += 1
+        assert compared >= 2340
 
 
 class TestAdjacentWindowCorrelation:
