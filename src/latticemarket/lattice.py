@@ -48,8 +48,9 @@ class SpinLattice:
 
     Occupations are stored as 0/1 integers; the +-1/2 spin semantics are
     applied in arithmetic only, so the state itself never touches
-    floating point.  The Glauber kernel in `dynamics` writes the
-    occupations in place.
+    floating point.  `dynamics.run_simulation` reads them into a +-1 spin
+    copy in checkerboard order and sweeps that copy; the lattice itself
+    is left unchanged.
     """
 
     def __init__(self, dims: int, side: int, occupations: np.ndarray):

@@ -212,7 +212,13 @@ class PropagatorModel:
 
 
 def _delta_scaling(model: PropagatorModel, t: float) -> float:
-    return 0.5 * (model.tau ** model.kappa - abs(t) ** model.kappa)
+    """(tau^kappa - |t|^kappa)/2 as -(tau^kappa/2) expm1(kappa ln(|t|/tau)):
+    the two powers differ by about kappa ln(tau/|t|) relative, so their
+    difference would cancel at small kappa."""
+    half = 0.5 * model.tau ** model.kappa
+    if t == 0:
+        return half
+    return -half * math.expm1(model.kappa * math.log(abs(t) / model.tau))
 
 
 def propagator(model: PropagatorModel, t: float) -> float:

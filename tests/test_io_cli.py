@@ -6,6 +6,7 @@ import datetime
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -394,6 +395,25 @@ def _variance_csv(path):
     return path
 
 
+# prints the sorted scipy and numpy.ma modules this interpreter has loaded
+NO_SCIPY_PROBE = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(\n"
+    "    m for m in sys.modules\n"
+    "    if m in ('scipy', 'numpy.ma')\n"
+    "    or m.startswith(('scipy.', 'numpy.ma.')))))\n")
+
+
+def run_fresh(script, *args, **env):
+    """Run `script` in a fresh interpreter that imports this source tree:
+    the modules and the hash seed of the test process do not count."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestNoScipyAtRunTime:
     """Every command runs on numpy alone: scipy is a test-only oracle.
     No command imports numpy.ma either, which numpy 2 loads at the first
@@ -415,25 +435,108 @@ class TestNoScipyAtRunTime:
         files = {"prices": str(make_long_csv(tmp_path / "p.csv", days=600)),
                  "variances": str(_variance_csv(tmp_path / "v.csv"))}
         argv = [a.format(**files) for a in argv]
-        # a fresh interpreter: modules imported by other tests do not count
-        script = (
-            "import json, sys\n"
-            "import latticemarket.cli as cli\n"
-            "cli.build_parser()\n"
-            "code = cli.main(json.loads(sys.argv[1]))\n"
-            "print(json.dumps([code] + sorted(\n"
-            "    m for m in sys.modules\n"
-            "    if m in ('scipy', 'numpy.ma')\n"
-            "    or m.startswith(('scipy.', 'numpy.ma.')))))\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
-            [sys.executable, "-c", script,
-             json.dumps(argv + ["--out", str(tmp_path / "run")])],
-            env=env, capture_output=True, text=True, timeout=120)
+        script = ("import json, sys\n"
+                  "import latticemarket.cli as cli\n"
+                  "cli.build_parser()\n"
+                  "code = cli.main(json.loads(sys.argv[1]))\n"
+                  + NO_SCIPY_PROBE + "sys.exit(code)\n")
+        result = run_fresh(script, json.dumps(
+            argv + ["--out", str(tmp_path / "run")]))
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [0]
+        assert json.loads(result.stdout.splitlines()[-1]) == []
+
+    def test_readme_example_loads_no_scipy(self):
+        # the first python block of the README, as a user would paste it
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = re.search(r"^```python\n(.*?)^```$",
+                            readme.read_text(encoding="utf-8"),
+                            re.DOTALL | re.MULTILINE).group(1)
+        result = run_fresh(example + NO_SCIPY_PROBE)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+class TestCrossProcessReruns:
+    """Every command's outputs are the same bytes from one interpreter to
+    the next.  Each run goes once in a fresh interpreter under hash seed 0
+    and once under hash seed 1, so a list built by iterating a set of
+    names or dates would come out in a different order."""
+
+    SMOKE = ["--estimator", "step", "--horizons", "1,2,3,4",
+             "--bootstrap-samples", "100", "--cv-folds", "5"]
+    RUNS = {
+        "s1": ["simulate", "--dims", "1", "--side", "64", "--thin", "3"],
+        "s3": ["simulate", "--dims", "3", "--side", "8"],
+        # (1000 - 3) // 7 = 142 recorded sweeps, the last at 3 + 142 * 7
+        "st": ["simulate", "--dims", "1", "--side", "64", "--sweeps", "1000",
+               "--burn-in", "3", "--thin", "7"],
+        "p": ["predict", "--kappa", "0.9", "--regime", "matched"],
+        "pm9": ["predict", "--kappa", "0.97", "--regime", "matched",
+                "--tau", "1e9"],
+        "pm05": ["predict", "--kappa", "0.05", "--regime", "matched"],
+        "a": ["analyze", "{wide}", "--schema", "wide", *SMOKE],
+        "k": ["fit-kappa", "{out}/a/variance_by_scale.csv"],
+        # markets interleaved by day, one name padded on every other day
+        "i": ["analyze", "{long}", *SMOKE],
+    }
+    FILES = {
+        "simulate": ["magnetization.csv", "params.json", "returns.csv"],
+        "predict": ["hurst.csv", "params.json", "predictions.csv"],
+        "analyze": ["coefficient_table.csv", "coefficients_by_scale.csv",
+                    "moments.csv", "report.json", "trend_autocorrelation.csv",
+                    "variance_by_scale.csv"],
+        "fit-kappa": ["kappa_fit.json"],
+    }
+
+    def test_outputs_match_across_hash_seeds(self, tmp_path):
+        rng = np.random.default_rng(0)
+        days = [str(day) for day in np.datetime64("2020-01-01")
+                + np.arange(600)]
+        prices = (100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, (600, 3)),
+                                           0))).tolist()
+        inputs = {"wide": tmp_path / "wide.csv", "long": tmp_path / "long.csv"}
+        # ragged starts: market m begins on day 50 m
+        inputs["wide"].write_text("date,A,B,C\n" + "".join(
+            ",".join([day] + ["" if i < 50 * m else repr(p)
+                              for m, p in enumerate(row)]) + "\n"
+            for i, (day, row) in enumerate(zip(days, prices))))
+        inputs["long"].write_text(
+            "# a comment line, a blank line, a quoted name\n"
+            "market,date,price\n\n" + "".join(
+                f"{name},{day},{p!r}\n"
+                for i, (day, row) in enumerate(zip(days, prices))
+                for name, p in zip(["A", '"B, Inc."', " C " if i % 2 else "C"],
+                                   row)))
+        script = ("import json, sys\n"
+                  "import latticemarket.cli as cli\n"
+                  "for name, argv in json.loads(sys.argv[1]):\n"
+                  "    if cli.main(argv):\n"
+                  "        sys.exit(name + ' failed')\n")
+        trees = [tmp_path / "seed0", tmp_path / "seed1"]
+        for seed, tree in enumerate(trees):
+            runs = [(name, [a.format(out=tree, **inputs) for a in argv]
+                     + ["--out", str(tree / name)])
+                    for name, argv in self.RUNS.items()]
+            result = run_fresh(script, json.dumps(runs),
+                               PYTHONHASHSEED=str(seed))
+            assert result.returncode == 0, result.stderr
+        # each --out holds its files and nothing else: no staging left
+        assert sorted(p.name for p in trees[0].iterdir()) == \
+            sorted(self.RUNS)
+        for name, argv in self.RUNS.items():
+            files = sorted(p.name for p in (trees[0] / name).iterdir())
+            assert files == self.FILES[argv[0]], name
+            for file in files:
+                assert (trees[0] / name / file).read_bytes() == \
+                    (trees[1] / name / file).read_bytes(), (name, file)
+        _, mag = read_output_csv(trees[0] / "st" / "magnetization.csv")
+        assert (len(mag), mag[-1][0]) == (142, "997")
+        assert len(read_output_csv(trees[0] / "st" / "returns.csv")[1]) == 141
+        for name in ("p", "pm9", "pm05"):
+            assert len(read_output_csv(
+                trees[0] / name / "predictions.csv")[1]) == 13
+        report = strict_json((trees[0] / "i" / "report.json").read_text())
+        assert report["report"]["markets"] == ["A", "B, Inc.", "C"]
 
 
 class TestPredictCommand:
@@ -726,6 +829,19 @@ class TestAnalyzeCommand:
         assert "big.csv: line 3: field larger than field limit" in caplog.text
         assert not out.exists()
 
+    def test_wide_duplicate_date_named_without_output(self, tmp_path, caplog):
+        # a market's date fault, reported with its line once every row passed
+        csv_path = tmp_path / "dup.csv"
+        csv_path.write_text("date,A\n2020-01-01,1\n2020-01-02,2\n"
+                            "2020-01-03,3\n2020-01-03,3\n")
+        out = tmp_path / "analysis"
+        with caplog.at_level("ERROR"):
+            assert cli.main(["analyze", str(csv_path), "--schema", "wide",
+                             "--out", str(out)]) == 2
+        assert "dup.csv: line 5: duplicate date 2020-01-03 for market 'A'" \
+            in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizons,fault", [
         ("3,3,3", "horizons must not repeat"),
         ("2,2,2,3,4,5", "horizons must not repeat"),
@@ -807,12 +923,16 @@ class TestFitKappaCommand:
 
     def test_byte_order_mark_before_header(self, tmp_path):
         rows = "".join(f"{k},{(2.0 ** k) ** -0.04!r}\n" for k in range(1, 6))
-        var_csv = tmp_path / "var.csv"
-        var_csv.write_text("\ufeffk,variance\n" + rows, encoding="utf-8")
-        out = tmp_path / "fit"
-        assert cli.main(["fit-kappa", str(var_csv), "--out", str(out)]) == 0
-        result = json.loads((out / "kappa_fit.json").read_text())
-        assert result["kappa"] == pytest.approx(0.96, abs=1e-10)
+        # bare, and before the provenance comment that analyze writes
+        for i, head in enumerate(["", "# provenance: {}\n"]):
+            var_csv = tmp_path / "var.csv"
+            var_csv.write_text("\ufeff" + head + "k,variance\n" + rows,
+                               encoding="utf-8")
+            out = tmp_path / f"fit{i}"
+            assert cli.main(["fit-kappa", str(var_csv),
+                             "--out", str(out)]) == 0
+            result = json.loads((out / "kappa_fit.json").read_text())
+            assert result["kappa"] == pytest.approx(0.96, abs=1e-10)
 
     def test_synthetic_path_recovers_dimension(self, tmp_path):
         from latticemarket.theory import PropagatorModel

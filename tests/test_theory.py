@@ -610,13 +610,23 @@ class TestLowerGamma:
                 decimal_lower_gamma(s, x), rel=2e-15, abs=0.0), (s, x)
 
 
+def decimal_power_law(tau, kappa, t):
+    """Delta(t) = (tau^kappa - t^kappa)/2 in 50-digit arithmetic: in floats
+    the two powers cancel at small kappa (2.2e-14 relative at kappa = 0.01,
+    t = tau/2)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tau, kappa, t = (decimal.Decimal(v) for v in (tau, kappa, t))
+        return float((tau ** kappa - t ** kappa) / 2)
+
+
 def scipy_matched(model, horizon):
     """The matched trend/return correlation and phi variance, split at
     t_star, with scipy's lower incomplete gamma function."""
     k, tau, t_star = model.kappa, model.tau, model.t_star
     w = 2.0 / horizon
     a = w + 1.0 / tau
-    tail = 0.5 * (tau ** k - t_star ** k) * math.exp(-w * t_star) \
+    tail = decimal_power_law(tau, k, t_star) * math.exp(-w * t_star) \
         * (t_star / a + 1.0 / a ** 2)
     corr = -2.0 * w ** 1.5 * (
         0.5 * k * (1.0 - k) * gammainc(k, w * t_star) * gamma_fn(k)
@@ -760,6 +770,15 @@ class TestNoCancellation:
             exact = decimal_adjacent_and_tilde(m, horizon)[0]
             got = lm.predicted_adjacent_window_correlation(m, horizon)
             assert got == pytest.approx(exact, rel=1e-12, abs=0.0), horizon
+
+    @pytest.mark.parametrize("tau", [2.0 ** 15, 1e6, 1e9, 1e12])
+    def test_power_law_propagator_at_small_kappa(self, tau):
+        # the matched regime's Delta(t_star) is this power law
+        m = PropagatorModel(tau=tau, kappa=0.01)
+        for t in (10.0, tau / 64.0, tau / 2.0):
+            assert lm.propagator(m, t) == pytest.approx(
+                decimal_power_law(tau, 0.01, t), rel=1e-15, abs=0.0), t
+        assert lm.propagator(m, 0.0) == 0.5 * tau ** 0.01
 
 
 class TestPredictedHurst:
