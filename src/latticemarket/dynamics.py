@@ -44,6 +44,12 @@ def _check_even_side(side: int) -> None:
                          "needs a bipartite periodic lattice (even side)")
 
 
+def _check_recorded_sweeps(n: int) -> None:
+    # n values give n - 1 returns, and normalizing them needs two
+    if n < 3:
+        raise ValueError("need at least 3 recorded sweeps")
+
+
 @dataclass(frozen=True)
 class SimulationParams:
     """Glauber run description; temperature in k=1 units, time in sweeps."""
@@ -246,8 +252,7 @@ def magnetization_to_returns(series: MagnetizationSeries) -> trends.ReturnSeries
     series has zero difference variance and is rejected.
     """
     values = np.asarray(series.values, dtype=np.float64)
-    if values.size < 2:
-        raise ValueError("need at least 2 recorded sweeps")
+    _check_recorded_sweeps(values.size)
     return trends.normalize_raw_returns(np.diff(values))
 
 

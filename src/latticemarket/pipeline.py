@@ -168,9 +168,9 @@ def cmd_simulate(config: PipelineConfig, out_dir) -> list[Path]:
         dims=config.dims, side=config.side, init=config.init,
         temperature=config.temperature, sweeps=config.sweeps,
         burn_in=config.burn_in, thin=config.thin, seed=config.seed)
-    # the returns need two recorded values: fail before the first sweep
-    if (params.sweeps - params.burn_in) // params.thin < 2:
-        raise ValueError("need at least 2 recorded sweeps")
+    # too few recorded values for two returns: fail before the first sweep
+    dynamics._check_recorded_sweeps(
+        (params.sweeps - params.burn_in) // params.thin)
     series = dynamics.run_simulation(params)
     # a frozen run has no return variance: fail before writing any file
     returns = dynamics.magnetization_to_returns(series)
@@ -500,15 +500,19 @@ def _window_sums(returns_all, ks: list[int]) -> np.ndarray:
     return table
 
 
-def _pooled_moments(returns_all, horizons: list[int],
-                    qs=(1.0, 2.0, 3.0, 4.0)) -> dict:
+# the moment orders q of the report's moment_scaling section
+_MOMENT_ORDERS = (1.0, 2.0, 3.0, 4.0)
+
+
+def _pooled_moments(returns_all, horizons: list[int]) -> dict:
     """M_q(T) pooled across markets with H_q fits (stats.moment_scaling);
     no curve and no fit when no market covers 10 T at 3 horizons."""
-    out = {"qs": list(qs), "curves": [], "hurst": {}}
+    out = {"qs": list(_MOMENT_ORDERS), "curves": [], "hurst": {}}
     ks = {2 ** k: k for k in horizons}
     try:
         fits = stats.moment_scaling(
-            (np.cumsum(rets.excess()) for rets in returns_all), qs, list(ks))
+            (np.cumsum(rets.excess()) for rets in returns_all),
+            _MOMENT_ORDERS, list(ks))
     except ValueError:
         return out
     for q, fit in fits.items():

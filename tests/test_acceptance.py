@@ -9,10 +9,9 @@ import math
 import numpy as np
 
 import latticemarket as lm
-from de_quadrature import (_quad_trend_return_correlation,
-                           _quad_trend_variance)
 from latticemarket import dynamics, theory
 from latticemarket.theory import PUBLISHED_EXPONENT_TABLE, PropagatorModel
+from test_theory import quadpack_predictions
 
 TC = dynamics.CRITICAL_TEMPERATURE_2D
 
@@ -56,7 +55,7 @@ def test_criterion_2_dimension_roundtrip():
     report(2, f"kappa=0.96 -> D={d_hat:.3f}; inversion identity to 1e-6")
 
 
-# -- 3: closed forms vs quadrature ---------------------------------------------
+# -- 3: closed forms vs QUADPACK -----------------------------------------------
 
 def test_criterion_3_closed_vs_quadrature():
     checks = 0
@@ -70,22 +69,20 @@ def test_criterion_3_closed_vs_quadrature():
                     horizon = 2.0 ** k
                     if regime == "scaling" and horizon > tau / 4.0:
                         continue
-                    omega = 2.0 / horizon
-                    quantities = [
-                        (_quad_trend_variance(model, horizon, "phi"),
-                         lm.predicted_trend_variance(model, horizon, "phi")),
-                        (_quad_trend_variance(model, horizon, "tilde"),
-                         lm.predicted_trend_variance(model, horizon, "tilde")),
-                        (_quad_trend_return_correlation(model, omega),
-                         lm.predicted_trend_return_correlation(model, omega)),
-                    ]
-                    for quad, closed in quantities:
+                    ours = (lm.predicted_trend_return_correlation(
+                                model, 2.0 / horizon),
+                            lm.predicted_trend_variance(model, horizon, "phi"),
+                            lm.predicted_trend_variance(model, horizon,
+                                                        "tilde"))
+                    for closed, quad in zip(
+                            ours, quadpack_predictions(model, horizon)):
+                        assert quad is not None
                         if closed == 0.0:
                             assert abs(quad) <= 1e-12
                         else:
-                            assert abs(quad / closed - 1.0) <= 1e-6
+                            assert abs(quad / closed - 1.0) <= 1e-10
                         checks += 1
-    report(3, f"{checks} quadrature/closed-form pairs within 1e-6 relative")
+    report(3, f"{checks} QUADPACK/closed-form pairs within 1e-10 relative")
 
 
 # -- 4: phase transition at desk scale ----------------------------------------

@@ -327,19 +327,23 @@ class TestSimulateCommand:
 
     def test_too_few_records_fail_before_any_sweep(self, tmp_path, caplog,
                                                   monkeypatch):
-        # (20000 - 2000) // 15000 = 1 recorded sweep: no return to write
-        with pytest.raises(ValueError) as after_run:
-            lm.magnetization_to_returns(lm.MagnetizationSeries(
-                values=np.zeros(1), params=lm.SimulationParams()))
         calls = []
         monkeypatch.setattr(pipeline.dynamics, "run_simulation",
                             lambda params: calls.append(params))
-        out = tmp_path / "run"
-        assert cli.main(["simulate", "--side", "16", "--sweeps", "20000",
-                         "--thin", "15000", "--out", str(out)]) == 2
-        assert calls == []
-        assert f"ValueError: {after_run.value}" in caplog.text
-        assert not out.exists()
+        # (20000 - 2000) // thin recorded sweeps: 1 gives no return, and
+        # 2 give one, too few to normalize
+        for thin, recorded in (("15000", 1), ("9000", 2)):
+            with pytest.raises(ValueError) as after_run:
+                lm.magnetization_to_returns(lm.MagnetizationSeries(
+                    values=np.arange(recorded, dtype=float),
+                    params=lm.SimulationParams()))
+            caplog.clear()
+            out = tmp_path / f"run{recorded}"
+            assert cli.main(["simulate", "--side", "16", "--sweeps", "20000",
+                             "--thin", thin, "--out", str(out)]) == 2
+            assert calls == []
+            assert f"ValueError: {after_run.value}" in caplog.text
+            assert not out.exists()
 
     def test_frozen_run_writes_no_file(self, tmp_path):
         out = tmp_path / "run"

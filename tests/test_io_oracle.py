@@ -222,7 +222,7 @@ def inject(schema, rows, draw):
     if kind == "date":
         body[r][date_col] = draw(st.sampled_from(BAD_DATES))
     elif kind == "price":
-        cols = range(2, 3) if schema == "long" else range(1, len(body[r]))
+        cols = range(2, 3) if schema == "long" else range(1, len(rows[0]))
         body[r][draw(st.sampled_from(cols))] = draw(st.sampled_from(BAD_PRICES))
     elif kind == "fields":
         if draw(st.booleans()):
@@ -233,6 +233,13 @@ def inject(schema, rows, draw):
         other = draw(st.integers(max(r - 3, 0), r - 1))
         if kind == "repeat":
             body[r][date_col] = body[other][date_col]
+            if schema == "wide":
+                # wide panels are sparse: a price in one column of both
+                # rows makes the repeated date a duplicate
+                c = draw(st.integers(1, len(rows[0]) - 1))
+                if not body[other][c].strip():
+                    body[other][c] = "1"
+                body[r][c] = body[other][c]
         else:
             body[r][date_col], body[other][date_col] = \
                 body[other][date_col], body[r][date_col]

@@ -11,9 +11,6 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as gamma_fn, gammainc
 
 import latticemarket as lm
-from de_quadrature import (QuadratureError, _quad,
-                           _quad_trend_return_correlation,
-                           _quad_trend_variance)
 from latticemarket import theory
 from latticemarket.theory import (
     DomainError,
@@ -248,10 +245,8 @@ class TestTrendReturnCorrelation:
         m = PropagatorModel(tau=4096.0, kappa=kappa, regime="scaling")
         for horizon in (4.0, 64.0):
             omega = 2.0 / horizon
-            quad = _quad_trend_return_correlation(m, omega)
             closed = -2 * omega ** 1.5 * (kappa * (1 - kappa) / 2) \
                 * gamma_fn(kappa) * omega ** (-kappa)
-            assert quad == pytest.approx(closed, rel=1e-6)
             assert lm.predicted_trend_return_correlation(m, omega) == \
                 pytest.approx(closed, rel=1e-12)
 
@@ -261,10 +256,8 @@ class TestTrendReturnCorrelation:
         m = PropagatorModel(tau=tau, kappa=kappa, regime="exponential")
         for horizon in (4.0, 256.0):
             omega = 2.0 / horizon
-            quad = _quad_trend_return_correlation(m, omega)
             closed = -2 * omega ** 1.5 * (tau ** (kappa - 2) / 2) \
                 / (omega + 1 / tau) ** 2
-            assert quad == pytest.approx(closed, rel=1e-6)
             assert lm.predicted_trend_return_correlation(m, omega) == \
                 pytest.approx(closed, rel=1e-12)
 
@@ -273,6 +266,8 @@ class TestTrendReturnCorrelation:
                             t_star=64.0)
         val = lm.predicted_trend_return_correlation(m, 2.0 / 16.0)
         assert val < 0.0
+        # the package integrates nothing, so it exports no quadrature error
+        assert not hasattr(lm, "QuadratureError")
 
     def test_invalid_omega(self):
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
@@ -295,8 +290,6 @@ class TestTrendVariance:
                 closed = kappa * gamma_fn(kappa + 1) * omega ** (1 - kappa)
                 assert lm.predicted_trend_variance(m, horizon, "phi") == \
                     pytest.approx(closed, rel=1e-12)
-                quad = _quad_trend_variance(m, horizon, "phi")
-                assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_phi_kappa_one_is_unity(self):
         m = PropagatorModel(tau=4096.0, kappa=1.0, regime="scaling")
@@ -319,8 +312,6 @@ class TestTrendVariance:
                     assert lm.predicted_trend_variance(
                         m, horizon, estimator) == pytest.approx(
                         closed, rel=1e-12)
-                    quad = _quad_trend_variance(m, horizon, estimator)
-                    assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_scaling_domain_enforced(self):
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="scaling")
@@ -340,39 +331,6 @@ class TestTrendVariance:
         m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
         with pytest.raises(ValueError):
             lm.predicted_trend_variance(m, 8.0, "wedge")
-
-
-def nested_phi_variance(model, horizon):
-    """-2 w^3 Int_0^inf du e^(-w u) Int_0^u dv v Delta'(v), quad inside quad."""
-    omega = 2.0 / horizon
-    knees = [model.t_star] if model.regime == "matched" else []
-
-    def quad(f, hi):
-        edges = [0.0] + [b for b in knees if b < hi] + [hi]
-        return sum(integrate.quad(f, a, b, epsrel=1e-10, epsabs=1e-16,
-                                  limit=200)[0]
-                   for a, b in zip(edges, edges[1:]))
-
-    def inner(u):
-        return quad(lambda v: v * lm.propagator_derivatives(model, v)[0], u)
-
-    return -2.0 * omega ** 3 * quad(lambda u: math.exp(-omega * u) * inner(u),
-                                    math.inf)
-
-
-class TestPhiVarianceNestedOracle:
-    @pytest.mark.parametrize("k", [1, 5, 9, 13])
-    def test_matched_single_integral_equals_nested(self, k):
-        tau = 2.0 ** 15
-        m = PropagatorModel(tau=tau, kappa=0.9, regime="matched",
-                            t_star=tau / 2.0)
-        assert lm.predicted_trend_variance(m, 2.0 ** k, "phi") == \
-            pytest.approx(nested_phi_variance(m, 2.0 ** k), rel=1e-9)
-
-    def test_exponential_single_integral_equals_nested(self):
-        m = PropagatorModel(tau=64.0, kappa=0.6, regime="exponential")
-        assert _quad_trend_variance(m, 16.0, "phi") == \
-            pytest.approx(nested_phi_variance(m, 16.0), rel=1e-9)
 
 
 def reference_derivatives(model, t):
@@ -404,8 +362,52 @@ def quadpack(f, model, hi=math.inf):
     return total
 
 
+def quadpack_predictions(model, horizon):
+    """(<phi_w R>, phi variance, tilde variance) at T = horizon, w = 2/T,
+    by QUADPACK over the regime derivatives; None where it did not
+    converge."""
+    w = 2.0 / horizon
+    return (
+        quadpack(lambda z: -2.0 * w ** 1.5 * z * math.exp(-w * z)
+                 * reference_derivatives(model, z)[1], model),
+        quadpack(lambda v: -2.0 * w ** 2 * v * math.exp(-w * v)
+                 * reference_derivatives(model, v)[0], model),
+        quadpack(lambda v: -2.0 / horizon * reference_derivatives(model, v)[0],
+                 model, horizon))
+
+
+def nested_phi_variance(model, horizon):
+    """-2 w^3 Int_0^inf du e^(-w u) Int_0^u dv v Delta'(v), quad inside quad."""
+    omega = 2.0 / horizon
+
+    def inner(u):
+        value = quadpack(
+            lambda v: v * lm.propagator_derivatives(model, v)[0], model, u)
+        assert value is not None, u
+        return value
+
+    outer = quadpack(lambda u: math.exp(-omega * u) * inner(u), model)
+    assert outer is not None
+    return -2.0 * omega ** 3 * outer
+
+
+class TestPhiVarianceNestedOracle:
+    @pytest.mark.parametrize("k", [1, 5, 9, 13])
+    def test_matched_single_integral_equals_nested(self, k):
+        tau = 2.0 ** 15
+        m = PropagatorModel(tau=tau, kappa=0.9, regime="matched",
+                            t_star=tau / 2.0)
+        assert lm.predicted_trend_variance(m, 2.0 ** k, "phi") == \
+            pytest.approx(nested_phi_variance(m, 2.0 ** k), rel=1e-9)
+
+    def test_exponential_single_integral_equals_nested(self):
+        m = PropagatorModel(tau=64.0, kappa=0.6, regime="exponential")
+        assert lm.predicted_trend_variance(m, 16.0, "phi") == \
+            pytest.approx(nested_phi_variance(m, 16.0), rel=1e-9)
+
+
 class TestQuadratureOracle:
-    """The double-exponential rule against QUADPACK where it converges."""
+    """The closed forms against QUADPACK where it converges."""
 
     @pytest.mark.parametrize("regime", ["scaling", "exponential", "matched"])
     @pytest.mark.parametrize("kappa", [0.6, 0.808, 0.9, 0.97, 1.0])
@@ -417,23 +419,12 @@ class TestQuadratureOracle:
                 t_star=tau / 2.0 if regime == "matched" else None)
             for k in range(1, 14):
                 horizon = 2.0 ** k
-                w = 2.0 / horizon
-                pairs = [(_quad_trend_return_correlation(m, w),
-                          quadpack(lambda z: -2.0 * w ** 1.5 * z
-                                   * math.exp(-w * z)
-                                   * reference_derivatives(m, z)[1], m))]
+                closed = [lm.predicted_trend_return_correlation(
+                    m, 2.0 / horizon)]
                 if regime != "scaling" or horizon <= tau / 4.0:
-                    pairs += [
-                        (_quad_trend_variance(m, horizon, "phi"),
-                         quadpack(lambda v: -2.0 * w ** 2 * v
-                                  * math.exp(-w * v)
-                                  * reference_derivatives(m, v)[0], m)),
-                        (_quad_trend_variance(m, horizon, "tilde"),
-                         quadpack(lambda v: -2.0 / horizon
-                                  * reference_derivatives(m, v)[0],
-                                  m, horizon)),
-                    ]
-                for ours, ref in pairs:
+                    closed += [lm.predicted_trend_variance(m, horizon, "phi"),
+                               lm.predicted_trend_variance(m, horizon, "tilde")]
+                for ours, ref in zip(closed, quadpack_predictions(m, horizon)):
                     if ref is not None:
                         assert ours == pytest.approx(ref, rel=1e-10,
                                                      abs=1e-300)
@@ -466,45 +457,6 @@ class TestMatchedScalingLimit:
                     matched, horizon, estimator) == pytest.approx(
                     lm.predicted_trend_variance(scaling, horizon, estimator),
                     rel=1e-9)
-
-
-class TestQuadratureFailsClosed:
-    """The reference quadrature raises where it cannot resolve an integral;
-    the package's closed forms hold there too."""
-
-    def test_is_a_value_error(self):
-        assert issubclass(QuadratureError, ValueError)
-        # the package integrates nothing, so it exports no such error
-        with pytest.raises(AttributeError):
-            lm.QuadratureError
-
-    def test_unresolved_singularity_raises(self):
-        # t^(kappa-1) at kappa = 0.05 decays too slowly toward t = 0 for
-        # the node range: the step-h and step-2h sums and the end terms fail
-        m = PropagatorModel(tau=2.0 ** 15, kappa=0.05, regime="matched",
-                            t_star=2.0 ** 14)
-        with pytest.raises(QuadratureError, match="kappa=0.05"):
-            _quad_trend_return_correlation(m, 1.0)
-        with pytest.raises(QuadratureError):
-            _quad_trend_variance(m, 2.0, "tilde")
-        assert lm.predicted_trend_return_correlation(m, 1.0) < 0.0
-
-    def test_end_terms_alone_raise(self):
-        # kappa = 0.08: steps h and 2h agree to 1.4e-11, but the end terms
-        # reach 1.5e-11 of the integral
-        m = PropagatorModel(tau=2.0 ** 15, kappa=0.08, regime="matched",
-                            t_star=2.0 ** 14)
-        with pytest.raises(QuadratureError):
-            _quad_trend_return_correlation(m, 1.0)
-        assert lm.predicted_trend_return_correlation(m, 1.0) < 0.0
-
-    def test_step_disagreement_alone_raises(self):
-        m = PropagatorModel(tau=64.0, kappa=0.9, regime="exponential")
-        assert _quad(lambda x: np.cos(x) + 2.0, m, 1.0, 20.0) == \
-            pytest.approx(math.sin(20.0) + 40.0, rel=1e-14)
-        # cos(40 x) oscillates faster than the step-2h nodes resolve
-        with pytest.raises(QuadratureError, match="steps h and 2h"):
-            _quad(lambda x: np.cos(40.0 * x) + 2.0, m, 1.0, 20.0)
 
 
 def substituted_quadpack(model, horizon, kind):
